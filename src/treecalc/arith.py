@@ -2,10 +2,18 @@
 unreduced quotients of q-polynomials, and q-combinatorial primitives.
 
 There is no floating point anywhere in this package.  Scalars are
-``fractions.Fraction`` (re-exported as ``Rational``); polynomials are
-dense coefficient tuples over Fraction.  ``QPoly`` and ``AlphaPoly``
-share one implementation but are distinct types, so a q-expression can
-never be added to an alpha-expression by accident.
+``int`` or ``fractions.Fraction`` (re-exported as ``Rational``);
+polynomials are dense coefficient tuples in a canonical form: a
+coefficient is a plain ``int`` when it is integral and a reduced
+``Fraction`` only when its denominator is not 1, so integer polynomials
+such as [n]_q! and Gaussian binomials never touch Fraction arithmetic.
+``QPoly`` and ``AlphaPoly`` share one implementation but are distinct
+types, so a q-expression can never be added to an alpha-expression by
+accident.
+
+Floats are rejected, not converted: a float coefficient or scalar
+operand, or a float point given to ``Poly.evaluate`` or
+``QFraction.evaluate``, raises TypeError.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -27,28 +35,41 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def exact_scalar(value) -> Scalar:
+    """The canonical form of an exact scalar.
+
+    An int stays as it is, a bool becomes the int it stands for, a
+    Fraction with denominator 1 becomes its numerator and any other
+    Fraction is kept.  Anything else, floats included, raises TypeError.
+    """
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not a rational scalar: {value!r}")
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored lowest degree first with no trailing zeros;
     the zero polynomial is the empty tuple and its degree is None (never
-    an integer sentinel).  Arithmetic accepts plain ints and Fractions
-    and coerces them to constants.
+    an integer sentinel).  Each coefficient is in the canonical form of
+    ``exact_scalar``: an int, or a Fraction whose denominator is not 1.
+    Since ints and Fractions of equal value compare and hash equal and
+    print the same, the form changes no result, only its speed.
+    Arithmetic accepts plain ints and Fractions and coerces them to
+    constants; a float coefficient, operand or evaluation point raises
+    TypeError.
     """
 
     __slots__ = ("coeffs",)
     variable = "x"
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else exact_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -76,10 +97,10 @@ class Poly:
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, exponent: int) -> Fraction:
+    def coefficient(self, exponent: int) -> Scalar:
         if 0 <= exponent < len(self.coeffs):
             return self.coeffs[exponent]
-        return Fraction(0)
+        return 0
 
     def truncated(self, max_degree: int) -> "Poly":
         return type(self)(self.coeffs[: max_degree + 1])
@@ -148,7 +169,7 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return type(self)()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -180,7 +201,10 @@ class Poly:
         return result
 
     def evaluate(self, point):
-        """Evaluate by Horner's rule; the point may be any ring value."""
+        """Evaluate by Horner's rule at an int, a Fraction or a polynomial;
+        a float point raises TypeError."""
+        if not isinstance(point, Poly):
+            point = exact_scalar(point)
         result = 0
         for c in reversed(self.coeffs):
             result = result * point + c
@@ -266,7 +290,9 @@ def exact_poly_div(num: Poly, den: Poly):
 
     Long division over the rationals; a nonzero remainder means some
     upstream computation is wrong, so it raises NonExactDivision rather
-    than truncating.
+    than truncating.  A monic divisor, such as any product of [h]_q,
+    needs no coefficient division at all; any other leading coefficient
+    divides through Fraction, never through int / int (a float).
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
@@ -281,12 +307,12 @@ def exact_poly_div(num: Poly, den: Poly):
         if any(rem):
             raise NonExactDivision(f"{num} is not divisible by {den}")
         return cls.zero()
-    quot = [Fraction(0)] * (len(rem) - dd)
+    quot = [0] * (len(rem) - dd)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if not c:
             continue
-        q = c / lead
+        q = c if lead == 1 else Fraction(c, lead)
         quot[i - dd] = q
         for j, d in enumerate(dc):
             rem[i - dd + j] -= q * d
@@ -393,10 +419,11 @@ class QFraction:
         return QFraction(self.num * other.den, self.den * other.num)
 
     def evaluate(self, point) -> Fraction:
+        """The value at an int or Fraction point, always a Fraction."""
         den = self.den.evaluate(point)
         if not den:
             raise ZeroDivisionError(f"denominator vanishes at q={point}")
-        return self.num.evaluate(point) / den
+        return Fraction(self.num.evaluate(point), den)
 
     def __str__(self) -> str:
         if self.den == QPoly.one():

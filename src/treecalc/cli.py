@@ -61,6 +61,11 @@ def load_config(args: argparse.Namespace) -> CliConfig:
             config.truncation_order = int(os.environ["TREECALC_ORDER"])
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad configuration: {exc}") from exc
+    if getattr(args, "order", None) is not None:
+        config.truncation_order = args.order
+    # only identity and expand take an order; a flag overrides the setting
+    if hasattr(args, "order") and config.truncation_order < 0:
+        raise ParseError(f"order must be >= 0, got {config.truncation_order}")
     if getattr(args, "format", None):
         config.output_format = args.format
     if getattr(args, "unsafe_large", False):
@@ -160,14 +165,14 @@ def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
             raise ParseError("identity postnikov needs --n")
         report = identities.postnikov_check(args.n)
     elif name == "eisenstein":
-        order = args.order if args.order is not None else config.truncation_order
+        order = config.truncation_order
         report = identities.eisenstein_check(order)
     elif name == "duliu":
         if args.n is None:
             raise ParseError("identity duliu needs --n")
         report = identities.duliu_check(args.variant, args.n, args.m)
     elif name == "lagrange":
-        order = args.order if args.order is not None else config.truncation_order
+        order = config.truncation_order
         report = identities.lagrange_fixed_point_check(args.m, order)
     elif name == "ft":
         if not args.tree:
@@ -205,7 +210,7 @@ def _inverse_linear_operator(x: TruncatedSeries, y: TruncatedSeries) -> Truncate
 
 
 def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
-    order = args.order if args.order is not None else config.truncation_order
+    order = config.truncation_order
     equation = args.equation
     if equation == "inverse-linear":
         one = TruncatedSeries.constant(Fraction(1), order)
@@ -362,10 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_sizes(args: argparse.Namespace) -> None:
+    """Reject a negative --n before any work starts."""
+    n = getattr(args, "n", None)
+    if n is not None and n < 0:
+        raise ParseError(f"--n must be >= 0, got {n}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_sizes(args)
         config = load_config(args)
         return args.func(args, config)
     except ParseError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .arith import (
     AlphaPoly,
@@ -98,14 +98,14 @@ class IdentityReport:
 def hook_count(tree: BinaryTree) -> Fraction:
     """n! over the product of the hook lengths: the number of permutations
     whose decreasing tree has this shape."""
-    hooks = hook_data(tree).hooks
-    n = tree.node_count
-    value = Fraction(factorial(n))
-    for h in hooks:
-        value /= h
-    if value.denominator != 1:
-        raise NonIntegerResult(f"hook count of {tree} came out as {value}")
-    return value
+    numerator = factorial(tree.node_count)
+    denominator = prod(hook_data(tree).hooks)
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegerResult(
+            f"hook count of {tree} came out as {Fraction(numerator, denominator)}"
+        )
+    return Fraction(value)
 
 
 def _qhook(tree: BinaryTree) -> QPoly:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .arith import QFraction, QPoly, binomial_coefficient, q_integer
+from .arith import QFraction, QPoly, binomial_coefficient, exact_scalar, q_integer
 from .combinat import (
     BinaryTree,
     MAryTree,
@@ -367,10 +367,12 @@ class BinomialPoly:
         return BinomialPoly({k: fn(c) for k, c in self.coeffs.items()})
 
     def evaluate(self, point):
-        """Evaluate at a number via C(point, k); exact for Fraction points."""
+        """Evaluate at an int or Fraction point via C(point, k); a float
+        point raises TypeError rather than being converted."""
+        point = exact_scalar(point)
         total = 0
         for k, c in self.coeffs.items():
-            total = total + c * binomial_coefficient(Fraction(point), k)
+            total = total + c * binomial_coefficient(point, k)
         return total
 
     def to_json(self) -> dict[str, str]:

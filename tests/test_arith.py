@@ -14,7 +14,9 @@ from treecalc.arith import (
     q_factorial,
     q_integer,
 )
+from treecalc.combinat import BinaryTree
 from treecalc.errors import NonExactDivision
+from treecalc.identities import hook_count, qhook_imaj
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -166,3 +168,133 @@ def test_qfraction_arithmetic():
     assert x.evaluate(Fraction(1)) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         QFraction(QPoly.one(), QPoly.zero())
+
+
+# ---------------------------------------------------------------------------
+# The int-or-Fraction canonical form of coefficients.
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.booleans(),
+)
+scalar_lists = st.lists(scalars, min_size=0, max_size=7)
+binary_tree_shapes = st.recursive(
+    st.just(BinaryTree()),
+    lambda children: st.builds(BinaryTree, children, children),
+    max_leaves=8,
+)
+
+
+def _all_fraction_form(poly):
+    """The same polynomial with every coefficient stored as a Fraction,
+    built without the constructor that would normalise it."""
+    twin = object.__new__(type(poly))
+    twin.coeffs = tuple(Fraction(c) for c in poly.coeffs)
+    return twin
+
+
+def _fraction_coeffs(values):
+    """Reference coefficients in plain Fraction arithmetic, trimmed."""
+    cs = [Fraction(v) for v in values]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def assert_canonical(poly):
+    for c in poly.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    twin = _all_fraction_form(poly)
+    assert poly == twin
+    assert hash(poly) == hash(twin)
+    assert str(poly) == str(twin)
+    assert poly.to_json() == twin.to_json()
+
+
+@given(scalar_lists, scalar_lists, scalars)
+def test_ring_results_are_canonical(a_values, b_values, scalar):
+    a, b = QPoly(a_values), QPoly(b_values)
+    fa, fb = _fraction_coeffs(a_values), _fraction_coeffs(b_values)
+    assert list(a.coeffs) == fa and list(b.coeffs) == fb
+    width = max(len(fa), len(fb))
+    pad_a = fa + [Fraction(0)] * (width - len(fa))
+    pad_b = fb + [Fraction(0)] * (width - len(fb))
+    product = [Fraction(0)] * max(len(fa) + len(fb) - 1, 0)
+    for i, x in enumerate(fa):
+        for j, y in enumerate(fb):
+            product[i + j] += x * y
+    expected = {
+        "sum": _fraction_coeffs(x + y for x, y in zip(pad_a, pad_b)),
+        "difference": _fraction_coeffs(x - y for x, y in zip(pad_a, pad_b)),
+        "product": _fraction_coeffs(product),
+    }
+    results = {"sum": a + b, "difference": a - b, "product": a * b}
+    if scalar:
+        expected["quotient"] = _fraction_coeffs(x / Fraction(scalar) for x in fa)
+        results["quotient"] = a / scalar
+    for name, poly in results.items():
+        assert list(poly.coeffs) == expected[name], name
+        assert_canonical(poly)
+    for poly in (a, b, a * scalar, scalar - a):
+        assert_canonical(poly)
+    if b:
+        quotient = exact_poly_div(a * b, b)
+        assert quotient == a
+        assert_canonical(quotient)
+
+
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=-1, max_value=13))
+def test_q_binomial_is_canonical(n, k):
+    value = q_binomial(n, k)
+    assert all(type(c) is int for c in value.coeffs)
+    assert_canonical(value)
+
+
+@given(binary_tree_shapes)
+def test_qhook_imaj_is_canonical(tree):
+    if tree.is_empty:
+        return
+    value = qhook_imaj(tree)
+    assert all(type(c) is int for c in value.coeffs)
+    assert_canonical(value)
+    assert value.evaluate(1) == hook_count(tree)
+    assert type(hook_count(tree)) is Fraction
+
+
+def test_exact_poly_div_non_monic():
+    # (1+q)(1+2q) / (2+4q) = (1+q)/2 needs Fraction quotients
+    quotient = exact_poly_div(QPoly((1, 3, 2)), QPoly((2, 4)))
+    assert quotient.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in quotient.coeffs)
+    # (1+q)(1+2q) / (1+2q) divides evenly and stays int
+    quotient = exact_poly_div(QPoly((1, 3, 2)), QPoly((1, 2)))
+    assert quotient.coeffs == (1, 1)
+    assert all(type(c) is int for c in quotient.coeffs)
+    with pytest.raises(NonExactDivision):
+        exact_poly_div(QPoly((1, 0, 2)), QPoly((1, 2)))
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        QPoly((1, 0.5))
+    with pytest.raises(TypeError):
+        QPoly((1, 2)) * 0.5
+
+
+def test_poly_evaluate_rejects_float_point():
+    with pytest.raises(TypeError):
+        QPoly((1, 2)).evaluate(0.5)
+    assert QPoly((1, 2)).evaluate(Fraction(1, 2)) == 2
+
+
+def test_qfraction_evaluate_returns_fraction_at_int_point():
+    value = QFraction(QPoly((1, 1)), QPoly((2,))).evaluate(1)
+    assert value == 1
+    assert type(value) is Fraction
+    value = QFraction(QPoly.one(), q_integer(2)).evaluate(1)
+    assert value == Fraction(1, 2)
+    assert type(value) is Fraction
+    with pytest.raises(TypeError):
+        QFraction(QPoly.one(), q_integer(2)).evaluate(0.5)

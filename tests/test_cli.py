@@ -245,3 +245,54 @@ def test_oracle_respects_max_degree_env(capsys, monkeypatch):
     monkeypatch.setenv("TREECALC_MAX_DEGREE", "7")
     code, _ = run(capsys, "hook", "((_,_),((_,_),_))", "--oracle")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# negative sizes and orders
+# ---------------------------------------------------------------------------
+
+
+def _run_rejected(capsys, *argv) -> tuple[int, str]:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_enumerate_negative_n_is_a_parse_error(capsys):
+    code, err = _run_rejected(capsys, "enumerate", "binary-trees", "--n", "-1")
+    assert code == 2
+    assert err == "parse error: --n must be >= 0, got -1\n"
+
+
+def test_identity_negative_order_is_a_parse_error(capsys):
+    code, err = _run_rejected(capsys, "identity", "eisenstein", "--order", "-3")
+    assert code == 2
+    assert err == "parse error: order must be >= 0, got -3\n"
+
+
+def test_expand_negative_order_is_a_parse_error(capsys):
+    code, err = _run_rejected(capsys, "expand", "postnikov", "--order", "-1")
+    assert code == 2
+    assert err == "parse error: order must be >= 0, got -1\n"
+
+
+def test_negative_configured_order_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("TREECALC_ORDER", "-1")
+    code, err = _run_rejected(capsys, "expand", "inverse-linear")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+
+
+def test_order_flag_overrides_negative_configured_order(capsys, monkeypatch):
+    monkeypatch.setenv("TREECALC_ORDER", "-1")
+    code, out = run(capsys, "expand", "inverse-linear", "--order", "3")
+    assert code == 0
+    assert out.strip()
+
+
+def test_negative_configured_order_ignored_without_order(capsys, monkeypatch):
+    monkeypatch.setenv("TREECALC_ORDER", "-1")
+    code, out = run(capsys, "hook", "((_,_),_)")
+    assert code == 0
+    assert out.strip() == "1"

@@ -185,6 +185,13 @@ def test_binomial_poly_product_is_exact():
         assert (a * b).evaluate(t) == a.evaluate(t) * b.evaluate(t)
 
 
+def test_binomial_poly_evaluate_rejects_float_point():
+    p = BinomialPoly({1: 1})
+    with pytest.raises(TypeError):
+        p.evaluate(0.1)
+    assert p.evaluate(Fraction(1, 10)) == Fraction(1, 10)
+
+
 # ---------------------------------------------------------------------------
 # exponential and binomial series
 # ---------------------------------------------------------------------------
