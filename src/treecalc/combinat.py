@@ -423,34 +423,25 @@ class HookData:
 
 
 def hook_data(tree: BinaryTree | MAryTree) -> HookData:
-    """Collect the hook multiset (and, for binary trees, the right sizes)."""
-    if tree.is_empty:
+    """Collect the hook multiset (and, for binary trees, the right sizes).
+
+    One breadth-first pass over a list that grows while it is read, for
+    binary and m-ary trees alike, so a deep tree never meets the
+    recursion limit.
+    """
+    if not tree.node_count:
         raise ValueError("hook data of the empty tree is undefined")
-    hooks: list[int] = []
-    rights: list[int] = []
-
-    if isinstance(tree, BinaryTree):
-
-        def walk(node: BinaryTree) -> None:
-            if node.is_empty:
-                return
-            hooks.append(node.node_count)
-            rights.append(node.right.node_count)
-            walk(node.left)
-            walk(node.right)
-
-        walk(tree)
-        return HookData(tuple(sorted(hooks, reverse=True)), tuple(sorted(rights, reverse=True)))
-
-    def walk_mary(node: MAryTree) -> None:
-        if node.is_empty:
-            return
-        hooks.append(node.node_count)
-        for child in node.children:
-            walk_mary(child)
-
-    walk_mary(tree)
-    return HookData(tuple(sorted(hooks, reverse=True)))
+    binary = isinstance(tree, BinaryTree)
+    nodes = [tree]
+    for node in nodes:
+        for child in (node.left, node.right) if binary else node.children:
+            if child.node_count:
+                nodes.append(child)
+    hooks = tuple(sorted([node.node_count for node in nodes], reverse=True))
+    if not binary:
+        return HookData(hooks)
+    rights = sorted([node.right.node_count for node in nodes], reverse=True)
+    return HookData(hooks, tuple(rights))
 
 
 def decreasing_tree(perm: Permutation) -> BinaryTree:

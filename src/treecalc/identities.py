@@ -10,9 +10,10 @@ All comparisons are exact; nothing is tolerance-based.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .arith import (
     AlphaPoly,
@@ -208,24 +209,26 @@ def postnikov_operator(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSerie
 
 
 def _postnikov_sum(n: int) -> Fraction:
-    """Sum over binary shapes with n nodes of prod_v (1 + 1/h_v), memoized
-    over shared subtrees."""
-    cache: dict[BinaryTree, Fraction] = {}
+    """Sum over binary shapes with n nodes of prod_v (1 + 1/h_v).
 
-    def weight(tree: BinaryTree) -> Fraction:
-        if tree.is_empty:
-            return Fraction(1)
-        value = cache.get(tree)
+    Every shape is visited.  A shape T with k nodes and left subtree L
+    carries the integer c(T) = k! prod_v (1 + 1/h_v), which satisfies
+    c(T) = (k+1) C(k-1, |L|) c(L) c(R) with c(empty) = 1.  It is memoized
+    by text over the subtrees the enumerator shares, and the sum is
+    sum_T c(T) / n!.
+    """
+    cache = {"_": 1}
+
+    def weight(tree: BinaryTree) -> int:
+        value = cache.get(tree.text)
         if value is None:
-            h = tree.node_count
-            value = weight(tree.left) * weight(tree.right) * Fraction(h + 1, h)
-            cache[tree] = value
+            k, left = tree.node_count, tree.left
+            value = (k + 1) * comb(k - 1, left.node_count)
+            value *= weight(left) * weight(tree.right)
+            cache[tree.text] = value
         return value
 
-    total = Fraction(0)
-    for tree in binary_trees(n):
-        total += weight(tree)
-    return total
+    return Fraction(sum(weight(tree) for tree in binary_trees(n)), factorial(n))
 
 
 def eisenstein_coefficients(order: int) -> TruncatedSeries:
@@ -261,9 +264,8 @@ def postnikov_check(n: int, *, series_order: int | None = None) -> IdentityRepor
             expected = one
             closed = Fraction(1)
         else:
-            closed = Fraction(1, 2**k)
-            for h in hook_data(tree).hooks:
-                closed *= Fraction(h + 1, h)
+            hooks = hook_data(tree).hooks
+            closed = Fraction(prod(h + 1 for h in hooks), 2**k * prod(hooks))
             expected = TruncatedSeries.monomial(k, order, closed)
         equal = equal and term == expected
         per_tree.append({"tree": tree.text, "coefficient": str(closed)})
@@ -332,12 +334,14 @@ def _duliu_tree_sum(variant: str, m: int, n: int) -> AlphaPoly:
     if n == 0:
         return AlphaPoly.one()
     trees = binary_trees(n) if m == 1 else mary_trees(m, n)
+    # the summand depends on the hook multiset only: one product per multiset
+    multisets = Counter(hook_data(tree).hooks for tree in trees)
     total = AlphaPoly.zero()
-    for tree in trees:
+    for hooks, count in multisets.items():
         term = AlphaPoly.one()
-        for h in hook_data(tree).hooks:
+        for h in hooks:
             term = term * duliu_node_factor(variant, m, h)
-        total = total + term
+        total = total + term * count
     return total
 
 

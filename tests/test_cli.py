@@ -1,4 +1,9 @@
+import csv
+import io
 import json
+import re
+
+import pytest
 
 from treecalc import identities
 from treecalc.cli import main
@@ -296,3 +301,149 @@ def test_negative_configured_order_ignored_without_order(capsys, monkeypatch):
     code, out = run(capsys, "hook", "((_,_),_)")
     assert code == 0
     assert out.strip() == "1"
+
+
+# ---------------------------------------------------------------------------
+# the arity --m
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (("identity", "duliu", "--variant", "las3", "--m", "0", "--n", "2"), 0),
+        (("identity", "lagrange", "--m", "0"), 0),
+        (("expand", "duliu", "--m", "0", "--order", "3"), 0),
+        (("enumerate", "mary-trees", "--m", "0", "--n", "2"), 0),
+        (("enumerate", "mary-trees", "--m", "-1", "--n", "2"), -1),
+    ],
+)
+def test_arity_below_one_is_a_parse_error(capsys, argv, m):
+    code, err = _run_rejected(capsys, *argv)
+    assert code == 2
+    assert err == f"parse error: --m must be >= 1, got {m}\n"
+
+
+def test_arity_above_the_guard_is_a_size_guard(capsys):
+    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "4")
+    assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# CSV output and the configured output format
+# ---------------------------------------------------------------------------
+
+
+def test_csv_without_rows_prints_the_scalar_fields(capsys):
+    code, out = run(capsys, "--format", "csv", "identity", "postnikov", "--n", "3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["identity", "lhs", "rhs", "equal", "elapsed_ms"]
+    assert rows[1][:4] == ["postnikov", "16", "16", "True"]
+    assert len(rows) == 2
+
+    code, out = run(
+        capsys, "--format", "csv", "enumerate", "binary-trees", "--n", "3",
+        "--count-only",
+    )
+    assert code == 0
+    assert out == "family,n,count\nbinary-trees,3,5\n"
+
+
+def test_csv_quotes_binary_tree_texts(capsys):
+    code, out = run(
+        capsys, "--format", "csv", "identity", "postnikov", "--n", "2", "--per-tree"
+    )
+    assert code == 0
+    assert '"(_,_)",1\n' in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["tree", "coefficient"]
+    assert all(len(row) == 2 for row in rows)
+    assert ["((_,_),_)", "3/4"] in rows
+
+    code, out = run(capsys, "--format", "csv", "enumerate", "binary-trees", "--n", "2")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["((_,_),_)"], ["(_,(_,_))"]]
+
+
+def test_config_file_rejects_an_unknown_output_format(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_format": "xml"}))
+    code, err = _run_rejected(
+        capsys, "--config", str(config), "enumerate", "binary-trees", "--n", "2"
+    )
+    assert code == 2
+    assert err.startswith("parse error: bad configuration: ")
+    assert "'xml'" in err
+    assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# golden output of the tree sums (elapsed_ms removed)
+# ---------------------------------------------------------------------------
+
+GOLDEN = {
+    ("identity", "postnikov", "--n", "11"): (
+        "identity=postnikov equal=true\n"
+        "lhs=61917364224\n"
+        "rhs=61917364224\n",
+        r"""{
+  "identity": "postnikov",
+  "parameters": {
+    "n": 11,
+    "series_order": 8
+  },
+  "lhs": "61917364224",
+  "rhs": "61917364224",
+  "equal": true
+}
+""",
+    ),
+    ("identity", "duliu", "--variant", "las1", "--n", "7"): (
+        "identity=duliu-las1 equal=true\n"
+        "lhs=1+717/35α+52387/315α^2+73271/105α^3+172531/105α^4+137435/63α^5"
+        "+159427/105α^6+429α^7\n"
+        "rhs=1+717/35α+52387/315α^2+73271/105α^3+172531/105α^4+137435/63α^5"
+        "+159427/105α^6+429α^7\n",
+        r"""{
+  "identity": "duliu-las1",
+  "parameters": {
+    "variant": "las1",
+    "n": 7,
+    "m": 1
+  },
+  "lhs": "1+717/35\u03b1+52387/315\u03b1^2+73271/105\u03b1^3+172531/105\u03b1^4+137435/63\u03b1^5+159427/105\u03b1^6+429\u03b1^7",
+  "rhs": "1+717/35\u03b1+52387/315\u03b1^2+73271/105\u03b1^3+172531/105\u03b1^4+137435/63\u03b1^5+159427/105\u03b1^6+429\u03b1^7",
+  "equal": true
+}
+""",
+    ),
+    ("identity", "duliu", "--variant", "las3", "--m", "3", "--n", "5"): (
+        "identity=duliu-las3 equal=true\n"
+        "lhs=1/5α-20/3α^2+224/3α^3-1024/3α^4+8192/15α^5\n"
+        "rhs=1/5α-20/3α^2+224/3α^3-1024/3α^4+8192/15α^5\n",
+        r"""{
+  "identity": "duliu-las3",
+  "parameters": {
+    "variant": "las3",
+    "n": 5,
+    "m": 3
+  },
+  "lhs": "1/5\u03b1-20/3\u03b1^2+224/3\u03b1^3-1024/3\u03b1^4+8192/15\u03b1^5",
+  "rhs": "1/5\u03b1-20/3\u03b1^2+224/3\u03b1^3-1024/3\u03b1^4+8192/15\u03b1^5",
+  "equal": true
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_tree_sum_output_is_golden(capsys, argv):
+    text, as_json = GOLDEN[argv]
+    code, out = run(capsys, "--format", "text", *argv)
+    assert code == 0
+    assert out == text
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert re.sub(r',\n  "elapsed_ms": [^\n]*', "", out) == as_json

@@ -134,6 +134,36 @@ def test_hook_data_mary():
         assert data.right_sizes == ()
 
 
+DEEP = 3000  # well past the default recursion limit of 1000
+
+
+def test_hook_data_deep_combs():
+    from treecalc.identities import hook_count
+
+    empty = BinaryTree()
+    left_comb = right_comb = empty
+    for _ in range(DEEP):
+        left_comb = BinaryTree(left_comb, empty)
+        right_comb = BinaryTree(empty, right_comb)
+    descending = tuple(range(DEEP, 0, -1))
+    assert hook_data(left_comb).hooks == descending
+    assert hook_data(left_comb).right_sizes == (0,) * DEEP
+    assert hook_data(right_comb).hooks == descending
+    assert hook_data(right_comb).right_sizes == tuple(range(DEEP - 1, -1, -1))
+    assert hook_count(left_comb) == 1
+    assert hook_count(right_comb) == 1
+
+
+def test_hook_data_deep_mary_chain():
+    empty = MAryTree(2)
+    chain = empty
+    for _ in range(DEEP):
+        chain = MAryTree(2, (empty, chain, empty))
+    data = hook_data(chain)
+    assert data.hooks == tuple(range(DEEP, 0, -1))
+    assert data.right_sizes == ()
+
+
 def test_decreasing_tree_fibers_sum(perms_by_size):
     for n in range(1, 7):
         shapes = {}

@@ -8,6 +8,8 @@ from treecalc.combinat import (
     BinaryTree,
     PlaneTree,
     binary_trees,
+    hook_data,
+    mary_trees,
     plane_trees,
 )
 from treecalc.errors import SizeGuardError, VariantArityMismatch
@@ -216,6 +218,47 @@ def test_postnikov_is_las1_at_alpha_one():
         assert las1_at_one * Fraction(factorial(n), 2**n) == (n + 1) ** (n - 1)
         las2_at_one = _duliu_tree_sum("las2", 1, n).evaluate(Fraction(1))
         assert las2_at_one == 1
+
+
+def _ungrouped_product_sum(trees, factor):
+    total = AlphaPoly.zero()
+    for tree in trees:
+        term = AlphaPoly.one()
+        for h in hook_data(tree).hooks:
+            term = term * factor(h)
+        total = total + term
+    return total
+
+
+def test_postnikov_sum_against_per_tree_fractions():
+    from treecalc.identities import _postnikov_sum
+
+    for n in range(10):
+        expected = Fraction(0)
+        for tree in binary_trees(n):
+            weight = Fraction(1)
+            if n:
+                for h in hook_data(tree).hooks:
+                    weight *= 1 + Fraction(1, h)
+            expected += weight
+        assert _postnikov_sum(n) == expected
+
+
+def test_duliu_tree_sum_against_ungrouped_products():
+    from treecalc.identities import _duliu_tree_sum, duliu_node_factor
+
+    for variant in ("las1", "las2"):
+        for n in range(1, 7):
+            expected = _ungrouped_product_sum(
+                binary_trees(n), lambda h: duliu_node_factor(variant, 1, h)
+            )
+            assert _duliu_tree_sum(variant, 1, n) == expected
+    for m in (2, 3):
+        for n in range(1, 5):
+            expected = _ungrouped_product_sum(
+                mary_trees(m, n), lambda h: duliu_node_factor("las3", m, h)
+            )
+            assert _duliu_tree_sum("las3", m, n) == expected
 
 
 # ---------------------------------------------------------------------------
