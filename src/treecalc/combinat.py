@@ -243,26 +243,34 @@ class BinaryTree:
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryTree":
-        tree, rest = cls._parse(text.strip())
-        if rest:
-            raise ParseError(f"trailing input after binary tree: {rest!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, text: str) -> tuple["BinaryTree", str]:
-        if not text:
-            raise ParseError("unexpected end of binary tree string")
-        if text[0] == "_":
-            return cls(), text[1:]
-        if text[0] != "(":
-            raise ParseError(f"expected '_' or '(' in binary tree, got {text[0]!r}")
-        left, rest = cls._parse(text[1:])
-        if not rest.startswith(","):
-            raise ParseError("expected ',' between binary tree children")
-        right, rest = cls._parse(rest[1:])
-        if not rest.startswith(")"):
-            raise ParseError("expected ')' closing binary tree node")
-        return cls(left, right), rest[1:]
+        """Parse with an explicit stack, so depth meets no recursion limit."""
+        text = text.strip()
+        stack: list = []  # per open '(': its left child, None until parsed
+        pos = 0
+        while True:
+            if pos == len(text):
+                raise ParseError("unexpected end of binary tree string")
+            char = text[pos]
+            pos += 1
+            if char == "(":
+                stack.append(None)
+                continue
+            if char != "_":
+                raise ParseError(f"expected '_' or '(' in binary tree, got {char!r}")
+            tree = cls()
+            while stack and stack[-1] is not None:
+                if not text.startswith(")", pos):
+                    raise ParseError("expected ')' closing binary tree node")
+                pos += 1
+                tree = cls(stack.pop(), tree)
+            if not stack:
+                if pos < len(text):
+                    raise ParseError(f"trailing input after binary tree: {text[pos:]!r}")
+                return tree
+            if not text.startswith(",", pos):
+                raise ParseError("expected ',' between binary tree children")
+            pos += 1
+            stack[-1] = tree
 
 
 EMPTY_BINARY = BinaryTree()
@@ -318,27 +326,33 @@ class MAryTree:
 
     @classmethod
     def from_text(cls, arity: int, text: str) -> "MAryTree":
-        tree, rest = cls._parse(arity, text.strip())
-        if rest:
-            raise ParseError(f"trailing input after m-ary tree: {rest!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, arity: int, text: str) -> tuple["MAryTree", str]:
-        if not text:
-            raise ParseError("unexpected end of m-ary tree string")
-        if text[0] == "_":
-            return cls(arity), text[1:]
-        if text[0] != "(":
-            raise ParseError(f"expected '_' or '(' in m-ary tree, got {text[0]!r}")
-        rest = text[1:]
-        children = []
-        for _ in range(arity + 1):
-            child, rest = cls._parse(arity, rest)
-            children.append(child)
-        if not rest.startswith(")"):
-            raise ParseError("expected ')' closing m-ary tree node")
-        return cls(arity, children), rest[1:]
+        """Parse with an explicit stack, so depth meets no recursion limit."""
+        text = text.strip()
+        stack: list[list] = []  # per open '(': the children parsed so far
+        pos = 0
+        while True:
+            if pos == len(text):
+                raise ParseError("unexpected end of m-ary tree string")
+            char = text[pos]
+            pos += 1
+            if char == "(":
+                stack.append([])
+                continue
+            if char != "_":
+                raise ParseError(f"expected '_' or '(' in m-ary tree, got {char!r}")
+            tree = cls(arity)
+            while stack:
+                stack[-1].append(tree)
+                if len(stack[-1]) <= arity:
+                    break
+                if not text.startswith(")", pos):
+                    raise ParseError("expected ')' closing m-ary tree node")
+                pos += 1
+                tree = cls(arity, stack.pop())
+            else:
+                if pos < len(text):
+                    raise ParseError(f"trailing input after m-ary tree: {text[pos:]!r}")
+                return tree
 
 
 class PlaneTree:
@@ -383,29 +397,34 @@ class PlaneTree:
 
     @classmethod
     def from_text(cls, text: str) -> "PlaneTree":
-        tree, rest = cls._parse(text.strip())
-        if rest:
-            raise ParseError(f"trailing input after plane tree: {rest!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, text: str) -> tuple["PlaneTree", str]:
-        if not text:
-            raise ParseError("unexpected end of plane tree string")
-        if text[0] == "*":
-            return cls(), text[1:]
-        if text[0] != "(":
-            raise ParseError(f"expected '*' or '(' in plane tree, got {text[0]!r}")
-        rest = text[1:]
-        children = []
-        while rest and rest[0] != ")":
-            child, rest = cls._parse(rest)
-            children.append(child)
-        if not rest:
-            raise ParseError("expected ')' closing plane tree node")
-        if len(children) < 2:
-            raise ParseError("plane tree nodes need >= 2 children")
-        return cls(children), rest[1:]
+        """Parse with an explicit stack, so depth meets no recursion limit."""
+        text = text.strip()
+        stack: list[list] = []  # per open '(': the children parsed so far
+        pos = 0
+        while True:
+            if pos == len(text):
+                if stack:
+                    raise ParseError("expected ')' closing plane tree node")
+                raise ParseError("unexpected end of plane tree string")
+            char = text[pos]
+            pos += 1
+            if char == "(":
+                stack.append([])
+                continue
+            if char == "*":
+                tree = cls()
+            elif char == ")" and stack:
+                children = stack.pop()
+                if len(children) < 2:
+                    raise ParseError("plane tree nodes need >= 2 children")
+                tree = cls(children)
+            else:
+                raise ParseError(f"expected '*' or '(' in plane tree, got {char!r}")
+            if not stack:
+                if pos < len(text):
+                    raise ParseError(f"trailing input after plane tree: {text[pos:]!r}")
+                return tree
+            stack[-1].append(tree)
 
 
 LEAF = PlaneTree()

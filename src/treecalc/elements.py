@@ -6,6 +6,10 @@ length.  Coefficients may live in any exact ring that supports +, -, *
 and == (int, Fraction, QPoly, ...); zero coefficients are never stored,
 so canonical form is automatic.  Elements are immutable by convention
 and all operations return fresh values.
+
+Products are bilinear lifts of maps on basis words: ``bilinear`` sums
+coefficients on raw letter tuples, which hash at C speed, and builds the
+validated basis key of each distinct result word once (``keyed``).
 """
 
 from __future__ import annotations
@@ -22,15 +26,15 @@ class AlgebraElement:
     _key_name = "word"
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        data: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            if key in data:
-                coeff = data[key] + coeff
-            if coeff:
-                data[key] = coeff
-            elif key in data:
-                del data[key]
+        if isinstance(terms, Mapping):
+            # Mapping keys are distinct, and copying a dict reuses their hashes.
+            data = dict(terms)
+        else:
+            data = {}
+            for key, coeff in terms:
+                data[key] = data[key] + coeff if key in data else coeff
+        for key in [key for key, c in data.items() if not c]:
+            del data[key]
         self.terms = data
 
     def _like(self, terms) -> "AlgebraElement":
@@ -79,9 +83,7 @@ class AlgebraElement:
             return NotImplemented
         if not self._same_flavor(other):
             return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[key] == c for key, c in self.terms.items())
+        return self.terms == other.terms
 
     def _same_flavor(self, other) -> bool:
         return True
@@ -90,11 +92,7 @@ class AlgebraElement:
         self._check_compatible(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + c
         return self._like(out)
 
     def __sub__(self, other):
@@ -177,3 +175,30 @@ class WQSymElement(AlgebraElement):
 
     __slots__ = ()
     _key_name = "word"
+
+
+def bilinear(
+    x: AlgebraElement, y: AlgebraElement, words: Callable, key: Callable
+) -> AlgebraElement:
+    """Bilinear lift of a map on pairs of basis words: each pair of terms
+    (a, ca), (b, cb) adds ca * cb to every raw word in the sequence
+    words(a, b); an empty sequence costs no ring multiplication."""
+    sums: dict = {}
+    get = sums.get
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            ws = words(a, b)
+            if ws:
+                c = ca * cb
+                for w in ws:
+                    sums[w] = get(w, 0) + c
+    return keyed(x, sums, key)
+
+
+def keyed(x: AlgebraElement, sums: dict, key: Callable) -> AlgebraElement:
+    """The element like x with coefficient sums[w] on key(w) for each raw
+    word w whose sum is nonzero.  The dict built here becomes the
+    element's own, uncopied: a product's terms exist twice at most."""
+    element = x._like(())
+    element.terms = {key(w): c for w, c in sums.items() if c}
+    return element

@@ -16,10 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import itemgetter
 
 from .arith import QFraction, QPoly, q_factorial
 from .combinat import BinaryTree, Permutation
-from .elements import FQSymElement
+from .elements import FQSymElement, bilinear, keyed
 from .errors import BasisMismatch, EmptyOperand
 from .series import TruncatedSeries
 
@@ -47,25 +48,38 @@ def to_basis(x: FQSymElement, basis: str) -> FQSymElement:
     )
 
 
+@lru_cache(maxsize=None)
 def _split_values(n: int, k: int):
-    """All ways to hand k of the values 1..n to the left factor."""
+    """The ways to hand k of the values 1..n to the left factor, each as
+    the relabelling sigma = (0, left..., right..., n + 1) that sends
+    position i of a.(b shifted by k) to value sigma[i] and fixes n + 1.
+    Returned as (prec, succ, every): the splits whose left values hold n,
+    the others, and all in lexicographic order of the left values."""
     values = range(1, n + 1)
+    prec, succ, every = [], [], []
     for chosen in combinations(values, k):
         chosen_set = set(chosen)
-        rest = tuple(v for v in values if v not in chosen_set)
-        yield chosen, rest
+        sigma = (0, *chosen, *(v for v in values if v not in chosen_set), n + 1)
+        every.append(sigma)
+        (prec if n in chosen_set else succ).append(sigma)
+    return tuple(prec), tuple(succ), tuple(every)
+
+
+def _factors(a: Permutation, b: Permutation):
+    """The factors (u, v) with Std(u) = a and Std(v) = b of every value split."""
+    k = a.size
+    for sigma in _split_values(k + b.size, k)[2]:
+        yield tuple(sigma[i] for i in a.word), tuple(sigma[k + i] for i in b.word)
 
 
 def convolve(a: Permutation, b: Permutation) -> list[Permutation]:
     """All c = u.v with Std(u) = a and Std(v) = b; exactly C(k+l, k) of
-    them, duplicate-free, in the order induced by the value split."""
-    k, l = a.size, b.size
-    out = []
-    for left_values, right_values in _split_values(k + l, k):
-        u = tuple(left_values[i - 1] for i in a.word)
-        v = tuple(right_values[i - 1] for i in b.word)
-        out.append(Permutation(u + v))
-    return out
+    them, duplicate-free, in the order induced by the value split.
+
+    >>> [c.word for c in convolve(Permutation((1,)), Permutation((2, 1)))]
+    [(1, 3, 2), (2, 3, 1), (3, 2, 1)]
+    """
+    return [Permutation(u + v) for u, v in _factors(a, b)]
 
 
 def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], list[Permutation]]:
@@ -83,33 +97,30 @@ def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], li
     return prec, succ
 
 
+def _split_words(a: Permutation, b: Permutation, part: int, middle: tuple = ()) -> list:
+    """Part 0 (prec), 1 (succ) or 2 (every) of the value splits applied
+    to a.middle.(b shifted by |a|), as raw tuples.  Only the half
+    products (parts 0 and 1) reject an empty operand."""
+    k, l = len(a.word), len(b.word)
+    word = a.word + middle + tuple(v + k for v in b.word)
+    if k and l:
+        return list(map(itemgetter(*word), _split_values(k + l, k)[part]))
+    if part < 2:
+        raise EmptyOperand("half products need nonempty operands")
+    return [word]  # the one split is the identity
+
+
 def product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     """Bilinear extension of the convolution product (G basis)."""
     x.require_basis("G")
     y.require_basis("G")
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            c = ca * cb
-            for gamma in convolve(a, b):
-                s = out.get(gamma, 0) + c
-                if s:
-                    out[gamma] = s
-                elif gamma in out:
-                    del out[gamma]
-    return FQSymElement(out, basis="G")
+    return bilinear(x, y, lambda a, b: _split_words(a, b, 2), Permutation)
 
 
 def _half_product(x: FQSymElement, y: FQSymElement, side: int) -> FQSymElement:
     x.require_basis("G")
     y.require_basis("G")
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            c = ca * cb
-            for gamma in half_products(a, b)[side]:
-                out[gamma] = out.get(gamma, 0) + c
-    return FQSymElement(out, basis="G")
+    return bilinear(x, y, lambda a, b: _split_words(a, b, side), Permutation)
 
 
 def prec_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
@@ -129,16 +140,12 @@ def derive(x: FQSymElement) -> FQSymElement:
     x.require_basis("G")
     out: dict = {}
     for perm, c in x.terms.items():
-        n = perm.size
-        if n == 0:
-            continue
-        shorter = Permutation(tuple(v for v in perm.word if v != n))
-        s = out.get(shorter, 0) + c
-        if s:
-            out[shorter] = s
-        elif shorter in out:
-            del out[shorter]
-    return FQSymElement(out, basis="G")
+        w = perm.word
+        if w:
+            i = w.index(len(w))
+            shorter = w[:i] + w[i + 1 :]
+            out[shorter] = out.get(shorter, 0) + c
+    return keyed(x, out, Permutation)
 
 
 def bilinear_B(a: Permutation, b: Permutation) -> list[Permutation]:
@@ -147,26 +154,17 @@ def bilinear_B(a: Permutation, b: Permutation) -> list[Permutation]:
     Erasing the inserted maximum recovers the convolution, so this lifts
     the product through the derivation.
     """
-    k, l = a.size, b.size
-    out = []
-    for left_values, right_values in _split_values(k + l, k):
-        u = tuple(left_values[i - 1] for i in a.word)
-        v = tuple(right_values[i - 1] for i in b.word)
-        out.append(Permutation(u + (k + l + 1,) + v))
-    return out
+    top = (a.size + b.size + 1,)
+    return [Permutation(u + top + v) for u, v in _factors(a, b)]
 
 
 def b_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     """Bilinear extension of bilinear_B to elements (G basis)."""
     x.require_basis("G")
     y.require_basis("G")
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            c = ca * cb
-            for gamma in bilinear_B(a, b):
-                out[gamma] = out.get(gamma, 0) + c
-    return FQSymElement(out, basis="G")
+    return bilinear(
+        x, y, lambda a, b: _split_words(a, b, 2, (len(a.word) + len(b.word) + 1,)), Permutation
+    )
 
 
 @lru_cache(maxsize=None)
@@ -209,15 +207,6 @@ def phi_q(x: FQSymElement, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _inversions(word: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-
-
 def q_shuffle_words(a: Permutation, b: Permutation) -> list[tuple[Permutation, QPoly]]:
     """The q-shuffle of a with the shifted b: each interleaving c is
     weighted by q to the number of inversions created by the shuffle,
@@ -234,7 +223,7 @@ def q_shuffle_words(a: Permutation, b: Permutation) -> list[tuple[Permutation, Q
         for i in range(k + l):
             word[i] = next(ai) if i in pos_set else next(bi)
         gamma = Permutation(tuple(word))
-        out.append((gamma, QPoly.monomial(_inversions(gamma.word) - base)))
+        out.append((gamma, QPoly.monomial(gamma.inversions() - base)))
     return out
 
 
@@ -248,11 +237,7 @@ def q_shuffle_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
         for b, cb in y.terms.items():
             c = ca * cb
             for gamma, weight in q_shuffle_words(a, b):
-                s = out.get(gamma, 0) + weight * c
-                if s:
-                    out[gamma] = s
-                elif gamma in out:
-                    del out[gamma]
+                out[gamma] = out.get(gamma, 0) + weight * c
     return FQSymElement(out, basis="F")
 
 

@@ -8,6 +8,10 @@ occurrence of the maximal letter; the sandwich operations insert a new
 maximal letter between k blocks and lift the k-fold product through it.
 Evaluating M_u at a binomial coefficient C(t, max u) turns all of this
 into the discrete calculus of polynomials in the binomial basis.
+
+Products accumulate on raw letter tuples (``elements.bilinear``); one
+cache holds each pair's packed convolution already split into the three
+tridendriform parts, so a part product generates only its own words.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .combinat import PackedWord, PlaneTree, packed_words, plane_tree_of_word
-from .elements import WQSymElement
+from .elements import WQSymElement, bilinear, keyed
 from .errors import EmptyOperand
 from .series import BinomialPoly
 
@@ -32,9 +36,9 @@ def unit() -> WQSymElement:
     return WQSymElement({EMPTY_WORD: 1})
 
 
-def _relabel(word: PackedWord, values: Sequence[int]) -> tuple[int, ...]:
+def _relabel(letters: tuple[int, ...], values: Sequence[int]) -> tuple[int, ...]:
     """Send letter i to values[i-1]; values must be increasing."""
-    return tuple(values[c - 1] for c in word.letters)
+    return tuple(values[c - 1] for c in letters)
 
 
 def _letter_supports(sizes: Sequence[int], top: int):
@@ -71,19 +75,22 @@ def _letter_supports(sizes: Sequence[int], top: int):
 
 
 @lru_cache(maxsize=None)
-def _packed_convolve_cached(a: PackedWord, b: PackedWord) -> tuple[PackedWord, ...]:
-    p, r = a.max_letter, b.max_letter
-    if len(a) == 0:
-        return (b,)
-    if len(b) == 0:
-        return (a,)
+def _packed_convolve_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The packed convolution of two letter tuples as sorted letter
+    tuples: (prec, circ, succ, every).  A block's maximum is the top of
+    its support, so each word is classified as it is built."""
+    if not a or not b:
+        return (), (), (), (a + b,)
+    p, r = max(a), max(b)
     out = []
     for top in range(max(p, r), p + r + 1):
         for support_a, support_b in _letter_supports((p, r), top):
-            word = _relabel(a, support_a) + _relabel(b, support_b)
-            out.append(PackedWord(word))
+            left, right = support_a[-1], support_b[-1]
+            part = (left <= right) + (left < right)
+            out.append((_relabel(a, support_a) + _relabel(b, support_b), part))
     out.sort()
-    return tuple(out)
+    parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
+    return (*parts, tuple(w for w, _ in out))
 
 
 def packed_convolve(a: PackedWord, b: PackedWord) -> list[PackedWord]:
@@ -95,7 +102,7 @@ def packed_convolve(a: PackedWord, b: PackedWord) -> list[PackedWord]:
     lexicographically and duplicate-free (the supports are readable off
     any result, so distinct choices give distinct words).
     """
-    return list(_packed_convolve_cached(a, b))
+    return [PackedWord(w) for w in _packed_convolve_cached(a.letters, b.letters)[3]]
 
 
 def product(
@@ -106,19 +113,19 @@ def product(
     max_length truncates by word length during accumulation, which keeps
     powers of the graded generating element affordable.
     """
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            if max_length is not None and len(a) + len(b) > max_length:
-                continue
-            c = ca * cb
-            for w in _packed_convolve_cached(a, b):
-                s = out.get(w, 0) + c
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
-    return WQSymElement(out)
+
+    def words(a: PackedWord, b: PackedWord) -> tuple:
+        if max_length is not None and len(a.letters) + len(b.letters) > max_length:
+            return ()
+        return _packed_convolve_cached(a.letters, b.letters)[3]
+
+    return bilinear(x, y, words, PackedWord)
+
+
+def _split_words(a: PackedWord, b: PackedWord, part: int) -> tuple:
+    if not a.letters or not b.letters:
+        raise EmptyOperand("tridendriform operations need nonempty operands")
+    return _packed_convolve_cached(a.letters, b.letters)[part]
 
 
 def tridendriform_split(
@@ -126,30 +133,14 @@ def tridendriform_split(
 ) -> tuple[list[PackedWord], list[PackedWord], list[PackedWord]]:
     """Partition the packed convolution by comparing block maxima:
     prec has max(prefix) > max(suffix), circ equality, succ the rest."""
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyOperand("tridendriform operations need nonempty operands")
-    k = len(a)
-    prec, circ, succ = [], [], []
-    for w in _packed_convolve_cached(a, b):
-        left = max(w.letters[:k])
-        right = max(w.letters[k:])
-        if left > right:
-            prec.append(w)
-        elif left == right:
-            circ.append(w)
-        else:
-            succ.append(w)
+    prec, circ, succ = (
+        [PackedWord(w) for w in _split_words(a, b, part)] for part in range(3)
+    )
     return prec, circ, succ
 
 
 def _split_product(x: WQSymElement, y: WQSymElement, part: int) -> WQSymElement:
-    out: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            c = ca * cb
-            for w in tridendriform_split(a, b)[part]:
-                out[w] = out.get(w, 0) + c
-    return WQSymElement(out)
+    return bilinear(x, y, lambda a, b: _split_words(a, b, part), PackedWord)
 
 
 def prec_product(x: WQSymElement, y: WQSymElement) -> WQSymElement:
@@ -174,21 +165,18 @@ def delta(x: WQSymElement) -> WQSymElement:
     """
     out: dict = {}
     for word, c in x.terms.items():
-        if len(word) == 0:
-            continue
-        m = word.max_letter
-        shorter = PackedWord(tuple(letter for letter in word.letters if letter != m))
-        s = out.get(shorter, 0) + c
-        if s:
-            out[shorter] = s
-        elif shorter in out:
-            del out[shorter]
-    return WQSymElement(out)
+        letters = word.letters
+        if letters:
+            m = max(letters)
+            shorter = tuple(letter for letter in letters if letter != m)
+            out[shorter] = out.get(shorter, 0) + c
+    return keyed(x, out, PackedWord)
 
 
-def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[PackedWord]:
-    """Packed words w = w_1 m w_2 m ... m w_k where pack(w_i) matches the
-    given blocks and m is one more than the maximum over all blocks.
+def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[tuple[int, ...]]:
+    """Letter tuples of the packed words w = w_1 m w_2 m ... m w_k where
+    pack(w_i) matches the given blocks and m is one more than the maximum
+    over all blocks.
 
     For k = 1 the degenerate sandwich is taken to be w_1 followed by the
     new maximum, which keeps "erase the maximum" a left inverse of the
@@ -196,7 +184,7 @@ def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[PackedWord]:
     """
     if len(blocks) == 1:
         block = blocks[0]
-        return [PackedWord(block.letters + (block.max_letter + 1,))]
+        return [block.letters + (block.max_letter + 1,)]
     sizes = tuple(block.max_letter for block in blocks)
     out = []
     for top in range(max(sizes, default=0), sum(sizes) + 1):
@@ -206,8 +194,8 @@ def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[PackedWord]:
             for i, block in enumerate(blocks):
                 if i:
                     word += separator
-                word += _relabel(block, supports[i])
-            out.append(PackedWord(word))
+                word += _relabel(block.letters, supports[i])
+            out.append(word)
     out.sort()
     return out
 
@@ -232,7 +220,7 @@ def f_k(args: Sequence[WQSymElement]) -> WQSymElement:
             blocks.pop()
 
     rec(0, [], 1)
-    return WQSymElement(out)
+    return keyed(args[0], out, PackedWord)
 
 
 def psi(x: WQSymElement) -> BinomialPoly:

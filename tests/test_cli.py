@@ -62,6 +62,16 @@ def test_hook_parse_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("node", ["({},_)", "(_,{})"], ids=["left comb", "right comb"])
+def test_hook_deep_comb(capsys, node):
+    text = "_"
+    for _ in range(3000):  # well past the default recursion limit of 1000
+        text = node.format(text)
+    code, out = run(capsys, "hook", text)
+    assert code == 0
+    assert out.strip() == "1"
+
+
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------

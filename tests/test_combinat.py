@@ -311,6 +311,43 @@ def test_parse_errors():
         MAryTree.from_text(2, "(__)")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (BinaryTree.from_text, " ", "unexpected end of binary tree string"),
+        (BinaryTree.from_text, "(_,", "unexpected end of binary tree string"),
+        (BinaryTree.from_text, "(x", "expected '_' or '(' in binary tree, got 'x'"),
+        (BinaryTree.from_text, "(_)", "expected ',' between binary tree children"),
+        (BinaryTree.from_text, "(_,_", "expected ')' closing binary tree node"),
+        (BinaryTree.from_text, "(_,_))", "trailing input after binary tree: ')'"),
+        (PlaneTree.from_text, "", "unexpected end of plane tree string"),
+        (PlaneTree.from_text, ")", "expected '*' or '(' in plane tree, got ')'"),
+        (PlaneTree.from_text, "(**", "expected ')' closing plane tree node"),
+        (PlaneTree.from_text, "(*)", "plane tree nodes need >= 2 children"),
+        (PlaneTree.from_text, "(**)*", "trailing input after plane tree: '*'"),
+        (lambda t: MAryTree.from_text(2, t), "(__", "unexpected end of m-ary tree string"),
+        (lambda t: MAryTree.from_text(2, t), "(_,", "expected '_' or '(' in m-ary tree, got ','"),
+        (lambda t: MAryTree.from_text(2, t), "(____)", "expected ')' closing m-ary tree node"),
+        (lambda t: MAryTree.from_text(2, t), "___", "trailing input after m-ary tree: '__'"),
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_deep_trees():
+    binary, plane, mary = "_", "*", "_"
+    for _ in range(DEEP):
+        binary = f"({binary},_)"
+        plane = f"(*{plane}*)"
+        mary = f"(_{mary}_)"
+    assert BinaryTree.from_text(binary).node_count == DEEP
+    assert PlaneTree.from_text(plane).internal_count == DEEP
+    assert MAryTree.from_text(2, mary).node_count == DEEP
+
+
 def test_word_text_round_trip():
     assert Permutation.from_text("1423").word == (1, 4, 2, 3)
     assert PackedWord.from_text("12132").letters == (1, 2, 1, 3, 2)
