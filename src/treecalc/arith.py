@@ -173,9 +173,10 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for k, b in enumerate(other.coeffs, i):
                 if b:
-                    out[i + j] += a * b
+                    c = out[k]
+                    out[k] = c + a * b if c else a * b
         return type(self)(out)
 
     __rmul__ = __mul__

@@ -189,8 +189,11 @@ def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
         if not args.tree:
             raise ParseError("identity ft needs --tree")
         tree = PlaneTree.from_text(args.tree)
-        formula = identities.ft_coefficients(tree)
+        if tree.is_leaf:
+            raise ParseError("identity ft needs a nonempty plane tree")
+        # the oracle first, so that its packed_words guard precedes the formula
         oracle = identities.ft_brute_force(tree, unsafe_large=config.unsafe_large)
+        formula = identities.ft_coefficients(tree)
         report = identities.IdentityReport(
             name="ft",
             parameters={"tree": tree.text},
@@ -243,14 +246,15 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
         "series": total.to_json(),
     }
     lines = [str(total)]
-    if args.per_tree:
+    # each format formats only the per-tree terms it prints
+    if args.per_tree and config.output_format == "text":
+        lines += [f"{tree.text}: {term}" for tree, term in expansion.terms]
+    elif args.per_tree:
         payload["per_tree"] = [
             {"tree": tree.text, "term": json.dumps(
                 term.to_json() if hasattr(term, "to_json") else str(term))}
             for tree, term in expansion.terms
         ]
-        for tree, term in expansion.terms:
-            lines.append(f"{tree.text}: {term}")
     _print_payload(payload, config, lines)
     return 0
 

@@ -338,10 +338,8 @@ def _duliu_tree_sum(variant: str, m: int, n: int) -> AlphaPoly:
     multisets = Counter(hook_data(tree).hooks for tree in trees)
     total = AlphaPoly.zero()
     for hooks, count in multisets.items():
-        term = AlphaPoly.one()
-        for h in hooks:
-            term = term * duliu_node_factor(variant, m, h)
-        total = total + term * count
+        factors = (duliu_node_factor(variant, m, h) for h in hooks)
+        total = total + prod(factors, start=AlphaPoly.one()) * count
     return total
 
 
@@ -450,15 +448,18 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
     tree_order = min(order, MARY_EXPANSION_ORDER[m])
     expansion = fixed_point_mary(operator, m, tree_order)
     equal = equal and expansion.total == f.truncated(tree_order)
+    # the per-node product depends on the hook multiset only: one per multiset
+    closed_forms: dict = {}
     for tree, term in expansion.terms:
         k = tree.node_count
         if k == 0:
             expected = TruncatedSeries.constant(1, tree_order)
         else:
-            closed = AlphaPoly.one()
-            for h in hook_data(tree).hooks:
-                closed = closed * duliu_node_factor("las3", m, h)
-            expected = TruncatedSeries.monomial(k, tree_order, closed)
+            hooks = hook_data(tree).hooks
+            if hooks not in closed_forms:
+                factors = (duliu_node_factor("las3", m, h) for h in hooks)
+                closed_forms[hooks] = prod(factors, start=AlphaPoly.one())
+            expected = TruncatedSeries.monomial(k, tree_order, closed_forms[hooks])
         equal = equal and term == expected
 
     elapsed = (time.perf_counter() - start) * 1000
@@ -479,14 +480,8 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
 
 def plane_q_family(k: int):
     """F_k(x_1..x_k) = q^(k-1) * discrete integral of the product."""
-
-    def operation(*args: BinomialPoly) -> BinomialPoly:
-        result = args[0]
-        for arg in args[1:]:
-            result = result * arg
-        return discrete_sum(result) * QPoly.monomial(k - 1)
-
-    return operation
+    discrete_product = _discrete_product_family(k)
+    return lambda *args: discrete_product(*args) * QPoly.monomial(k - 1)
 
 
 def plane_q_expansion(order: int) -> TreeExpansion:

@@ -5,13 +5,16 @@ solve fixed-point equations as sums over trees.
 A TruncatedSeries of order N stores exactly N+1 coefficients and never
 reads beyond them; binary operations truncate to the smaller order.
 Coefficients may be int, Fraction, QPoly, AlphaPoly or QFraction; zero
-padding uses plain int 0, which every coefficient ring absorbs.
+padding uses plain int 0, which every coefficient ring absorbs, and the
+padding costs no ring operation: + hands over the other side of an int 0
+slot, and * skips zero factors and writes a slot's first product as it
+is rather than adding it to 0.
 
-The fixed-point engines expand a solution of x = a + B(x, x) (or its
-m-ary and plane-tree analogues) as a sum of per-tree terms, checking
-beforehand on monomial probes that the operator raises valuation by at
-least one, which is what makes the expansion converge order by order.
-The independent cross-check is Picard iteration, deliberately kept as a
+One engine expands a solution of x = a + B(x, x) (or its m-ary and
+plane-tree analogues) as a sum of per-tree terms, checking beforehand on
+monomial probes that the operator raises valuation by at least one,
+which is what makes the expansion converge order by order.  The
+independent cross-check is Picard iteration, deliberately kept as a
 separate code path.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .arith import QFraction, QPoly, binomial_coefficient, exact_scalar, q_integer
@@ -35,7 +39,15 @@ from .errors import ValuationViolation
 
 
 class TruncatedSeries:
-    """Power series in t known exactly up to and including t^order."""
+    """Power series in t known exactly up to and including t^order.
+
+    The product of two monomials does one ring operation; the other slots
+    stay the int 0:
+
+    >>> x = TruncatedSeries.monomial(1, 3, Fraction(1, 2))
+    >>> (x * TruncatedSeries.monomial(2, 3, 3)).coeffs
+    (0, 0, 0, Fraction(3, 2))
+    """
 
     __slots__ = ("coeffs",)
 
@@ -96,10 +108,13 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.order)
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
+        # zip stops at the smaller order.  Only the int 0 is handed over: a
+        # zero QFraction adds its denominator to the printed form of a sum.
+        return TruncatedSeries([
+            b if type(a) is int and not a
+            else a if type(b) is int and not b else a + b
+            for a, b in zip(self.coeffs, other.coeffs)
+        ])
 
     __radd__ = __add__
 
@@ -118,14 +133,17 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other if c else 0 for c in self.coeffs])
         n = min(self.order, other.order)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:
                 continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+            for j, b in nonzero:
+                k = i + j
+                if k > n:
+                    break
+                c = out[k]
+                out[k] = a * b if type(c) is int and not c else c + a * b
         return TruncatedSeries(out)
 
     def __rmul__(self, other):
@@ -478,6 +496,32 @@ def _probe_valuations(op, arities: Sequence[int], order: int) -> None:
                 )
 
 
+_children = attrgetter("children")
+
+
+def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeExpansion:
+    """The one tree engine: the terms of the shapes trees(0..order), in
+    enumeration order, and their sum.  A shape without children carries a;
+    any other applies op to its children's terms, smaller shapes cached
+    before it, so no recursion is needed.  Given an arity, the sum is
+    re-checked against x = a + op(x, ..., x).
+    """
+    cache: dict = {}
+    expansion = TreeExpansion()
+    total = None
+    for n in range(order + 1):
+        for tree in trees(n):
+            kids = children(tree)
+            term = op(*[cache[kid] for kid in kids]) if kids else a
+            cache[tree] = term
+            expansion.terms.append((tree, term))
+            total = term if total is None else total + term
+    expansion.total = total
+    if arity and total - (a + op(*[total] * arity)):
+        raise ArithmeticError(f"{name} expansion does not satisfy its equation")
+    return expansion
+
+
 def fixed_point_binary(
     B: Callable[[TruncatedSeries, TruncatedSeries], TruncatedSeries],
     a: TruncatedSeries,
@@ -495,31 +539,18 @@ def fixed_point_binary(
     """
     if probe:
         _probe_valuations(B, (2,), order)
+    children = lambda tree: () if tree.is_empty else (tree.left, tree.right)
+    return _expand(B, a.with_order(order), order, binary_trees, children, 2, "binary")
+
+
+def _picard(op, arity: int, a: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Iterate x -> a + op(x, ..., x) from x = a; each pass fixes one more
+    coefficient, so order+1 passes suffice."""
     a = a.with_order(order)
-    cache: dict = {}
-
-    def evaluate(tree: BinaryTree) -> TruncatedSeries:
-        value = cache.get(tree)
-        if value is None:
-            if tree.is_empty:
-                value = a
-            else:
-                value = B(evaluate(tree.left), evaluate(tree.right))
-            cache[tree] = value
-        return value
-
-    expansion = TreeExpansion()
-    total = TruncatedSeries.constant(0, order)
-    for n in range(order + 1):
-        for tree in binary_trees(n):
-            term = evaluate(tree)
-            expansion.terms.append((tree, term))
-            total = total + term
-    expansion.total = total
-    residual = total - (a + B(total, total))
-    if residual:
-        raise ArithmeticError("binary expansion does not satisfy its equation")
-    return expansion
+    x = a
+    for _ in range(order + 1):
+        x = a + op(*[x] * arity)
+    return x
 
 
 def picard_binary(
@@ -527,15 +558,8 @@ def picard_binary(
     a: TruncatedSeries,
     order: int,
 ) -> TruncatedSeries:
-    """Independent solver for x = a + B(x, x): iterate to stability.
-
-    Each pass fixes one more coefficient, so order+1 passes suffice.
-    """
-    a = a.with_order(order)
-    x = a
-    for _ in range(order + 1):
-        x = a + B(x, x)
-    return x
+    """Independent solver for x = a + B(x, x): iterate to stability."""
+    return _picard(B, 2, a, order)
 
 
 def fixed_point_mary(
@@ -552,31 +576,9 @@ def fixed_point_mary(
         a = TruncatedSeries.constant(Fraction(1), order)
     if probe:
         _probe_valuations(F, (arity + 1,), order)
+    trees = lambda n: mary_trees(arity, n)
     a = a.with_order(order)
-    cache: dict = {}
-
-    def evaluate(tree: MAryTree) -> TruncatedSeries:
-        value = cache.get(tree)
-        if value is None:
-            if tree.is_empty:
-                value = a
-            else:
-                value = F(*[evaluate(child) for child in tree.children])
-            cache[tree] = value
-        return value
-
-    expansion = TreeExpansion()
-    total = TruncatedSeries.constant(0, order)
-    for n in range(order + 1):
-        for tree in mary_trees(arity, n):
-            term = evaluate(tree)
-            expansion.terms.append((tree, term))
-            total = total + term
-    expansion.total = total
-    residual = total - (a + F(*([total] * (arity + 1))))
-    if residual:
-        raise ArithmeticError("m-ary expansion does not satisfy its equation")
-    return expansion
+    return _expand(F, a, order, trees, _children, arity + 1, "m-ary")
 
 
 def picard_mary(
@@ -587,20 +589,27 @@ def picard_mary(
 ) -> TruncatedSeries:
     if a is None:
         a = TruncatedSeries.constant(Fraction(1), order)
-    a = a.with_order(order)
-    x = a
-    for _ in range(order + 1):
-        x = a + F(*([x] * (arity + 1)))
-    return x
+    return _picard(F, arity + 1, a, order)
 
 
 def evaluate_plane_tree(tree: PlaneTree, family: Callable[[int], Callable], a):
     """Evaluate one plane-tree term: leaves carry a, an internal node with
-    k children applies the k-linear operation family(k)."""
-    if tree.is_leaf:
-        return a
-    children = [evaluate_plane_tree(child, family, a) for child in tree.children]
-    return family(len(children))(*children)
+    k children applies the k-linear operation family(k).
+
+    The nodes are listed breadth first, so the children of a node sit side
+    by side after it, and evaluated in reverse; depth meets no recursion
+    limit.
+    """
+    nodes, first = [tree], []  # first[i]: the index of node i's first child
+    for node in nodes:
+        first.append(len(nodes))
+        nodes.extend(node.children)
+    values = [a] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        k = len(nodes[i].children)
+        if k:
+            values[i] = family(k)(*values[first[i] : first[i] + k])
+    return values[0]
 
 
 def fixed_point_plane(
@@ -621,18 +630,8 @@ def fixed_point_plane(
     """
     if probe and hasattr(a, "valuation") and a.valuation() == 0:
         for n in (2, 3):
-            value = family(n)(*([a] * n))
-            val = value.valuation()
+            val = family(n)(*([a] * n)).valuation()
             if val is not None and val < 1:
-                raise ValuationViolation(
-                    f"plane family F_{n} does not raise valuation"
-                )
-    expansion = TreeExpansion()
-    total = None
-    for n in range(order + 1):
-        for tree in plane_trees(n):
-            term = evaluate_plane_tree(tree, family, a)
-            expansion.terms.append((tree, term))
-            total = term if total is None else total + term
-    expansion.total = total
-    return expansion
+                raise ValuationViolation(f"plane family F_{n} does not raise valuation")
+    apply = lambda *xs: family(len(xs))(*xs)
+    return _expand(apply, a, order, plane_trees, _children)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -457,3 +458,79 @@ def test_tree_sum_output_is_golden(capsys, argv):
     code, out = run(capsys, "--format", "json", *argv)
     assert code == 0
     assert re.sub(r',\n  "elapsed_ms": [^\n]*', "", out) == as_json
+
+
+# ---------------------------------------------------------------------------
+# golden output of the series expansions (elapsed_ms removed)
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the text and of the JSON output, recorded before the
+# zero-skipping series kernel and the shared tree engine
+SERIES_GOLDEN = {
+    ("identity", "eisenstein", "--order", "9"): (
+        "f3c4f0b4d911fc202a72c085ed919f092de43de6de87001744cc3c48f29d0178",
+        "05f7f0d5c9545ede5c956cc61767e73a95f4007033167e138d3b49bf0d5de39f",
+    ),
+    ("identity", "lagrange", "--m", "1", "--order", "5"): (
+        "851e2b5c65cc19b54669ce5b8f66e0ab840f30955e2ac36a5d8329fdabaeee26",
+        "bf09948aa63a05c1ba4e5e4e89f924f840e5026c4089ee222da5df7e4ad289a6",
+    ),
+    ("identity", "lagrange", "--m", "2", "--order", "5"): (
+        "16bd901f2312c569d7f5d28c764456647e2b271a2c04deeb93d8773f3996367e",
+        "a0a60775f752cef4cfd68b3d54325ba929ea310461e2cf347300bcdb589fba61",
+    ),
+    ("identity", "lagrange", "--m", "3", "--order", "5"): (
+        "14ffe77dd92ab2e3722d76ca6e2ae2e681017343e49a1acf51f025f1cd007948",
+        "71c5056dc2c6d6d924e1eb39a2f5befea5b802a22675bc0dfaec04d389ea35a1",
+    ),
+    ("expand", "postnikov", "--order", "9", "--per-tree"): (
+        "6c61afc80036f392f6733e9d32780c6f1f01169838ada0dc41ea5f49b51f82e0",
+        "4cfb165d19bfef17d4be5b45ec3a4608d7aaabfd24a5131a7e84b45177d76dad",
+    ),
+    ("expand", "inverse-linear", "--order", "9"): (
+        "4be2fc315c93c806886f971bd41833693044bea14b661d52da271b5d6caa673f",
+        "b6f83dc8317862bcc81b44e4d32b94777848e6b986dab556294e6c7c6e93c2ce",
+    ),
+    ("expand", "duliu", "--m", "2", "--order", "5"): (
+        "9ab26535ae758f506d7680ba74cf478742146640bb183465cde531eed3c59ebf",
+        "11831537a9a3ac211c0c6a08574a1e410dd350acde436f36e8c3587cf21937ab",
+    ),
+    ("expand", "plane-q", "--order", "5"): (
+        "753ba7fed535488fdd29c66a28b2ce339460b34272b997285286e3717ccc29a3",
+        "c2f9728bb1223c3a2b5852f81afac52bc065f341bdaf383b97d1b26cebf99309",
+    ),
+    ("identity", "lagrange", "--m", "2", "--order", "8"): (
+        "44b5695f1d591493dea5b83e2bfdf54ae558b475387310e9c9d18adf3134333a",
+        "e0c012a4d22e9798e339db8523e828d463f78015375f674b20ef6e6d7b6dbf81",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(SERIES_GOLDEN))
+def test_series_output_is_golden(capsys, argv):
+    for fmt, digest in zip(("text", "json"), SERIES_GOLDEN[argv]):
+        code, out = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        out = re.sub(r',\n  "elapsed_ms": [^\n]*', "", out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# identity ft on trees the oracle cannot take
+# ---------------------------------------------------------------------------
+
+
+def test_identity_ft_deep_tree_is_a_size_guard(capsys):
+    tree = "(**)"
+    for _ in range(2999):
+        tree = f"(*{tree})"
+    code, err = _run_rejected(capsys, "identity", "ft", "--tree", tree)
+    assert code == 3
+    assert err.startswith("size guard: packed_words(3000) exceeds the guard")
+    assert len(err.splitlines()) == 1
+
+
+def test_identity_ft_leaf_is_a_parse_error(capsys):
+    code, err = _run_rejected(capsys, "identity", "ft", "--tree", "*")
+    assert code == 2
+    assert err == "parse error: identity ft needs a nonempty plane tree\n"

@@ -1,7 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecalc.arith import AlphaPoly, QFraction, QPoly, q_integer
 from treecalc.combinat import hook_data, mary_trees
@@ -362,3 +365,144 @@ def test_expansion_terms_sorted_and_json():
     dump = expansion.to_json()
     assert dump[0]["tree"] == "_"
     assert dump[0]["term"] == ["1", "0", "0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping kernel against dense references
+# ---------------------------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+RINGS = {
+    "int": st.integers(min_value=-9, max_value=9),
+    "Fraction": small_fractions,
+    "QPoly": st.lists(small_fractions, max_size=3).map(QPoly),
+    "AlphaPoly": st.lists(small_fractions, max_size=3).map(AlphaPoly),
+}
+# explicit zeros of each ring, beside the plain int 0 of the padding
+ZEROS = {"int": 0, "Fraction": Fraction(0), "QPoly": QPoly(), "AlphaPoly": AlphaPoly()}
+
+
+@st.composite
+def series_pairs(draw):
+    ring = draw(st.sampled_from(sorted(RINGS)))
+    slot = st.one_of(st.just(0), st.just(ZEROS[ring]), RINGS[ring])
+
+    def one_series():
+        order = draw(st.integers(min_value=0, max_value=5))
+        return TruncatedSeries(draw(st.lists(slot, min_size=order + 1, max_size=order + 1)))
+
+    return one_series(), one_series(), draw(RINGS[ring])
+
+
+def dense_add(x, y):
+    n = min(x.order, y.order)
+    return TruncatedSeries([x.coeffs[i] + y.coeffs[i] for i in range(n + 1)])
+
+
+def dense_sub(x, y):
+    n = min(x.order, y.order)
+    return TruncatedSeries([x.coeffs[i] - y.coeffs[i] for i in range(n + 1)])
+
+
+def dense_mul(x, y):
+    # a product with a zero factor is zero in every ring and is left out,
+    # so that a zero QFraction does not lend its denominator to a slot
+    n = min(x.order, y.order)
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            if x.coeffs[i] and y.coeffs[j]:
+                out[i + j] = out[i + j] + x.coeffs[i] * y.coeffs[j]
+    return TruncatedSeries(out)
+
+
+def dense_integrate(x):
+    return TruncatedSeries(
+        [0] + [x.coeffs[n] * Fraction(1, n + 1) for n in range(x.order)]
+    )
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_kernel_matches_dense_reference(case):
+    x, y, scalar = case
+    assert_same(x + y, dense_add(x, y))
+    assert_same(x - y, dense_sub(x, y))
+    assert_same(x * y, dense_mul(x, y))
+    assert_same(x * scalar, TruncatedSeries([c * scalar for c in x.coeffs]))
+    assert_same(scalar * x, TruncatedSeries([scalar * c for c in x.coeffs]))
+    assert_same(integrate(x), dense_integrate(x))
+
+
+def test_kernel_keeps_qfraction_zeros():
+    # q_integrate pads with QFraction(0); a zero QFraction over [3]_q, as
+    # the q-specialization of FQSym makes, prints unreduced once added to
+    # a QPoly, and the kernel keeps that form
+    f = TruncatedSeries([QPoly((1, 2)), 0, QPoly((0, 1)), 0])
+    g = TruncatedSeries([0, QPoly((3,)), QFraction(0, q_integer(3)), QPoly((1, 1))])
+    for x, y in ((q_integrate(f), f), (f, q_integrate(f)), (g, f), (f, g)):
+        assert_same(x + y, dense_add(x, y))
+        assert_same(x - y, dense_sub(x, y))
+        assert_same(x * y, dense_mul(x, y))
+
+
+# ---------------------------------------------------------------------------
+# the one tree engine
+# ---------------------------------------------------------------------------
+
+
+def recursive_terms(op, arity, order):
+    """Per-tree terms evaluated by recursion over each tree, as a reference
+    for the cached engine."""
+    a = TruncatedSeries.constant(Fraction(1), order)
+
+    def evaluate(tree):
+        if tree.is_empty:
+            return a
+        return op(*[evaluate(child) for child in tree.children])
+
+    return [(tree, evaluate(tree)) for n in range(order + 1) for tree in mary_trees(arity, n)]
+
+
+# SHA-256 of json.dumps(expansion.to_json()) for the Lagrange operator,
+# recorded from the per-tree engines that preceded the shared one
+MARY_TERMS_SHA256 = {
+    (1, 6): "11f28d3da94441b25d1d6af6ba8c69a9121a6089e9fb6a984d4268af2d6e6b2f",
+    (2, 5): "a1dee9dbd273bc46d00c765941d1b6cdfc48885125cecff9af6f1b9421773c64",
+    (3, 4): "716785adf672c0397ec45e42bf6200c5a5fe98b26dabb1bbb2700a940aaf9853",
+}
+
+
+@pytest.mark.parametrize("m, order", list(MARY_TERMS_SHA256))
+def test_tree_engine_terms_are_unchanged(m, order):
+    from treecalc.identities import lagrange_operator
+
+    operator = lagrange_operator(m)
+    expansion = fixed_point_mary(operator, m, order)
+    dump = json.dumps(expansion.to_json()).encode()
+    assert hashlib.sha256(dump).hexdigest() == MARY_TERMS_SHA256[m, order]
+    assert expansion.terms == recursive_terms(operator, m, order)
+    total = TruncatedSeries.constant(0, order)
+    for _, term in expansion.terms:
+        total = total + term
+    assert expansion.total == total
+    assert str(expansion.total) == str(picard_mary(operator, m, order))
+
+
+def test_evaluate_plane_tree_meets_no_recursion_limit():
+    from treecalc.combinat import PlaneTree
+
+    # a family that writes its arguments out in order rebuilds the text
+    spell = lambda k: lambda *xs: "(" + "".join(xs) + ")"
+    for text in ("(*(**)(*(***)*))", "((**)*)"):
+        assert evaluate_plane_tree(PlaneTree.from_text(text), spell, "*") == text
+    tree = PlaneTree()
+    for _ in range(2000):
+        tree = PlaneTree([PlaneTree(), tree, PlaneTree(), PlaneTree()])
+    assert evaluate_plane_tree(tree, spell, "*") == tree.text
