@@ -44,23 +44,33 @@ class CliConfig:
     unsafe_large: bool = False
 
 
+# the JSON type of each config-file value; a JSON true is not an integer here
+CONFIG_TYPES = {
+    "max_degree": (int, "an integer"),
+    "truncation_order": (int, "an integer"),
+    "output_format": (str, "a string"),
+    "unsafe_large": (bool, "true or false"),
+}
+
+
 def load_config(args: argparse.Namespace) -> CliConfig:
     config = CliConfig()
     try:
         if getattr(args, "config", None):
             with open(args.config, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            config.max_degree = int(data.get("max_degree", config.max_degree))
-            config.truncation_order = int(
-                data.get("truncation_order", config.truncation_order)
-            )
-            config.output_format = data.get("output_format", config.output_format)
+            if not isinstance(data, dict):
+                raise ValueError(f"the file must hold a JSON object, got {json.dumps(data)}")
+            for name, (kind, spelled) in CONFIG_TYPES.items():
+                value = data.get(name, getattr(config, name))
+                if type(value) is not kind:
+                    raise ValueError(f"{name} must be {spelled}, got {json.dumps(value)}")
+                setattr(config, name, value)
             if config.output_format not in OUTPUT_FORMATS:
                 raise ValueError(
                     f"output_format must be one of {', '.join(OUTPUT_FORMATS)}, "
                     f"got {config.output_format!r}"
                 )
-            config.unsafe_large = bool(data.get("unsafe_large", config.unsafe_large))
         if "TREECALC_MAX_DEGREE" in os.environ:
             config.max_degree = int(os.environ["TREECALC_MAX_DEGREE"])
         if "TREECALC_ORDER" in os.environ:
@@ -193,7 +203,7 @@ def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
             raise ParseError("identity ft needs a nonempty plane tree")
         # the oracle first, so that its packed_words guard precedes the formula
         oracle = identities.ft_brute_force(tree, unsafe_large=config.unsafe_large)
-        formula = identities.ft_coefficients(tree)
+        formula = identities.ft_coefficients(tree, unsafe_large=config.unsafe_large)
         report = identities.IdentityReport(
             name="ft",
             parameters={"tree": tree.text},

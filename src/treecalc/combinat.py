@@ -12,6 +12,11 @@ Tree shapes carry a canonical text encoding fixed by the grammar
 
 which is bit-exact across the CLI, JSON dumps, and hashing.  Every value
 here is immutable; the enumerators stream in a deterministic order.
+
+Every Permutation and PackedWord passes one exact check, whether built by
+its public constructor or in bulk by ``basis_keys`` for the word-algebra
+products: the sorted word must be 1..n, or the set of letters {1..m}.  The
+comparison lists and sets are built per size on first use.
 """
 
 from __future__ import annotations
@@ -48,6 +53,34 @@ def _word_from_text(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad word string {text!r}") from exc
 
 
+# Comparison values of the key checks, built per size on first use; bounded,
+# since each holds a list or set as long as the word.
+@lru_cache(maxsize=64)
+def _ascending(n: int) -> list[int]:
+    """The sorted word of every permutation of 1..n."""
+    return list(range(1, n + 1))
+
+
+@lru_cache(maxsize=64)
+def _interval(m: int) -> set[int]:
+    """The set of letters of every packed word with m distinct letters."""
+    return set(range(1, m + 1))
+
+
+def basis_keys(key_type, sums: dict) -> dict:
+    """{key_type(w): c} over the nonzero c of sums, whose words w are
+    tuples already.  Every word passes the key type's one exact check;
+    only the public constructor's call frame and tuple copy are skipped.
+    """
+    new, store, out = object.__new__, key_type._store, {}
+    for w, c in sums.items():
+        if c:
+            key = new(key_type)
+            store(key, w)
+            out[key] = c
+    return out
+
+
 class Permutation:
     """A permutation of {1..n} in one-line notation.
 
@@ -58,10 +91,12 @@ class Permutation:
     __slots__ = ("word",)
 
     def __init__(self, word: Sequence[int]):
-        word = tuple(word)
-        n = len(word)
-        if sorted(word) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {word}")
+        self._store(tuple(word))
+
+    def _store(self, word: tuple[int, ...]) -> None:
+        """The one exact check of a permutation key, then the store."""
+        if sorted(word) != _ascending(len(word)):
+            raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
         self.word = word
 
     @classmethod
@@ -137,10 +172,13 @@ class PackedWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Sequence[int]):
-        letters = tuple(letters)
+        self._store(tuple(letters))
+
+    def _store(self, letters: tuple[int, ...]) -> None:
+        """The one exact check of a packed-word key, then the store: the
+        m distinct letters must be {1..m}."""
         seen = set(letters)
-        m = max(letters, default=0)
-        if seen != set(range(1, m + 1)):
+        if seen != _interval(len(seen)):
             raise ValueError(f"not a packed word: {letters}")
         self.letters = letters
 

@@ -9,13 +9,14 @@ and all operations return fresh values.
 
 Products are bilinear lifts of maps on basis words: ``bilinear`` sums
 coefficients on raw letter tuples, which hash at C speed, and builds the
-validated basis key of each distinct result word once (``keyed``).
+checked basis key of each distinct result word once (``keyed``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
+from .combinat import basis_keys
 from .errors import BasisMismatch
 
 
@@ -178,7 +179,7 @@ class WQSymElement(AlgebraElement):
 
 
 def bilinear(
-    x: AlgebraElement, y: AlgebraElement, words: Callable, key: Callable
+    x: AlgebraElement, y: AlgebraElement, words: Callable, key: type
 ) -> AlgebraElement:
     """Bilinear lift of a map on pairs of basis words: each pair of terms
     (a, ca), (b, cb) adds ca * cb to every raw word in the sequence
@@ -195,10 +196,11 @@ def bilinear(
     return keyed(x, sums, key)
 
 
-def keyed(x: AlgebraElement, sums: dict, key: Callable) -> AlgebraElement:
+def keyed(x: AlgebraElement, sums: dict, key: type) -> AlgebraElement:
     """The element like x with coefficient sums[w] on key(w) for each raw
-    word w whose sum is nonzero.  The dict built here becomes the
-    element's own, uncopied: a product's terms exist twice at most."""
+    word w whose sum is nonzero; every key passes its type's exact check
+    (``combinat.basis_keys``).  The dict built there becomes the element's
+    own, uncopied: a product's terms exist twice at most."""
     element = x._like(())
-    element.terms = {key(w): c for w, c in sums.items() if c}
+    element.terms = basis_keys(key, sums)
     return element

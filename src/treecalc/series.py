@@ -10,6 +10,12 @@ padding costs no ring operation: + hands over the other side of an int 0
 slot, and * skips zero factors and writes a slot's first product as it
 is rather than adding it to 0.
 
+A BinomialPoly is a polynomial in the basis C(t, k); sums, products,
+the discrete integral and the forward difference all stay in that basis,
+the product through the integer rule C(t,i) C(t,j) = sum_k C(k,i)
+C(i,k-j) C(t,k) (Graham-Knuth-Patashnik, Concrete Mathematics, ch. 5).
+The monomial-basis conversions are kept as public references.
+
 One engine expands a solution of x = a + B(x, x) (or its m-ary and
 plane-tree analogues) as a sum of per-tree terms, checking beforehand on
 monomial probes that the operator raises valuation by at least one,
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -197,11 +204,16 @@ def integrate(f: TruncatedSeries) -> TruncatedSeries:
     coefficient has no slot at the same truncation order and is dropped.
     """
     out = [0] * (f.order + 1)
-    for n in range(f.order):
-        c = f.coeffs[n]
+    for n, (c, reciprocal) in enumerate(zip(f.coeffs, _reciprocals(f.order))):
         if c:
-            out[n + 1] = c * Fraction(1, n + 1)
+            out[n + 1] = c * reciprocal
     return TruncatedSeries(out)
+
+
+@lru_cache(maxsize=None)
+def _reciprocals(n: int) -> tuple[Fraction, ...]:
+    """1/1, 1/2, ..., 1/n, built once for each series order n."""
+    return tuple(Fraction(1, k) for k in range(1, n + 1))
 
 
 def q_integrate(f: TruncatedSeries) -> TruncatedSeries:
@@ -297,12 +309,30 @@ def _binomial_basis_monomials(k: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=256)
+def _product_rule(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (k, C(k, i) C(i, k - j)), max(i, j) <= k <= i + j, of
+    C(t,i) C(t,j) = sum_k C(k, i) C(i, k - j) C(t, k): an i-set and a
+    j-set of t letters are their k-element union, the i-set inside it,
+    and the i + j - k letters of the i-set that the j-set shares.
+
+    Bounded: small trees reuse a few pairs many times, while a tree with
+    hundreds of leaves meets each pair at few nodes and spends its time on
+    big-integer products; unbounded, the cache held 86 MiB at 256 leaves.
+    """
+    return tuple(
+        (k, comb(k, i) * comb(i, k - j)) for k in range(max(i, j), i + j + 1)
+    )
+
+
 class BinomialPoly:
     """Polynomial in t written in the basis of binomial coefficients C(t, k).
 
     The natural home of the discrete integral (which shifts the basis
-    index up) and the forward difference (which shifts it down).
-    Coefficients follow the same generic-ring convention as series.
+    index up) and the forward difference (which shifts it down).  The
+    product never leaves the basis and divides nothing, so int
+    coefficients stay int.  Coefficients follow the same generic-ring
+    convention as series.
     """
 
     __slots__ = ("coeffs",)
@@ -363,20 +393,26 @@ class BinomialPoly:
         return BinomialPoly({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, BinomialPoly):
-            a = binomial_to_monomial(self)
-            b = binomial_to_monomial(other)
-            if not a or not b:
-                return BinomialPoly()
-            prod = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    if cb:
-                        prod[i + j] = prod[i + j] + ca * cb
-            return monomial_to_binomial(prod)
-        return BinomialPoly({k: c * other for k, c in self.coeffs.items()})
+        """The product stays in the binomial basis, by the integer rule
+        C(t,i) C(t,j) = sum_k C(k,i) C(i,k-j) C(t,k), k = max(i,j)..i+j:
+
+        >>> c1 = BinomialPoly({1: 1})
+        >>> c1 * c1 == c1 + BinomialPoly({2: 2})
+        True
+        >>> print(c1 * c1)
+        C(t,1) + (2)*C(t,2)
+        """
+        if not isinstance(other, BinomialPoly):
+            return BinomialPoly({k: c * other for k, c in self.coeffs.items()})
+        out: dict = {}
+        get = out.get
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                ab = a * b
+                for k, n in _product_rule(i, j):
+                    c = get(k)
+                    out[k] = ab * n if c is None else c + ab * n
+        return BinomialPoly(out)
 
     def __rmul__(self, other):
         return BinomialPoly({k: other * c for k, c in self.coeffs.items()})

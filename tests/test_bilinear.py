@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from treecalc import fqsym, wqsym
 from treecalc.arith import QPoly
-from treecalc.combinat import PackedWord, Permutation, packed_words, permutations
+from treecalc.combinat import PackedWord, Permutation, basis_keys, packed_words, permutations
 from treecalc.elements import FQSymElement, WQSymElement
 from treecalc.errors import EmptyOperand
 
@@ -171,3 +171,41 @@ def test_tridendriform_products_reject_the_unit_term():
             split_product(with_unit, plain)
         with pytest.raises(EmptyOperand):
             split_product(plain, with_unit)
+
+
+# ---------------------------------------------------------------------------
+# the keys the kernel builds
+# ---------------------------------------------------------------------------
+
+
+def assert_public_keys(element, key_type, attr):
+    """Every key equals, and hashes like, the key the public constructor
+    builds from its word, and holds its word as a tuple."""
+    for key in element.terms:
+        word = getattr(key, attr)
+        public = key_type(list(word))
+        assert type(key) is key_type and type(word) is tuple
+        assert key == public and hash(key) == hash(public)
+
+
+@settings(deadline=None)
+@given(g_elements, g_elements, m_elements, m_elements, st.sampled_from(WORDS[:2]))
+def test_kernel_keys_equal_public_keys(x, y, v, w, middle):
+    for got in (fqsym.product(x, y), fqsym.b_product(x, y), fqsym.derive(x)):
+        assert_public_keys(got, Permutation, "word")
+    sandwich = wqsym.f_k([v, wqsym.m_basis(middle), w])
+    for got in (wqsym.product(v, w), wqsym.delta(v), wqsym.f_k([v, w]), sandwich):
+        assert_public_keys(got, PackedWord, "letters")
+
+
+@pytest.mark.parametrize(
+    "key_type, bad", [(Permutation, (1, 1)), (Permutation, (2, 3)), (PackedWord, (1, 3))]
+)
+def test_bulk_keys_raise_the_public_error(key_type, bad):
+    with pytest.raises(ValueError) as public:
+        key_type(bad)
+    with pytest.raises(ValueError) as bulk:
+        basis_keys(key_type, {(1,): 1, bad: 2})
+    assert str(bulk.value) == str(public.value)
+    # a word whose sum cancelled builds no key
+    assert basis_keys(key_type, {(1,): 1, bad: 0}) == {key_type((1,)): 1}

@@ -14,6 +14,7 @@ from treecalc.combinat import (
 )
 from treecalc.errors import SizeGuardError, VariantArityMismatch
 from treecalc.identities import (
+    FT_LEAF_GUARD,
     decreasing_tree_fibers,
     duliu_check,
     duliu_cross_check,
@@ -107,6 +108,15 @@ def test_ft_coefficients_examples():
     assert ft_coefficients(PlaneTree.from_text("(**)")) == {1: 1}
     with pytest.raises(ValueError):
         ft_coefficients(PlaneTree())
+
+
+def test_ft_coefficients_guard():
+    star = PlaneTree([PlaneTree()] * (FT_LEAF_GUARD + 1))
+    with pytest.raises(SizeGuardError, match=f"on {FT_LEAF_GUARD + 1} leaves"):
+        ft_coefficients(star)
+    # C(t, 1) is the only term of a star: one letter, repeated
+    assert ft_coefficients(star, unsafe_large=True) == {1: 1}
+    assert ft_coefficients(PlaneTree([PlaneTree()] * FT_LEAF_GUARD)) == {1: 1}
 
 
 def test_ft_matches_brute_force_small():

@@ -506,3 +506,56 @@ def test_evaluate_plane_tree_meets_no_recursion_limit():
     for _ in range(2000):
         tree = PlaneTree([PlaneTree(), tree, PlaneTree(), PlaneTree()])
     assert evaluate_plane_tree(tree, spell, "*") == tree.text
+
+
+# ---------------------------------------------------------------------------
+# the binomial-basis product against the monomial-basis reference
+# ---------------------------------------------------------------------------
+
+
+def monomial_reference_product(x, y):
+    """x * y through the monomial basis: expand both, multiply, convert back."""
+    a, b = binomial_to_monomial(x), binomial_to_monomial(y)
+    if not a or not b:
+        return BinomialPoly()
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if ca and cb:
+                prod[i + j] = prod[i + j] + ca * cb
+    return monomial_to_binomial(prod)
+
+
+@st.composite
+def binomial_poly_pairs(draw):
+    # small coefficients over few indices, so that terms often cancel
+    ring = st.sampled_from([
+        st.integers(min_value=-2, max_value=2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.lists(st.integers(min_value=-2, max_value=2), max_size=3).map(QPoly),
+    ])
+    coefficient = draw(ring)
+    index = st.integers(min_value=0, max_value=5)
+
+    def one_poly():
+        return BinomialPoly(draw(st.lists(st.tuples(index, coefficient), max_size=4)))
+
+    return one_poly(), one_poly()
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_poly_pairs())
+def test_binomial_product_matches_monomial_reference(case):
+    x, y = case
+    got, want = x * y, monomial_reference_product(x, y)
+    assert got == want
+    assert str(got) == str(want)
+    assert got.to_json() == want.to_json()
+    assert all(got.coeffs.values())
+
+
+def test_binomial_product_drops_cancelled_terms():
+    # C(t,1)^2 = C(t,1) + 2 C(t,2) and C(t,1) C(t,2) = 2 C(t,2) + 3 C(t,3)
+    x, y = BinomialPoly({1: 1}), BinomialPoly({1: 1, 2: -1})
+    assert (x * y).coeffs == {1: 1, 3: -3}
+    assert x * (y - y) == BinomialPoly() and not (x * BinomialPoly()).coeffs
