@@ -67,7 +67,7 @@ def _interval(m: int) -> set[int]:
     return set(range(1, m + 1))
 
 
-def basis_keys(key_type, sums: dict) -> dict:
+def basis_keys(key_type: type, sums: dict) -> dict:
     """{key_type(w): c} over the nonzero c of sums, whose words w are
     tuples already.  Every word passes the key type's one exact check;
     only the public constructor's call frame and tuple copy are skipped.
