@@ -10,8 +10,11 @@ Tree shapes carry a canonical text encoding fixed by the grammar
     PlaneTree  ::= "*" | "(" PlaneTree{2,} ")"          children juxtaposed
     MAryTree   ::= "_" | "(" child{m+1} ")"             arity m out-of-band
 
-which is bit-exact across the CLI, JSON dumps, and hashing.  Every value
-here is immutable; the enumerators stream in a deterministic order.
+which is bit-exact across the CLI, JSON dumps, and hashing; the three
+families share one parser, one enumerator and one equality by text.
+Every value here is immutable.  The enumerators run in a deterministic
+order; the tree families build each size's full list once and cache it,
+bounded only by the size guards.
 
 Every Permutation and PackedWord passes one exact check, whether built by
 its public constructor or in bulk by ``basis_keys`` for the word-algebra
@@ -22,8 +25,9 @@ comparison lists and sets are built per size on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations as _itertools_permutations
+from functools import lru_cache, partial
+from itertools import permutations as _itertools_permutations, product, starmap
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import ParseError, SizeGuardError
@@ -242,7 +246,70 @@ def pack(word: Sequence[int]) -> PackedWord:
     return PackedWord(tuple(relabel[c] for c in word))
 
 
-class BinaryTree:
+class _Shape:
+    """Equality, hashing and printing of a tree shape, all by its canonical
+    text: two shapes are equal iff they have the same type and text."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _parse(text: str, name: str, leaf: str, make_leaf, make_node, arity=None, sep=""):
+    """Parse one tree of the grammar  leaf | "(" child ... ")"  with an
+    explicit stack, so depth meets no recursion limit.
+
+    With an arity a node holds exactly that many children, joined by sep;
+    without one (plane trees) it closes at its ")" and needs >= 2.
+    """
+    text = text.strip()
+    stack: list[list] = []  # per open '(': the children parsed so far
+    pos = 0
+    while True:
+        if pos == len(text):
+            if stack and arity is None:
+                raise ParseError(f"expected ')' closing {name} node")
+            raise ParseError(f"unexpected end of {name} string")
+        char = text[pos]
+        pos += 1
+        if char == "(":
+            stack.append([])
+            continue
+        if char == leaf:
+            tree = make_leaf()
+        elif char == ")" and stack and arity is None:
+            children = stack.pop()
+            if len(children) < 2:
+                raise ParseError(f"{name} nodes need >= 2 children")
+            tree = make_node(children)
+        else:
+            raise ParseError(f"expected {leaf!r} or '(' in {name}, got {char!r}")
+        while stack:
+            children = stack[-1]
+            children.append(tree)
+            if arity is None or len(children) < arity:
+                if not text.startswith(sep, pos):
+                    raise ParseError(f"expected {sep!r} between {name} children")
+                pos += len(sep)
+                break
+            if not text.startswith(")", pos):
+                raise ParseError(f"expected ')' closing {name} node")
+            pos += 1
+            tree = make_node(stack.pop())
+        else:
+            if pos < len(text):
+                raise ParseError(f"trailing input after {name}: {text[pos:]!r}")
+            return tree
+
+
+class BinaryTree(_Shape):
     """Shape of an incomplete binary tree; BinaryTree() is the empty tree."""
 
     __slots__ = ("left", "right", "node_count", "text")
@@ -263,15 +330,6 @@ class BinaryTree:
     def is_empty(self) -> bool:
         return self.left is None
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryTree) and self.text == other.text
-
-    def __hash__(self):
-        return hash(self.text)
-
-    def __str__(self) -> str:
-        return self.text
-
     def __repr__(self) -> str:
         return f"BinaryTree.from_text({self.text!r})"
 
@@ -281,40 +339,13 @@ class BinaryTree:
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryTree":
-        """Parse with an explicit stack, so depth meets no recursion limit."""
-        text = text.strip()
-        stack: list = []  # per open '(': its left child, None until parsed
-        pos = 0
-        while True:
-            if pos == len(text):
-                raise ParseError("unexpected end of binary tree string")
-            char = text[pos]
-            pos += 1
-            if char == "(":
-                stack.append(None)
-                continue
-            if char != "_":
-                raise ParseError(f"expected '_' or '(' in binary tree, got {char!r}")
-            tree = cls()
-            while stack and stack[-1] is not None:
-                if not text.startswith(")", pos):
-                    raise ParseError("expected ')' closing binary tree node")
-                pos += 1
-                tree = cls(stack.pop(), tree)
-            if not stack:
-                if pos < len(text):
-                    raise ParseError(f"trailing input after binary tree: {text[pos:]!r}")
-                return tree
-            if not text.startswith(",", pos):
-                raise ParseError("expected ',' between binary tree children")
-            pos += 1
-            stack[-1] = tree
+        return _parse(text, "binary tree", "_", cls, lambda c: cls(*c), arity=2, sep=",")
 
 
 EMPTY_BINARY = BinaryTree()
 
 
-class MAryTree:
+class MAryTree(_Shape):
     """An (m+1)-ary tree shape for a given arity parameter m >= 1.
 
     Every node has exactly m+1 child slots (children may be empty), so
@@ -347,53 +378,21 @@ class MAryTree:
         return not self.children
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MAryTree)
-            and self.arity == other.arity
-            and self.text == other.text
-        )
+        return _Shape.__eq__(self, other) and self.arity == other.arity
 
-    def __hash__(self):
-        return hash((self.arity, self.text))
-
-    def __str__(self) -> str:
-        return self.text
+    __hash__ = _Shape.__hash__  # defining __eq__ alone would unset it
 
     def __repr__(self) -> str:
         return f"MAryTree.from_text({self.arity}, {self.text!r})"
 
     @classmethod
     def from_text(cls, arity: int, text: str) -> "MAryTree":
-        """Parse with an explicit stack, so depth meets no recursion limit."""
-        text = text.strip()
-        stack: list[list] = []  # per open '(': the children parsed so far
-        pos = 0
-        while True:
-            if pos == len(text):
-                raise ParseError("unexpected end of m-ary tree string")
-            char = text[pos]
-            pos += 1
-            if char == "(":
-                stack.append([])
-                continue
-            if char != "_":
-                raise ParseError(f"expected '_' or '(' in m-ary tree, got {char!r}")
-            tree = cls(arity)
-            while stack:
-                stack[-1].append(tree)
-                if len(stack[-1]) <= arity:
-                    break
-                if not text.startswith(")", pos):
-                    raise ParseError("expected ')' closing m-ary tree node")
-                pos += 1
-                tree = cls(arity, stack.pop())
-            else:
-                if pos < len(text):
-                    raise ParseError(f"trailing input after m-ary tree: {text[pos:]!r}")
-                return tree
+        return _parse(
+            text, "m-ary tree", "_", lambda: cls(arity), lambda c: cls(arity, c), arity=arity + 1
+        )
 
 
-class PlaneTree:
+class PlaneTree(_Shape):
     """A plane tree whose internal nodes all have at least two children.
 
     PlaneTree() is the single leaf (the tree of the empty word); internal
@@ -421,48 +420,12 @@ class PlaneTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PlaneTree) and self.text == other.text
-
-    def __hash__(self):
-        return hash(("plane", self.text))
-
-    def __str__(self) -> str:
-        return self.text
-
     def __repr__(self) -> str:
         return f"PlaneTree.from_text({self.text!r})"
 
     @classmethod
     def from_text(cls, text: str) -> "PlaneTree":
-        """Parse with an explicit stack, so depth meets no recursion limit."""
-        text = text.strip()
-        stack: list[list] = []  # per open '(': the children parsed so far
-        pos = 0
-        while True:
-            if pos == len(text):
-                if stack:
-                    raise ParseError("expected ')' closing plane tree node")
-                raise ParseError("unexpected end of plane tree string")
-            char = text[pos]
-            pos += 1
-            if char == "(":
-                stack.append([])
-                continue
-            if char == "*":
-                tree = cls()
-            elif char == ")" and stack:
-                children = stack.pop()
-                if len(children) < 2:
-                    raise ParseError("plane tree nodes need >= 2 children")
-                tree = cls(children)
-            else:
-                raise ParseError(f"expected '*' or '(' in plane tree, got {char!r}")
-            if not stack:
-                if pos < len(text):
-                    raise ParseError(f"trailing input after plane tree: {text[pos:]!r}")
-                return tree
-            stack[-1].append(tree)
+        return _parse(text, "plane tree", "*", cls, cls)
 
 
 LEAF = PlaneTree()
@@ -535,8 +498,9 @@ def plane_tree_of_word(word: Sequence[int]) -> PlaneTree:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumerators.  All stream in a fixed deterministic order; the
-# factorial-type families refuse sizes above their guard unless forced.
+# Exhaustive enumerators in a fixed deterministic order.  Permutations and
+# packed words stream; each size of a tree family is built in full once and
+# cached, bounded only by the guards, which refuse larger sizes unless forced.
 # ---------------------------------------------------------------------------
 
 
@@ -561,7 +525,9 @@ def packed_words(n: int, *, unsafe_large: bool = False) -> Iterator[PackedWord]:
 
     Depth-first construction with feasibility pruning: a prefix is viable
     iff the letters missing below its maximum still fit in the remaining
-    positions.  Counts are the ordered Bell numbers 1, 1, 3, 13, 75, ...
+    positions.  The prefix's letters all lie below its maximum, so the
+    missing ones number the maximum less the count of distinct letters.
+    Counts are the ordered Bell numbers 1, 1, 3, 13, 75, ...
     """
     _check_guard("packed_words", n, PACKED_WORD_GUARD, unsafe_large)
     if n == 0:
@@ -571,10 +537,7 @@ def packed_words(n: int, *, unsafe_large: bool = False) -> Iterator[PackedWord]:
     word = [0] * n
     used = [False] * (n + 1)
 
-    def missing_below(m: int) -> int:
-        return sum(1 for c in range(1, m + 1) if not used[c])
-
-    def rec(pos: int, current_max: int) -> Iterator[PackedWord]:
+    def rec(pos: int, current_max: int, distinct: int) -> Iterator[PackedWord]:
         remaining = n - pos
         if remaining == 0:
             yield PackedWord(tuple(word))
@@ -582,34 +545,15 @@ def packed_words(n: int, *, unsafe_large: bool = False) -> Iterator[PackedWord]:
         for c in range(1, n + 1):
             new_max = max(current_max, c)
             first_use = not used[c]
-            used[c] = True
-            word[pos] = c
-            if missing_below(new_max) <= remaining - 1:
-                yield from rec(pos + 1, new_max)
-            if first_use:
-                used[c] = False
+            if new_max - (distinct + first_use) <= remaining - 1:
+                used[c] = True
+                word[pos] = c
+                yield from rec(pos + 1, new_max, distinct + first_use)
+                if first_use:
+                    used[c] = False
         word[pos] = 0
 
-    yield from rec(0, 0)
-
-
-@lru_cache(maxsize=None)
-def _binary_tree_list(n: int) -> tuple[BinaryTree, ...]:
-    if n == 0:
-        return (EMPTY_BINARY,)
-    out = []
-    for left_size in range(n):
-        for left in _binary_tree_list(left_size):
-            for right in _binary_tree_list(n - 1 - left_size):
-                out.append(BinaryTree(left, right))
-    return tuple(sorted(out, key=lambda t: t.text))
-
-
-def binary_trees(n: int, *, unsafe_large: bool = False) -> Iterator[BinaryTree]:
-    """All binary tree shapes with n nodes; Catalan(n) of them, in
-    lexicographic order of the canonical encoding."""
-    _check_guard("binary_trees", n, BINARY_TREE_GUARD, unsafe_large)
-    yield from _binary_tree_list(n)
+    yield from rec(0, 0, 0)
 
 
 def _compositions(total: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
@@ -624,48 +568,44 @@ def _compositions(total: int, parts: int, minimum: int = 0) -> Iterator[tuple[in
 
 
 @lru_cache(maxsize=None)
-def _mary_tree_list(arity: int, n: int) -> tuple[MAryTree, ...]:
-    if n == 0:
-        return (MAryTree(arity),)
+def _shapes(kind: type, arity: int | None, n: int) -> tuple:
+    """Every shape of one family, sorted by text.
+
+    Binary and m-ary trees (arity = children per node) have n nodes, the
+    n-1 below a root split over its child slots; plane trees (arity None)
+    have n leaves, split over k >= 2 children of at least one leaf each.
+    A node's children run over the smaller shapes of each split.
+    """
+    if arity is None:
+        if n == 1:
+            return (LEAF,)
+        splits = [s for k in range(2, n + 1) for s in _compositions(n, k, minimum=1)]
+        nodes = partial(map, PlaneTree)
+    elif n == 0:
+        return (EMPTY_BINARY if kind is BinaryTree else MAryTree(arity - 1),)
+    else:
+        splits = _compositions(n - 1, arity)
+        if kind is BinaryTree:
+            nodes = partial(starmap, BinaryTree)
+        else:
+            nodes = partial(map, partial(MAryTree, arity - 1))
     out = []
-    for sizes in _compositions(n - 1, arity + 1):
-        pools = [_mary_tree_list(arity, s) for s in sizes]
-        def attach(index: int, chosen: list[MAryTree]) -> None:
-            if index == len(pools):
-                out.append(MAryTree(arity, list(chosen)))
-                return
-            for child in pools[index]:
-                chosen.append(child)
-                attach(index + 1, chosen)
-                chosen.pop()
-        attach(0, [])
-    return tuple(sorted(out, key=lambda t: t.text))
+    for sizes in splits:
+        out.extend(nodes(product(*[_shapes(kind, arity, s) for s in sizes])))
+    return tuple(sorted(out, key=attrgetter("text")))
+
+
+def binary_trees(n: int, *, unsafe_large: bool = False) -> Iterator[BinaryTree]:
+    """All binary tree shapes with n nodes; Catalan(n) of them, in
+    lexicographic order of the canonical encoding."""
+    _check_guard("binary_trees", n, BINARY_TREE_GUARD, unsafe_large)
+    yield from _shapes(BinaryTree, 2, n)
 
 
 def mary_trees(arity: int, n: int, *, unsafe_large: bool = False) -> Iterator[MAryTree]:
     """All (arity+1)-ary tree shapes with n nodes (Fuss-Catalan counts)."""
     _check_guard(f"mary_trees(m={arity})", n, MARY_TREE_GUARD, unsafe_large)
-    yield from _mary_tree_list(arity, n)
-
-
-@lru_cache(maxsize=None)
-def _plane_tree_list_by_leaves(leaves: int) -> tuple[PlaneTree, ...]:
-    if leaves == 1:
-        return (LEAF,)
-    out = []
-    for k in range(2, leaves + 1):
-        for sizes in _compositions(leaves, k, minimum=1):
-            pools = [_plane_tree_list_by_leaves(s) for s in sizes]
-            def attach(index: int, chosen: list[PlaneTree]) -> None:
-                if index == len(pools):
-                    out.append(PlaneTree(list(chosen)))
-                    return
-                for child in pools[index]:
-                    chosen.append(child)
-                    attach(index + 1, chosen)
-                    chosen.pop()
-            attach(0, [])
-    return tuple(sorted(out, key=lambda t: t.text))
+    yield from _shapes(MAryTree, arity + 1, n)
 
 
 def plane_trees(n: int, *, unsafe_large: bool = False) -> Iterator[PlaneTree]:
@@ -675,4 +615,4 @@ def plane_trees(n: int, *, unsafe_large: bool = False) -> Iterator[PlaneTree]:
     by the little Schroeder numbers 1, 1, 3, 11, 45, ...
     """
     _check_guard("plane_trees", n, PLANE_TREE_GUARD, unsafe_large)
-    yield from _plane_tree_list_by_leaves(n + 1)
+    yield from _shapes(PlaneTree, None, n + 1)

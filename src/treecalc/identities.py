@@ -215,7 +215,7 @@ def ft_brute_force(tree: PlaneTree, *, unsafe_large: bool = False) -> dict[int, 
 def postnikov_operator(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     """B(x, y) = t*x*y/2 + (1/2) * integral of x*y."""
     xy = x * y
-    return xy.times_t() * Fraction(1, 2) + integrate(xy) * Fraction(1, 2)
+    return (xy.times_t() + integrate(xy)) * Fraction(1, 2)
 
 
 def _postnikov_sum(n: int) -> Fraction:

@@ -307,6 +307,17 @@ def test_order_flag_overrides_negative_configured_order(capsys, monkeypatch):
     assert out.strip()
 
 
+@pytest.mark.parametrize(
+    "variable, value", [("TREECALC_ORDER", "abc"), ("TREECALC_MAX_DEGREE", "1.5")]
+)
+def test_configured_non_integer_is_a_parse_error(capsys, monkeypatch, variable, value):
+    monkeypatch.setenv(variable, value)
+    code, err = _run_rejected(capsys, "enumerate", "binary-trees", "--n", "2")
+    assert code == 2
+    assert err.startswith("parse error: bad configuration: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_configured_order_ignored_without_order(capsys, monkeypatch):
     monkeypatch.setenv("TREECALC_ORDER", "-1")
     code, out = run(capsys, "hook", "((_,_),_)")
@@ -526,7 +537,33 @@ BINOMIAL_GOLDEN = {
         "0f143b85d0febbfe6d3632f4cc66d578c0f50dd3835d63e169514a04525c4909",
     ),
 }
-GOLDEN_DIGESTS = {**SERIES_GOLDEN, **BINOMIAL_GOLDEN}
+
+
+# SHA-256 of the text and of the JSON output, recorded before the three
+# tree families shared one enumerator: they pin the canonical tree order
+ENUMERATION_GOLDEN = {
+    ("enumerate", "binary-trees", "--n", "6"): (
+        "7ff5661022c94f36104e442014d6028950477f306d0512c48032c87d3a2cd06d",
+        "90cbdab78e898c70bb938e7304a49ae5ff6406c6bca589b203f6d9cbc0514f86",
+    ),
+    ("enumerate", "mary-trees", "--m", "1", "--n", "4"): (
+        "e726c2fc232103de7ada50c9cf8626029f768fe1cd1d27ee4b98e4386e421463",
+        "f6af4d1573dae5255c0622faae4a162f5797f30fba1d3c0b1fca1ed6e93f73df",
+    ),
+    ("enumerate", "mary-trees", "--m", "2", "--n", "4"): (
+        "dd65de7c05502c739828773cca1b23a693df12644979a3fb8c066d314e59d974",
+        "4fe8eb64ab9e647ffa79f89a7d42f450325cec06eb3df30fb1add995b789e81d",
+    ),
+    ("enumerate", "mary-trees", "--m", "3", "--n", "3"): (
+        "b4544d21b42af75c2862829cc5631869ad33f0465405adff39700c87507fc379",
+        "52027ae4ce00c8fa0752952190d80cfd424208c409581c54e2125fb914b4c737",
+    ),
+    ("enumerate", "plane-trees", "--n", "5"): (
+        "21f379b3bf8ee6e9dd47406ee0c5089a79460c6cb1cca8c960d50319b4296649",
+        "be3b4f5698726f28738c5da76041e73c48533b5bf044572455451080b7692a87",
+    ),
+}
+GOLDEN_DIGESTS = {**SERIES_GOLDEN, **BINOMIAL_GOLDEN, **ENUMERATION_GOLDEN}
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))

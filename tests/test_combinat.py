@@ -237,7 +237,7 @@ def test_packed_word_counts(packed_by_length):
 
 
 def test_packed_words_against_filter():
-    for n in range(5):
+    for n in range(7):
         brute = sorted(
             PackedWord(w)
             for w in iter_product(range(1, n + 1), repeat=n)
@@ -299,6 +299,33 @@ def test_mary_tree_grammar_round_trip():
         for n in range(4):
             for tree in mary_trees(m, n):
                 assert MAryTree.from_text(m, tree.text) == tree
+
+
+def test_empty_shapes_are_pairwise_unequal():
+    empties = [BinaryTree(), MAryTree(1), MAryTree(2)]
+    for i, a in enumerate(empties):
+        for j, b in enumerate(empties):
+            assert (a == b) == (i == j)
+
+
+def test_mary_tree_of_arity_one_is_not_a_binary_tree():
+    mary = MAryTree.from_text(1, "(__)")
+    assert mary != BinaryTree.leaf_node()
+    assert BinaryTree.leaf_node() != mary
+    list(binary_trees(2))  # the binary shapes of size 2 are cached first
+    assert [type(t) for t in mary_trees(1, 2)] == [MAryTree, MAryTree]
+
+
+def test_equal_shapes_hash_equal():
+    pairs = [
+        (BinaryTree.leaf_node(), BinaryTree.from_text("(_,_)")),
+        (MAryTree(2, [MAryTree(2)] * 3), MAryTree.from_text(2, "(___)")),
+        (PlaneTree([PlaneTree(), PlaneTree()]), PlaneTree.from_text("(**)")),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 def test_parse_errors():
