@@ -265,25 +265,28 @@ def q_integer(n: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPoly:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1; a loop, so a large
+    n meets no recursion limit."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    if n == 0:
-        return QPoly.one()
-    return q_factorial(n - 1) * q_integer(n)
+    result = QPoly.one()
+    for k in range(2, n + 1):
+        result = result * q_integer(k)
+    return result
 
 
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial via the division-free Pascal recurrence
-    qbin(n, k) = qbin(n-1, k-1) + q^k * qbin(n-1, k)."""
+    qbin(n, k) = qbin(n-1, k-1) + q^k * qbin(n-1, k), row by row up to n."""
     if n < 0:
         raise ValueError("q_binomial needs n >= 0")
     if k < 0 or k > n:
         return QPoly.zero()
-    if k == 0 or k == n:
-        return QPoly.one()
-    return q_binomial(n - 1, k - 1) + QPoly.monomial(k) * q_binomial(n - 1, k)
+    row = [QPoly.one()] + [QPoly.zero()] * k  # qbin(0, 0..k)
+    for _ in range(n):
+        row = [row[0]] + [row[i - 1] + QPoly.monomial(i) * row[i] for i in range(1, k + 1)]
+    return row[k]
 
 
 def exact_poly_div(num: Poly, den: Poly):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import identities
-from .arith import QPoly
 from .combinat import (
     BinaryTree,
     PlaneTree,
@@ -117,11 +116,19 @@ def _print_payload(payload: dict, config: CliConfig, text_lines) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _guard(config: CliConfig, size: int, limit: int, what: str, bound: str) -> None:
+    if size > limit and not config.unsafe_large:
+        raise SizeGuardError(f"{what} exceeds {bound} {limit}; pass --unsafe-large to force")
+
+
 def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     tree = BinaryTree.from_text(args.tree)
     if tree.is_empty:
         raise ParseError("the empty tree has no hook data")
+    n = tree.node_count
     statistic = args.q
+    if statistic != "none":
+        _guard(config, n, identities.QHOOK_GUARD, f"q-hook of a {n}-node tree", "the guard")
     if statistic == "none":
         value = identities.hook_count(tree)
     elif statistic == "imaj":
@@ -131,7 +138,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
 
     payload: dict = {
         "tree": tree.text,
-        "nodes": tree.node_count,
+        "nodes": n,
         "statistic": None if statistic == "none" else statistic,
         "value": str(value),
     }
@@ -139,21 +146,8 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     exit_code = 0
 
     if args.oracle:
-        if tree.node_count > config.max_degree and not config.unsafe_large:
-            raise SizeGuardError(
-                f"oracle over S_{tree.node_count} exceeds max degree "
-                f"{config.max_degree}; pass --unsafe-large to force"
-            )
-        fiber = identities.hook_fiber(tree, unsafe_large=True)
-        if statistic == "none":
-            oracle_value = Fraction(len(fiber))
-        else:
-            stat = (lambda p: p.imaj()) if statistic == "imaj" else (
-                lambda p: p.inversions()
-            )
-            oracle_value = QPoly.zero()
-            for p in fiber:
-                oracle_value = oracle_value + QPoly.monomial(stat(p))
+        _guard(config, n, config.max_degree, f"oracle over S_{n}", "max degree")
+        oracle_value = identities.hook_oracle(tree, statistic)
         match = oracle_value == value
         payload["oracle"] = {"value": str(oracle_value), "match": match}
         lines.append(f"oracle: {oracle_value} ({'match' if match else 'MISMATCH'})")
@@ -161,11 +155,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
             exit_code = 1
 
     if args.dump:
-        if tree.node_count > config.max_degree and not config.unsafe_large:
-            raise SizeGuardError(
-                f"element dump of a {tree.node_count}-node tree exceeds max "
-                f"degree {config.max_degree}; pass --unsafe-large to force"
-            )
+        _guard(config, n, config.max_degree, f"element dump of a {n}-node tree", "max degree")
         element = tree_term(tree)
         payload["element"] = element.to_json()
         lines.append(json.dumps(element.to_json()))
@@ -201,16 +191,7 @@ def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
         tree = PlaneTree.from_text(args.tree)
         if tree.is_leaf:
             raise ParseError("identity ft needs a nonempty plane tree")
-        # the oracle first, so that its packed_words guard precedes the formula
-        oracle = identities.ft_brute_force(tree, unsafe_large=config.unsafe_large)
-        formula = identities.ft_coefficients(tree, unsafe_large=config.unsafe_large)
-        report = identities.IdentityReport(
-            name="ft",
-            parameters={"tree": tree.text},
-            lhs=json.dumps({str(k): v for k, v in formula.items()}),
-            rhs=json.dumps({str(k): v for k, v in oracle.items()}),
-            equal=formula == oracle,
-        )
+        report = identities.ft_check(tree, unsafe_large=config.unsafe_large)
     else:
         raise ParseError(f"unknown identity {name!r}")
 

@@ -16,10 +16,12 @@ Every value here is immutable.  The enumerators run in a deterministic
 order; the tree families build each size's full list once and cache it,
 bounded only by the size guards.
 
-Every Permutation and PackedWord passes one exact check, whether built by
-its public constructor or in bulk by ``basis_keys`` for the word-algebra
-products: the sorted word must be 1..n, or the set of letters {1..m}.  The
-comparison lists and sets are built per size on first use.
+Permutation and PackedWord share one word core: a tuple of letters with
+its equality, hash, order and text.  Every key passes its type's one exact
+check, whether built by its public constructor or in bulk by
+``basis_keys`` for the word-algebra products: the sorted word must be
+1..n, or the set of letters {1..m}.  The comparison lists and sets are
+built per size on first use.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ PACKED_WORD_GUARD = 9
 BINARY_TREE_GUARD = 14
 MARY_TREE_GUARD = 9
 PLANE_TREE_GUARD = 9
-
-
-def _word_to_text(word: Sequence[int]) -> str:
-    if all(c <= 9 for c in word):
-        return "".join(str(c) for c in word)
-    return ",".join(str(c) for c in word)
 
 
 def _word_from_text(text: str) -> tuple[int, ...]:
@@ -85,23 +81,58 @@ def basis_keys(key_type: type, sums: dict) -> dict:
     return out
 
 
-class Permutation:
+class _Word:
+    """The word core of both basis-key types: one tuple of letters, equal
+    only to a key of the same type with the same tuple, hashed by the
+    tuple, ordered by (length, letters), and printed without separators
+    while every letter is a digit.  Each key type adds its exact check
+    ``_store`` and its own statistics."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: Sequence[int]):
+        self._store(tuple(letters))
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self):
+        return iter(self.letters)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
+
+    def __lt__(self, other: "_Word") -> bool:
+        return (len(self.letters), self.letters) < (len(other.letters), other.letters)
+
+    def to_text(self) -> str:
+        return ("" if all(c <= 9 for c in self.letters) else ",").join(map(str, self.letters))
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.letters})"
+
+
+class Permutation(_Word):
     """A permutation of {1..n} in one-line notation.
 
     >>> Permutation((2, 4, 1, 3)).inverse().word
     (3, 1, 4, 2)
     """
 
-    __slots__ = ("word",)
-
-    def __init__(self, word: Sequence[int]):
-        self._store(tuple(word))
+    __slots__ = ()
+    word = _Word.letters  # the slot itself: a read costs no property call
 
     def _store(self, word: tuple[int, ...]) -> None:
         """The one exact check of a permutation key, then the store."""
         if sorted(word) != _ascending(len(word)):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
-        self.word = word
+        self.letters = word
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -113,22 +144,7 @@ class Permutation:
 
     @property
     def size(self) -> int:
-        return len(self.word)
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __iter__(self):
-        return iter(self.word)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return (len(self.word), self.word) < (len(other.word), other.word)
+        return len(self.letters)
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self.word)
@@ -156,27 +172,15 @@ class Permutation:
             1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
         )
 
-    def to_text(self) -> str:
-        return _word_to_text(self.word)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.word})"
-
-
-class PackedWord:
+class PackedWord(_Word):
     """A word whose letters form the initial interval {1..m}.
 
     >>> PackedWord((1, 2, 1, 3, 2)).max_letter
     3
     """
 
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: Sequence[int]):
-        self._store(tuple(letters))
+    __slots__ = ()
 
     def _store(self, letters: tuple[int, ...]) -> None:
         """The one exact check of a packed-word key, then the store: the
@@ -197,30 +201,6 @@ class PackedWord:
     @property
     def max_letter(self) -> int:
         return max(self.letters, default=0)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PackedWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(("pw", self.letters))
-
-    def __lt__(self, other: "PackedWord") -> bool:
-        return (len(self.letters), self.letters) < (len(other.letters), other.letters)
-
-    def to_text(self) -> str:
-        return _word_to_text(self.letters)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"PackedWord({self.letters})"
 
 
 def standardize(word: Sequence[int]) -> Permutation:

@@ -167,14 +167,32 @@ def b_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     )
 
 
+# Shapes up to this many nodes recurse, so never deeper than this.
+_RECURSION_NODES = 128
+
+
 @lru_cache(maxsize=None)
 def tree_term(tree: BinaryTree) -> FQSymElement:
     """Evaluate the bilinear lift over a binary tree shape with 1 at the
     leaves.  The support is exactly the fiber of the decreasing-tree map
-    over the shape, each with coefficient 1."""
+    over the shape, each with coefficient 1.
+
+    The terms of shapes with at most _RECURSION_NODES nodes are shared
+    through the cache; a larger shape builds its larger subtrees bottom up
+    on top of those, so depth meets no recursion limit.
+    """
     if tree.is_empty:
         return unit("G")
-    return b_product(tree_term(tree.left), tree_term(tree.right))
+    if tree.node_count <= _RECURSION_NODES:
+        return b_product(tree_term(tree.left), tree_term(tree.right))
+    large = [tree]  # parents before children
+    for node in large:
+        large += [c for c in (node.left, node.right) if c.node_count > _RECURSION_NODES]
+    terms: dict = {}
+    for node in reversed(large):
+        left, right = (terms[c] if c in terms else tree_term(c) for c in (node.left, node.right))
+        terms[node] = b_product(left, right)
+    return terms[tree]
 
 
 def phi(x: FQSymElement, order: int) -> TruncatedSeries:

@@ -9,6 +9,7 @@ All comparisons are exact; nothing is tolerance-based.
 
 from __future__ import annotations
 
+import json
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -63,6 +64,11 @@ DULIU_GUARDS = {1: 7, 2: 5, 3: 5}
 # costliest shape measured: 0.08 s at 128 leaves and 1.6 s at 256 on a
 # 2-core Xeon host with Python 3.11, growing about 16-fold per doubling.
 FT_LEAF_GUARD = 256
+
+# Nodes of a q-hook tree.  The comb is the costliest shape: its closed form
+# took 0.36 s at 50 nodes, 0.71 s at 60 and 2.1 s at 80 on a 2-core Xeon
+# host with Python 3.11, growing about as n^4.
+QHOOK_GUARD = 60
 
 # Tree expansions with alpha-polynomial coefficients get expensive fast for
 # higher arities; Picard carries the full order, trees cross-check to here.
@@ -145,6 +151,18 @@ def hook_fiber(tree: BinaryTree, *, unsafe_large: bool = False) -> list[Permutat
     ]
 
 
+def hook_oracle(tree: BinaryTree, statistic: str):
+    """Brute-force side of the hook formulas: the size of the fiber of the
+    decreasing-tree map over the shape (statistic "none"), or the sum of
+    q^imaj or q^inv over it.  It enumerates all of S_n unguarded; the
+    caller bounds n."""
+    fiber = hook_fiber(tree, unsafe_large=True)
+    if statistic == "none":
+        return Fraction(len(fiber))
+    stat = Permutation.imaj if statistic == "imaj" else Permutation.inversions
+    return sum((QPoly.monomial(stat(p)) for p in fiber), QPoly.zero())
+
+
 def decreasing_tree_fibers(
     n: int, *, unsafe_large: bool = False
 ) -> dict[BinaryTree, list[Permutation]]:
@@ -161,13 +179,7 @@ def decreasing_tree_fibers(
 
 
 def _discrete_product_family(k: int):
-    def operation(*args: BinomialPoly) -> BinomialPoly:
-        result = args[0]
-        for arg in args[1:]:
-            result = result * arg
-        return discrete_sum(result)
-
-    return operation
+    return lambda *args: discrete_sum(prod(args[1:], start=args[0]))
 
 
 def ft_coefficients(tree: PlaneTree, *, unsafe_large: bool = False) -> dict[int, int]:
@@ -205,6 +217,23 @@ def ft_brute_force(tree: PlaneTree, *, unsafe_large: bool = False) -> dict[int, 
             k = word.max_letter
             out[k] = out.get(k, 0) + 1
     return dict(sorted(out.items()))
+
+
+def ft_check(tree: PlaneTree, *, unsafe_large: bool = False) -> IdentityReport:
+    """Theorem FT on one plane tree: ft_coefficients against its oracle
+    ft_brute_force.  The oracle runs first, so its packed_words guard is
+    met before the formula's leaf guard."""
+    start = time.perf_counter()
+    oracle = ft_brute_force(tree, unsafe_large=unsafe_large)
+    formula = ft_coefficients(tree, unsafe_large=unsafe_large)
+    return IdentityReport(
+        name="ft",
+        parameters={"tree": tree.text},
+        lhs=json.dumps({str(k): v for k, v in formula.items()}),
+        rhs=json.dumps({str(k): v for k, v in oracle.items()}),
+        equal=formula == oracle,
+        elapsed_ms=(time.perf_counter() - start) * 1000,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,38 +278,56 @@ def eisenstein_coefficients(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def postnikov_check(n: int, *, series_order: int | None = None) -> IdentityReport:
+def _per_tree(expansion: TreeExpansion, order: int, closed) -> tuple[bool, list]:
+    """Match every per-tree term of an expansion against t^k closed(hooks),
+    k the node count and hooks its hook multiset (empty for the empty
+    shape).  The closed form runs once per multiset.  Returns whether all
+    terms match, and each tree's closed form in the expansion's order."""
+    forms: dict = {}
+    equal, values = True, []
+    for tree, term in expansion.terms:
+        hooks = hook_data(tree).hooks if tree.node_count else ()
+        value = forms.get(hooks)
+        if value is None:
+            value = forms[hooks] = closed(hooks)
+        equal = equal and term == TruncatedSeries.monomial(len(hooks), order, value)
+        values.append(value)
+    return equal, values
+
+
+def _postnikov_paths(order: int) -> tuple[TreeExpansion, TruncatedSeries]:
+    """The binary-tree expansion and the Picard solution of x = 1 + B(x, x)."""
+    one = TruncatedSeries.constant(Fraction(1), order)
+    return (
+        fixed_point_binary(postnikov_operator, one, order),
+        picard_binary(postnikov_operator, one, order),
+    )
+
+
+def postnikov_check(n: int) -> IdentityReport:
     """(n+1)^(n-1) = n!/2^n * sum over binary shapes of prod (1 + 1/h_v).
 
     The left side is an integer power; the right side is summed exactly
     over all shapes with n nodes.  The same operator is also run through
-    the series engine (to a capped order) and every per-tree term is
-    matched against the closed form prod(1+1/h_v) t^n / 2^n.
+    the series engine (to order min(n, 8)) and every per-tree term is
+    matched against the closed form prod(1+1/h_v) t^k / 2^k.
     """
     if not 1 <= n <= POSTNIKOV_GUARD:
         raise SizeGuardError(f"postnikov_check needs 1 <= n <= {POSTNIKOV_GUARD}")
     start = time.perf_counter()
     lhs = Fraction((n + 1) ** (n - 1))
     rhs = Fraction(factorial(n), 2**n) * _postnikov_sum(n)
-    equal = lhs == rhs
 
-    order = min(n, 8) if series_order is None else series_order
-    one = TruncatedSeries.constant(Fraction(1), order)
-    expansion = fixed_point_binary(postnikov_operator, one, order)
-    per_tree = []
-    for tree, term in expansion.terms:
-        k = tree.node_count
-        if k == 0:
-            expected = one
-            closed = Fraction(1)
-        else:
-            hooks = hook_data(tree).hooks
-            closed = Fraction(prod(h + 1 for h in hooks), 2**k * prod(hooks))
-            expected = TruncatedSeries.monomial(k, order, closed)
-        equal = equal and term == expected
-        per_tree.append({"tree": tree.text, "coefficient": str(closed)})
-    equal = equal and expansion.total == eisenstein_coefficients(order)
-    equal = equal and expansion.total == picard_binary(postnikov_operator, one, order)
+    order = min(n, 8)
+    expansion, picard = _postnikov_paths(order)
+    closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
+    trees_equal, values = _per_tree(expansion, order, closed)
+    per_tree = [
+        {"tree": tree.text, "coefficient": str(value)}
+        for (tree, _), value in zip(expansion.terms, values)
+    ]
+    equal = lhs == rhs and trees_equal
+    equal = equal and expansion.total == eisenstein_coefficients(order) == picard
 
     elapsed = (time.perf_counter() - start) * 1000
     return IdentityReport(
@@ -306,9 +353,7 @@ def eisenstein_check(order: int) -> IdentityReport:
     start = time.perf_counter()
     explicit = eisenstein_coefficients(order)
     residual = explicit - exp_series(explicit.times_t())
-    one = TruncatedSeries.constant(Fraction(1), order)
-    expansion = fixed_point_binary(postnikov_operator, one, order)
-    picard = picard_binary(postnikov_operator, one, order)
+    expansion, picard = _postnikov_paths(order)
     equal = (not residual) and expansion.total == explicit and picard == explicit
     elapsed = (time.perf_counter() - start) * 1000
     return IdentityReport(
@@ -340,6 +385,11 @@ def duliu_node_factor(variant: str, m: int, h: int) -> AlphaPoly:
     raise ValueError(f"unknown Du-Liu variant {variant!r}")
 
 
+def _duliu_product(variant: str, m: int, hooks: tuple[int, ...]) -> AlphaPoly:
+    """The product of the per-node factors over a hook multiset."""
+    return prod((duliu_node_factor(variant, m, h) for h in hooks), start=AlphaPoly.one())
+
+
 def _duliu_tree_sum(variant: str, m: int, n: int) -> AlphaPoly:
     if n == 0:
         return AlphaPoly.one()
@@ -348,8 +398,7 @@ def _duliu_tree_sum(variant: str, m: int, n: int) -> AlphaPoly:
     multisets = Counter(hook_data(tree).hooks for tree in trees)
     total = AlphaPoly.zero()
     for hooks, count in multisets.items():
-        factors = (duliu_node_factor(variant, m, h) for h in hooks)
-        total = total + prod(factors, start=AlphaPoly.one()) * count
+        total = total + _duliu_product(variant, m, hooks) * count
     return total
 
 
@@ -426,10 +475,8 @@ def lagrange_operator(m: int):
     c_integral = AlphaPoly((1, 1)) / (m + 1)
 
     def operator(*args: TruncatedSeries) -> TruncatedSeries:
-        prod = args[0]
-        for arg in args[1:]:
-            prod = prod * arg
-        return prod.times_t() * c_algebraic + integrate(prod) * c_integral
+        product = prod(args[1:], start=args[0])
+        return product.times_t() * c_algebraic + integrate(product) * c_integral
 
     return operator
 
@@ -458,19 +505,8 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
     tree_order = min(order, MARY_EXPANSION_ORDER[m])
     expansion = fixed_point_mary(operator, m, tree_order)
     equal = equal and expansion.total == f.truncated(tree_order)
-    # the per-node product depends on the hook multiset only: one per multiset
-    closed_forms: dict = {}
-    for tree, term in expansion.terms:
-        k = tree.node_count
-        if k == 0:
-            expected = TruncatedSeries.constant(1, tree_order)
-        else:
-            hooks = hook_data(tree).hooks
-            if hooks not in closed_forms:
-                factors = (duliu_node_factor("las3", m, h) for h in hooks)
-                closed_forms[hooks] = prod(factors, start=AlphaPoly.one())
-            expected = TruncatedSeries.monomial(k, tree_order, closed_forms[hooks])
-        equal = equal and term == expected
+    closed = lambda hooks: _duliu_product("las3", m, hooks)
+    equal = equal and _per_tree(expansion, tree_order, closed)[0]
 
     elapsed = (time.perf_counter() - start) * 1000
     return IdentityReport(

@@ -34,14 +34,7 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from .arith import QFraction, QPoly, binomial_coefficient, exact_scalar, q_integer
-from .combinat import (
-    BinaryTree,
-    MAryTree,
-    PlaneTree,
-    binary_trees,
-    mary_trees,
-    plane_trees,
-)
+from .combinat import PlaneTree, binary_trees, mary_trees, plane_trees
 from .errors import ValuationViolation
 
 
@@ -361,9 +354,6 @@ class BinomialPoly:
     def valuation(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
 
-    def max_index(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -501,12 +491,6 @@ class TreeExpansion:
     terms: list = field(default_factory=list)
     total: object = None
 
-    def term_for(self, tree):
-        for t, value in self.terms:
-            if t == tree:
-                return value
-        raise KeyError(f"no term for tree {tree}")
-
     def to_json(self) -> list[dict]:
         out = []
         for tree, value in self.terms:
@@ -562,8 +546,6 @@ def fixed_point_binary(
     B: Callable[[TruncatedSeries, TruncatedSeries], TruncatedSeries],
     a: TruncatedSeries,
     order: int,
-    *,
-    probe: bool = True,
 ) -> TreeExpansion:
     """Expand the solution of x = a + B(x, x) over binary tree shapes.
 
@@ -573,8 +555,7 @@ def fixed_point_binary(
     order.  The aggregated sum is re-checked against the equation before
     returning.
     """
-    if probe:
-        _probe_valuations(B, (2,), order)
+    _probe_valuations(B, (2,), order)
     children = lambda tree: () if tree.is_empty else (tree.left, tree.right)
     return _expand(B, a.with_order(order), order, binary_trees, children, 2, "binary")
 
@@ -598,34 +579,18 @@ def picard_binary(
     return _picard(B, 2, a, order)
 
 
-def fixed_point_mary(
-    F: Callable[..., TruncatedSeries],
-    arity: int,
-    order: int,
-    a: TruncatedSeries | None = None,
-    *,
-    probe: bool = True,
-) -> TreeExpansion:
-    """Expand the solution of x = a + F(x, ..., x) with an (arity+1)-linear
+def fixed_point_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TreeExpansion:
+    """Expand the solution of x = 1 + F(x, ..., x) with an (arity+1)-linear
     operator over (arity+1)-ary tree shapes."""
-    if a is None:
-        a = TruncatedSeries.constant(Fraction(1), order)
-    if probe:
-        _probe_valuations(F, (arity + 1,), order)
+    _probe_valuations(F, (arity + 1,), order)
     trees = lambda n: mary_trees(arity, n)
-    a = a.with_order(order)
-    return _expand(F, a, order, trees, _children, arity + 1, "m-ary")
+    one = TruncatedSeries.constant(Fraction(1), order)
+    return _expand(F, one, order, trees, _children, arity + 1, "m-ary")
 
 
-def picard_mary(
-    F: Callable[..., TruncatedSeries],
-    arity: int,
-    order: int,
-    a: TruncatedSeries | None = None,
-) -> TruncatedSeries:
-    if a is None:
-        a = TruncatedSeries.constant(Fraction(1), order)
-    return _picard(F, arity + 1, a, order)
+def picard_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TruncatedSeries:
+    """Independent solver for x = 1 + F(x, ..., x): iterate to stability."""
+    return _picard(F, arity + 1, TruncatedSeries.constant(Fraction(1), order), order)
 
 
 def evaluate_plane_tree(tree: PlaneTree, family: Callable[[int], Callable], a):
@@ -648,13 +613,7 @@ def evaluate_plane_tree(tree: PlaneTree, family: Callable[[int], Callable], a):
     return values[0]
 
 
-def fixed_point_plane(
-    family: Callable[[int], Callable],
-    order: int,
-    a,
-    *,
-    probe: bool = True,
-) -> TreeExpansion:
+def fixed_point_plane(family: Callable[[int], Callable], order: int, a) -> TreeExpansion:
     """Expand the solution of x = a + sum_{n>=2} F_n(x, ..., x) over plane
     trees with internal arity >= 2.
 
@@ -664,7 +623,7 @@ def fixed_point_plane(
     polynomials; residual checking is left to the caller because the
     notion of truncation depends on the coefficient ring.
     """
-    if probe and hasattr(a, "valuation") and a.valuation() == 0:
+    if hasattr(a, "valuation") and a.valuation() == 0:
         for n in (2, 3):
             val = family(n)(*([a] * n)).valuation()
             if val is not None and val < 1:

@@ -298,3 +298,22 @@ def test_qfraction_evaluate_returns_fraction_at_int_point():
     assert type(value) is Fraction
     with pytest.raises(TypeError):
         QFraction(QPoly.one(), q_integer(2)).evaluate(0.5)
+
+
+def test_q_factorial_and_binomial_need_no_recursion_on_n():
+    import inspect
+    import sys
+    from math import comb, factorial
+
+    q_factorial.cache_clear()
+    q_binomial.cache_clear()
+    limit = sys.getrecursionlimit()
+    # far below the 60 nested calls a recursion on n would take
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        qf, qb = q_factorial(60), q_binomial(60, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert qf.evaluate(1) == factorial(60)
+    assert qb.evaluate(1) == comb(60, 3)
+    assert qb * q_factorial(3) * q_factorial(57) == qf

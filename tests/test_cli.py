@@ -73,6 +73,31 @@ def test_hook_deep_comb(capsys, node):
     assert out.strip() == "1"
 
 
+def _left_comb(nodes: int) -> str:
+    text = "_"
+    for _ in range(nodes):
+        text = f"({text},_)"
+    return text
+
+
+def test_hook_q_on_a_deep_comb_is_a_size_guard(capsys):
+    code, err = _run_rejected(capsys, "hook", _left_comb(3000), "--q", "imaj")
+    assert code == 3
+    assert err == (
+        "size guard: q-hook of a 3000-node tree exceeds the guard "
+        f"{identities.QHOOK_GUARD}; pass --unsafe-large to force\n"
+    )
+
+
+def test_hook_dump_of_a_deep_comb(capsys):
+    code = main(["--format", "json", "hook", _left_comb(3000), "--dump", "--unsafe-large"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    terms = json.loads(captured.out)["element"]["terms"]
+    # the one permutation whose decreasing tree is the left comb
+    assert terms == [{"perm": ",".join(map(str, range(1, 3001))), "coeff": "1"}]
+
+
 # ---------------------------------------------------------------------------
 # identity
 # ---------------------------------------------------------------------------
@@ -563,7 +588,44 @@ ENUMERATION_GOLDEN = {
         "be3b4f5698726f28738c5da76041e73c48533b5bf044572455451080b7692a87",
     ),
 }
-GOLDEN_DIGESTS = {**SERIES_GOLDEN, **BINOMIAL_GOLDEN, **ENUMERATION_GOLDEN}
+
+# SHA-256 of the text and of the JSON output, recorded before the word keys
+# shared one core and the hook oracle and the per-tree check moved into
+# identities
+FOUR_NODES = "((_,_),((_,_),_))"
+WORD_GOLDEN = {
+    ("hook", FOUR_NODES, "--oracle", "--q", "none"): (
+        "f93755a372e4d51b794327f21acc04bfe15418eb3d124e67a64422ef58850b7e",
+        "8caf4f46089f78ca3bee0c85f52b062c2323eea95805bf37b377b254938aa352",
+    ),
+    ("hook", FOUR_NODES, "--oracle", "--q", "imaj"): (
+        "e38dabdd8ee88c85066cfe2e5e1afde8a039aa718ddfae7b643c0778e17793fd",
+        "9528d34e47de4d9b5d9ea4e845c8e30843697cbdc79c88a797e2d305cebad0be",
+    ),
+    ("hook", FOUR_NODES, "--oracle", "--q", "inv"): (
+        "e38dabdd8ee88c85066cfe2e5e1afde8a039aa718ddfae7b643c0778e17793fd",
+        "29577e4251f418023e0b1cf481b31781e91cd74e1a1db971e90fd0c687a353aa",
+    ),
+    ("enumerate", "permutations", "--n", "4"): (
+        "0f5898ef4a578a1b7aaafa85da9e72cb9eeeafb911e4b7290c92529a58ba4665",
+        "b4c8bff0c1b0b6df9ba1439b85415c6b5f6c2cf903baad1c87a97accab00fc6f",
+    ),
+    ("enumerate", "packed-words", "--n", "3"): (
+        "ab8da15682db9e06e041692e7e84b2a044ab22cabeeaa1aa0244a4f8fdb83ca7",
+        "7fc16e1f25fc8aa0d271bdaf9c3d71753f654c5e28c97f79cd0bb9da36d65ef6",
+    ),
+}
+GOLDEN_DIGESTS = {**SERIES_GOLDEN, **BINOMIAL_GOLDEN, **ENUMERATION_GOLDEN, **WORD_GOLDEN}
+
+# SHA-256 of one output format alone, recorded with WORD_GOLDEN
+FORMAT_GOLDEN = {
+    ("json", "hook", FOUR_NODES, "--dump"):
+        "19f933a4a85114c5298c05851a7489f25dcc4b763b619f727be448ae045d5175",
+    ("json", "identity", "postnikov", "--n", "6", "--per-tree"):
+        "9696a9b25fbcc29da23f6db75f3939edcc4a396c3224b9455e601f3dda2132b1",
+    ("csv", "identity", "postnikov", "--n", "6", "--per-tree"):
+        "dbc05fd0672012187b89d0a4c02cce255cd9ecdc3048c087343e44dadd7a4a91",
+}
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
@@ -573,6 +635,14 @@ def test_series_output_is_golden(capsys, argv):
         assert code == 0
         out = re.sub(r',\n  "elapsed_ms": [^\n]*', "", out)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", list(FORMAT_GOLDEN))
+def test_format_output_is_golden(capsys, argv):
+    code, out = run(capsys, "--format", *argv)
+    assert code == 0
+    out = re.sub(r',\n  "elapsed_ms": [^\n]*', "", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_GOLDEN[argv]
 
 
 # ---------------------------------------------------------------------------

@@ -383,3 +383,45 @@ def test_word_text_round_trip():
     assert Permutation.from_text(long_word.to_text()) == long_word
     with pytest.raises(ParseError):
         Permutation.from_text("1x3")
+
+
+# ---------------------------------------------------------------------------
+# the word core shared by Permutation and PackedWord
+# ---------------------------------------------------------------------------
+
+
+def test_word_keys_of_different_types_are_unequal():
+    perm, packed = Permutation((1, 2)), PackedWord((1, 2))
+    assert perm != packed and packed != perm
+    assert perm != (1, 2) and (1, 2) != perm
+    assert packed != (1, 2) and (1, 2) != packed
+    assert len({perm, packed}) == 2
+
+
+def test_equal_word_keys_hash_equal():
+    for key_type, letters in ((Permutation, (2, 3, 1)), (PackedWord, (1, 2, 1))):
+        a, b = key_type(letters), key_type.from_text("".join(map(str, letters)))
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_word_keys_sort_by_length_then_letters():
+    perms = [Permutation(w) for w in ((2, 1, 3), (1,), (1, 3, 2), (2, 1), ())]
+    assert [p.word for p in sorted(perms)] == [(), (1,), (2, 1), (1, 3, 2), (2, 1, 3)]
+    packed = [PackedWord(w) for w in ((1, 1, 1), (2, 1), (1,), (1, 2, 1), (1, 1))]
+    assert [w.letters for w in sorted(packed)] == [(1,), (1, 1), (2, 1), (1, 1, 1), (1, 2, 1)]
+
+
+def test_word_key_reprs():
+    assert repr(Permutation((2, 1))) == "Permutation((2, 1))"
+    assert repr(Permutation((1,))) == "Permutation((1,))"
+    assert repr(Permutation(())) == "Permutation(())"
+    assert repr(PackedWord((1, 2, 1))) == "PackedWord((1, 2, 1))"
+    assert repr(PackedWord(())) == "PackedWord(())"
+
+
+def test_permutation_word_is_its_letters():
+    perm = Permutation((3, 1, 2))
+    assert perm.word is perm.letters == (3, 1, 2)
+    assert list(perm) == [3, 1, 2] and len(perm) == 3

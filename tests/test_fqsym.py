@@ -229,6 +229,23 @@ def test_tree_term_is_decreasing_tree_fiber():
             assert set(element.terms) == fibers[tree]
 
 
+def test_tree_term_of_a_shape_built_bottom_up():
+    # 145 nodes: a left comb over a three-node subtree, and a root whose
+    # right child is one node; its fiber has 288 permutations
+    text = "((_,_),(_,_))"
+    for _ in range(140):
+        text = f"({text},_)"
+    shape = BinaryTree.from_text(f"({text},(_,_))")
+
+    def lift(tree):  # the plain recursion, shallow enough here
+        return unit("G") if tree.is_empty else b_product(lift(tree.left), lift(tree.right))
+
+    element = tree_term(shape)
+    assert element == lift(shape)
+    assert len(element) == 288
+    assert all(decreasing_tree(p) == shape for p in element.terms)
+
+
 def test_tree_terms_sum_to_full_degree():
     for n in range(8):
         total = FQSymElement({}, basis="G")

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from treecalc import identities
 from treecalc.arith import AlphaPoly, QPoly, q_factorial
 from treecalc.combinat import (
     BinaryTree,
@@ -22,9 +23,11 @@ from treecalc.identities import (
     eisenstein_check,
     eisenstein_coefficients,
     ft_brute_force,
+    ft_check,
     ft_coefficients,
     hook_count,
     hook_fiber,
+    hook_oracle,
     lagrange_fixed_point_check,
     lagrange_series,
     plane_q_check,
@@ -92,6 +95,17 @@ def test_qhook_sums_to_q_factorial():
         assert total == q_factorial(n)
 
 
+def test_hook_oracle_agrees_with_the_fibers():
+    for n in range(1, 6):
+        for tree, fiber in decreasing_tree_fibers(n).items():
+            assert hook_oracle(tree, "none") == len(fiber)
+            for statistic, stat in (("imaj", lambda p: p.imaj()), ("inv", lambda p: p.inversions())):
+                poly = QPoly.zero()
+                for p in fiber:
+                    poly = poly + QPoly.monomial(stat(p))
+                assert hook_oracle(tree, statistic) == poly
+
+
 def test_hook_counts_sum_to_factorial():
     for n in range(1, 10):
         assert sum(hook_count(t) for t in binary_trees(n)) == factorial(n)
@@ -117,6 +131,21 @@ def test_ft_coefficients_guard():
     # C(t, 1) is the only term of a star: one letter, repeated
     assert ft_coefficients(star, unsafe_large=True) == {1: 1}
     assert ft_coefficients(PlaneTree([PlaneTree()] * FT_LEAF_GUARD)) == {1: 1}
+
+
+def test_ft_check_reports_both_sides():
+    report = ft_check(PlaneTree.from_text("((**)(**)(***))"))
+    assert report.name == "ft" and report.equal
+    assert report.parameters == {"tree": "((**)(**)(***))"}
+    assert report.lhs == report.rhs == '{"2": 1, "3": 6, "4": 6}'
+    assert report.elapsed_ms > 0
+
+
+def test_ft_check_meets_the_packed_words_guard_first():
+    star = PlaneTree([PlaneTree()] * (FT_LEAF_GUARD + 1))
+    with pytest.raises(SizeGuardError) as info:
+        ft_check(star)
+    assert str(info.value).startswith(f"packed_words({FT_LEAF_GUARD}) exceeds the guard")
 
 
 def test_ft_matches_brute_force_small():
@@ -309,3 +338,24 @@ def test_report_serialization():
     assert "per_tree" not in data
     with_trees = report.to_json(include_per_tree=True)
     assert with_trees["per_tree"]
+
+
+# ---------------------------------------------------------------------------
+# the one per-tree check
+# ---------------------------------------------------------------------------
+
+
+def test_a_broken_closed_form_fails_both_per_tree_checks(monkeypatch):
+    assert postnikov_check(4).equal and lagrange_fixed_point_check(2, 4).equal
+    per_tree = identities._per_tree
+
+    def mutant(expansion, order, closed):
+        # the single-node tree alone gets a wrong closed form
+        broken = lambda hooks: closed(hooks) + (1 if hooks == (1,) else 0)
+        return per_tree(expansion, order, broken)
+
+    monkeypatch.setattr(identities, "_per_tree", mutant)
+    postnikov = postnikov_check(4)
+    assert not postnikov.equal
+    assert postnikov.lhs == postnikov.rhs == "125"  # the tree sum still agrees
+    assert not lagrange_fixed_point_check(2, 4).equal
