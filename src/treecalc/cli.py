@@ -237,15 +237,25 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
         "series": total.to_json(),
     }
     lines = [str(total)]
-    # each format formats only the per-tree terms it prints
-    if args.per_tree and config.output_format == "text":
-        lines += [f"{tree.text}: {term}" for tree, term in expansion.terms]
-    elif args.per_tree:
-        payload["per_tree"] = [
-            {"tree": tree.text, "term": json.dumps(
-                term.to_json() if hasattr(term, "to_json") else str(term))}
-            for tree, term in expansion.terms
-        ]
+    if args.per_tree:
+        # each format formats only the per-tree terms it prints, and each
+        # distinct term once: the engine interns them, so trees share objects
+        text = config.output_format == "text"
+        shown: dict = {}  # id(term) -> its printed form
+
+        def show(term) -> str:
+            printed = shown.get(id(term))
+            if printed is None:
+                printed = shown[id(term)] = str(term) if text else json.dumps(
+                    term.to_json() if hasattr(term, "to_json") else str(term))
+            return printed
+
+        if text:
+            lines += [f"{tree.text}: {show(term)}" for tree, term in expansion.terms]
+        else:
+            payload["per_tree"] = [
+                {"tree": tree.text, "term": show(term)} for tree, term in expansion.terms
+            ]
     _print_payload(payload, config, lines)
     return 0
 

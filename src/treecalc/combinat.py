@@ -427,21 +427,30 @@ def hook_data(tree: BinaryTree | MAryTree) -> HookData:
 
     One breadth-first pass over a list that grows while it is read, for
     binary and m-ary trees alike, so a deep tree never meets the
-    recursion limit.
+    recursion limit.  The binary pass reads the two child slots directly,
+    with no tuple per node.
     """
     if not tree.node_count:
         raise ValueError("hook data of the empty tree is undefined")
-    binary = isinstance(tree, BinaryTree)
     nodes = [tree]
+    append = nodes.append
+    if not isinstance(tree, BinaryTree):
+        for node in nodes:
+            for child in node.children:
+                if child.node_count:
+                    append(child)
+        return HookData(tuple(sorted([node.node_count for node in nodes], reverse=True)))
     for node in nodes:
-        for child in (node.left, node.right) if binary else node.children:
-            if child.node_count:
-                nodes.append(child)
-    hooks = tuple(sorted([node.node_count for node in nodes], reverse=True))
-    if not binary:
-        return HookData(hooks)
-    rights = sorted([node.right.node_count for node in nodes], reverse=True)
-    return HookData(hooks, tuple(rights))
+        left, right = node.left, node.right
+        if left.node_count:
+            append(left)
+        if right.node_count:
+            append(right)
+    hooks = [node.node_count for node in nodes]
+    rights = [node.right.node_count for node in nodes]
+    hooks.sort(reverse=True)
+    rights.sort(reverse=True)
+    return HookData(tuple(hooks), tuple(rights))
 
 
 def decreasing_tree(perm: Permutation) -> BinaryTree:

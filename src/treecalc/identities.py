@@ -322,10 +322,13 @@ def postnikov_check(n: int) -> IdentityReport:
     expansion, picard = _postnikov_paths(order)
     closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
     trees_equal, values = _per_tree(expansion, order, closed)
-    per_tree = [
-        {"tree": tree.text, "coefficient": str(value)}
-        for (tree, _), value in zip(expansion.terms, values)
-    ]
+    printed: dict = {}  # id(value) -> str(value): one closed value per hook multiset
+    per_tree = []
+    for (tree, _), value in zip(expansion.terms, values):
+        text = printed.get(id(value))
+        if text is None:
+            text = printed[id(value)] = str(value)
+        per_tree.append({"tree": tree.text, "coefficient": text})
     equal = lhs == rhs and trees_equal
     equal = equal and expansion.total == eisenstein_coefficients(order) == picard
 

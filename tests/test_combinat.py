@@ -126,6 +126,23 @@ def test_hook_data_invariants():
         hook_data(BinaryTree())
 
 
+def test_hook_data_matches_recursive_reference():
+    def reference(tree, hooks, rights):
+        if tree.node_count:
+            hooks.append(tree.node_count)
+            rights.append(tree.right.node_count)
+            reference(tree.left, hooks, rights)
+            reference(tree.right, hooks, rights)
+        return hooks, rights
+
+    for n in range(1, 9):
+        for tree in binary_trees(n):
+            hooks, rights = reference(tree, [], [])
+            data = hook_data(tree)
+            assert data.hooks == tuple(sorted(hooks, reverse=True))
+            assert data.right_sizes == tuple(sorted(rights, reverse=True))
+
+
 def test_hook_data_mary():
     for tree in mary_trees(2, 3):
         data = hook_data(tree)

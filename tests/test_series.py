@@ -2,12 +2,13 @@ import hashlib
 import json
 from fractions import Fraction
 from math import factorial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecalc.arith import AlphaPoly, QFraction, QPoly, q_integer
-from treecalc.combinat import hook_data, mary_trees
+from treecalc.combinat import binary_trees, hook_data, mary_trees, plane_trees
 from treecalc.errors import ValuationViolation
 from treecalc.series import (
     BinomialPoly,
@@ -21,6 +22,7 @@ from treecalc.series import (
     finite_difference,
     fixed_point_binary,
     fixed_point_mary,
+    fixed_point_plane,
     integrate,
     monomial_to_binomial,
     picard_binary,
@@ -506,6 +508,126 @@ def test_evaluate_plane_tree_meets_no_recursion_limit():
     for _ in range(2000):
         tree = PlaneTree([PlaneTree(), tree, PlaneTree(), PlaneTree()])
     assert evaluate_plane_tree(tree, spell, "*") == tree.text
+
+
+# ---------------------------------------------------------------------------
+# the engine's memo: one operator call per distinct child-term tuple
+# ---------------------------------------------------------------------------
+
+
+def binary_children(tree):
+    return () if tree.is_empty else (tree.left, tree.right)
+
+
+def per_tree_reference(op, a, order, trees, children):
+    """The engine without its memo: op once per tree, terms cached by
+    tree, the total summed tree by tree.  Returns the (tree, term) list,
+    the total and the cache."""
+    cache, terms, total = {}, [], None
+    for n in range(order + 1):
+        for tree in trees(n):
+            kids = children(tree)
+            term = op(*[cache[kid] for kid in kids]) if kids else a
+            cache[tree] = term
+            terms.append((tree, term))
+            total = term if total is None else total + term
+    return terms, total, cache
+
+
+def printed_terms(pairs):
+    return [(tree.text, str(term), repr(term)) for tree, term in pairs]
+
+
+def test_operator_runs_once_per_child_term_tuple():
+    from treecalc.identities import postnikov_operator
+
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return postnikov_operator(x, y)
+
+    order = 9
+    one = TruncatedSeries.constant(Fraction(1), order)
+    expansion = fixed_point_binary(counted, one, order)
+    terms, _, cache = per_tree_reference(
+        postnikov_operator, one, order, binary_trees, binary_children
+    )
+    tuples = {(repr(cache[t.left]), repr(cache[t.right])) for t, _ in terms if t.node_count}
+    # every tree is still listed, but op runs once per distinct tuple of its
+    # children's terms, besides the three valuation probes and the residual
+    assert len(expansion.terms) == len(terms) == 6918
+    assert len(calls) == len(tuples) + 3 + 1 < 400
+
+
+def mary_case(m, order):
+    from treecalc.identities import lagrange_operator
+
+    op = lagrange_operator(m)
+    one = TruncatedSeries.constant(Fraction(1), order)
+    trees = lambda n: mary_trees(m, n)
+    return fixed_point_mary(op, m, order), (op, one, order, trees, attrgetter("children"))
+
+
+def binary_case(op, order):
+    one = TruncatedSeries.constant(Fraction(1), order)
+    return fixed_point_binary(op, one, order), (op, one, order, binary_trees, binary_children)
+
+
+def plane_q_case(order):
+    from treecalc.identities import plane_q_expansion, plane_q_family
+
+    apply = lambda *xs: plane_q_family(len(xs))(*xs)
+    one = BinomialPoly({0: QPoly.one()})
+    return plane_q_expansion(order), (apply, one, order, plane_trees, attrgetter("children"))
+
+
+@pytest.mark.parametrize("case", [
+    "binary inverse-linear", "binary postnikov", "m=1", "m=2", "m=3", "plane-q",
+])
+def test_memoized_engine_matches_per_tree_reference(case):
+    from treecalc.identities import postnikov_operator
+
+    if case == "binary inverse-linear":
+        expansion, args = binary_case(inverse_linear, 8)
+    elif case == "binary postnikov":
+        expansion, args = binary_case(postnikov_operator, 7)
+    elif case == "plane-q":
+        expansion, args = plane_q_case(4)
+    else:
+        m = int(case[-1])
+        expansion, args = mary_case(m, {1: 7, 2: 5, 3: 4}[m])
+    terms, total, _ = per_tree_reference(*args)
+    assert printed_terms(expansion.terms) == printed_terms(terms)
+    assert str(expansion.total) == str(total)
+    assert repr(expansion.total) == repr(total)
+
+
+def test_memo_keeps_apart_terms_that_print_alike():
+    # P and R compare equal and print alike, but P's zero is a QFraction
+    # over [3]_q: P + t prints ((1+q+q^2)/(1+q+q^2))*t^1 where R + t prints
+    # (1)*t^1.  A memo keyed by str or == would hand R's sums to P's parents.
+    a = TruncatedSeries([0, QFraction(1)])
+    P = TruncatedSeries([QFraction(1), QFraction(0, q_integer(3))])
+    R = TruncatedSeries([QFraction(1), 0])
+    assert P == R and str(P) == str(R) and str(P + a) != str(R + a)
+
+    def family(k):
+        def op(*xs):
+            if all(x == a for x in xs):  # a node whose children are leaves
+                return P if k == 3 else R
+            return sum(xs[1:], xs[0])
+        return op
+
+    order = 3
+    expansion = fixed_point_plane(family, order, a)
+    apply = lambda *xs: family(len(xs))(*xs)
+    terms, total, _ = per_tree_reference(apply, a, order, plane_trees, attrgetter("children"))
+    assert printed_terms(expansion.terms) == printed_terms(terms)
+    assert "((***)*): 1 + ((1+q+q^2)/(1+q+q^2))*t^1 + O(t^2)" in [
+        f"{tree.text}: {term}" for tree, term in expansion.terms
+    ]
+    assert str(expansion.total) == str(total)
 
 
 # ---------------------------------------------------------------------------
