@@ -560,44 +560,32 @@ def test_operator_runs_once_per_child_term_tuple():
     assert len(calls) == len(tuples) + 3 + 1 < 400
 
 
-def mary_case(m, order):
-    from treecalc.identities import lagrange_operator
-
-    op = lagrange_operator(m)
-    one = TruncatedSeries.constant(Fraction(1), order)
-    trees = lambda n: mary_trees(m, n)
-    return fixed_point_mary(op, m, order), (op, one, order, trees, attrgetter("children"))
-
-
-def binary_case(op, order):
-    one = TruncatedSeries.constant(Fraction(1), order)
-    return fixed_point_binary(op, one, order), (op, one, order, binary_trees, binary_children)
-
-
-def plane_q_case(order):
-    from treecalc.identities import plane_q_expansion, plane_q_family
-
-    apply = lambda *xs: plane_q_family(len(xs))(*xs)
-    one = BinomialPoly({0: QPoly.one()})
-    return plane_q_expansion(order), (apply, one, order, plane_trees, attrgetter("children"))
-
-
-@pytest.mark.parametrize("case", [
-    "binary inverse-linear", "binary postnikov", "m=1", "m=2", "m=3", "plane-q",
+@pytest.mark.parametrize("case, order", [
+    ("inverse-linear", 8), ("postnikov", 7), ("m=1", 7), ("m=2", 5), ("m=3", 4), ("plane-q", 4),
 ])
-def test_memoized_engine_matches_per_tree_reference(case):
-    from treecalc.identities import postnikov_operator
+def test_memoized_engine_matches_per_tree_reference(case, order):
+    from treecalc.identities import (
+        lagrange_operator,
+        plane_q_expansion,
+        plane_q_family,
+        postnikov_operator,
+    )
 
-    if case == "binary inverse-linear":
-        expansion, args = binary_case(inverse_linear, 8)
-    elif case == "binary postnikov":
-        expansion, args = binary_case(postnikov_operator, 7)
-    elif case == "plane-q":
-        expansion, args = plane_q_case(4)
+    one = TruncatedSeries.constant(Fraction(1), order)
+    if case == "plane-q":
+        expansion = plane_q_expansion(order)
+        apply = lambda *xs: plane_q_family(len(xs))(*xs)
+        reference = (apply, BinomialPoly({0: QPoly.one()}), order, plane_trees, attrgetter("children"))
+    elif case.startswith("m="):
+        m = int(case[2:])
+        op = lagrange_operator(m)
+        expansion = fixed_point_mary(op, m, order)
+        reference = (op, one, order, lambda n: mary_trees(m, n), attrgetter("children"))
     else:
-        m = int(case[-1])
-        expansion, args = mary_case(m, {1: 7, 2: 5, 3: 4}[m])
-    terms, total, _ = per_tree_reference(*args)
+        op = inverse_linear if case == "inverse-linear" else postnikov_operator
+        expansion = fixed_point_binary(op, one, order)
+        reference = (op, one, order, binary_trees, binary_children)
+    terms, total, _ = per_tree_reference(*reference)
     assert printed_terms(expansion.terms) == printed_terms(terms)
     assert str(expansion.total) == str(total)
     assert repr(expansion.total) == repr(total)
