@@ -2,7 +2,8 @@
 
 Provides the classical statistics (maj, imaj, inversions), the
 standardization and packing maps, the decreasing-tree and plane-tree
-constructions, hook data, and exhaustive enumerators with size guards.
+constructions (one iterative Cartesian-tree builder: no word-to-tree map
+recurses), hook data, and exhaustive enumerators with size guards.
 
 Tree shapes carry a canonical text encoding fixed by the grammar
 
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations as _itertools_permutations, product, starmap
+from itertools import chain, permutations as _itertools_permutations, product, starmap
+from math import inf
 from operator import attrgetter
 from typing import Iterator, Sequence
 
@@ -111,8 +113,7 @@ class _Word:
     def to_text(self) -> str:
         return ("" if all(c <= 9 for c in self.letters) else ",").join(map(str, self.letters))
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.letters})"
@@ -453,37 +454,35 @@ def hook_data(tree: BinaryTree | MAryTree) -> HookData:
     return HookData(tuple(hooks), tuple(rights))
 
 
+def _cartesian_tree(word: Sequence[int], leaf, node):
+    """The Cartesian tree of a word: its largest letter is the root, with one
+    child per block between its occurrences; the empty word is the leaf.
+    One pass keeps a stack of open nodes [letter, block trees so far],
+    letters decreasing upward.  Each letter closes the smaller open nodes,
+    opens its own unless the top node has its letter, and ends the top
+    node's current block; a sentinel above every letter closes the word."""
+    stack = [[inf, []]]
+    tree = leaf  # the tree of the block after the top node's last letter
+    for letter in chain(word, (inf,)):
+        while stack[-1][0] < letter:
+            children = stack.pop()[1]
+            children.append(tree)
+            tree = node(children)
+        if stack[-1][0] > letter:
+            stack.append([letter, []])
+        stack[-1][1].append(tree)
+        tree = leaf
+    return stack[0][1][0]
+
+
 def decreasing_tree(perm: Permutation) -> BinaryTree:
-    """Shape of the decreasing tree: the maximum letter sits at the root and
-    the factors to its left and right are built recursively."""
-
-    def build(word: tuple[int, ...]) -> BinaryTree:
-        if not word:
-            return EMPTY_BINARY
-        i = word.index(max(word))
-        return BinaryTree(build(word[:i]), build(word[i + 1 :]))
-
-    return build(perm.word)
+    """Shape of the decreasing tree: the Cartesian tree of the permutation."""
+    return _cartesian_tree(perm.word, EMPTY_BINARY, lambda c: BinaryTree(c[0], c[1]))
 
 
 def plane_tree_of_word(word: Sequence[int]) -> PlaneTree:
-    """Plane tree of a word: split at every occurrence of the maximal letter
-    and graft the subtrees of the blocks onto a common root; the empty word
-    maps to the leaf."""
-    word = tuple(word)
-    if not word:
-        return LEAF
-    m = max(word)
-    blocks: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for c in word:
-        if c == m:
-            blocks.append(tuple(current))
-            current = []
-        else:
-            current.append(c)
-    blocks.append(tuple(current))
-    return PlaneTree([plane_tree_of_word(b) for b in blocks])
+    """Plane tree of a word: the blocks between its maxima under one root, each built alike."""
+    return _cartesian_tree(word, LEAF, PlaneTree)
 
 
 # ---------------------------------------------------------------------------

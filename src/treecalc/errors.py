@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its stable exit codes: ParseError -> 2,
-SizeGuardError -> 3.  Everything else is an ordinary error.
+The CLI maps these onto its stable exit codes: ParseError (with its
+subclass VariantArityMismatch) -> 2, SizeGuardError -> 3.  Everything
+else is an ordinary error.
 """
 
 
@@ -37,5 +38,6 @@ class ValuationViolation(TreecalcError):
     """A fixed-point operator failed the valuation-raising probe."""
 
 
-class VariantArityMismatch(TreecalcError):
-    """Identity variant incompatible with the requested tree arity."""
+class VariantArityMismatch(ParseError):
+    """Identity variant incompatible with the requested tree arity; a parse
+    error, since the flags contradict each other."""

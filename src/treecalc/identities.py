@@ -32,9 +32,7 @@ from .combinat import (
     decreasing_tree,
     hook_data,
     mary_trees,
-    packed_words,
     permutations,
-    plane_tree_of_word,
 )
 from .errors import NonIntegerResult, SizeGuardError, VariantArityMismatch
 from .series import (
@@ -53,7 +51,7 @@ from .series import (
     picard_binary,
     picard_mary,
 )
-from .wqsym import graded_word_sum, psi
+from .wqsym import graded_word_sum, psi, tree_fiber_element
 
 POSTNIKOV_GUARD = 12
 EISENSTEIN_GUARD = 10
@@ -208,15 +206,10 @@ def ft_coefficients(tree: PlaneTree, *, unsafe_large: bool = False) -> dict[int,
 
 
 def ft_brute_force(tree: PlaneTree, *, unsafe_large: bool = False) -> dict[int, int]:
-    """Oracle for ft_coefficients: group the packed words of the right
-    length by maximal letter, keeping those with the given tree."""
-    n = tree.leaf_count - 1
-    out: dict[int, int] = {}
-    for word in packed_words(n, unsafe_large=unsafe_large):
-        if plane_tree_of_word(word.letters) == tree:
-            k = word.max_letter
-            out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    """Oracle for ft_coefficients: the packed words of the tree's fiber,
+    counted by maximal letter (psi sends M_u to C(t, max u))."""
+    fiber = tree_fiber_element(tree, tree.leaf_count - 1, unsafe_large=unsafe_large)
+    return dict(sorted(psi(fiber).coeffs.items()))
 
 
 def ft_check(tree: PlaneTree, *, unsafe_large: bool = False) -> IdentityReport:

@@ -528,7 +528,8 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     enumeration order, and their sum.  A shape without children carries a;
     any other applies op to its children's terms, smaller shapes cached
     before it, so no recursion is needed.  Given an arity, the sum is
-    re-checked against x = a + op(x, ..., x).
+    re-checked against x = a + op(x, ..., x).  trees(order) is asked for
+    first, so the family's size guard fires before any shape is built.
 
     Many shapes share a term (Postnikov's depends only on the hook
     multiset), so the terms are hash-consed: each result of op is interned
@@ -537,6 +538,9 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     distinct tuple of its children's interned terms, keyed by their ids.
     Every interned term stays referenced by the tables until the call
     returns, so no id is reused meanwhile, and no table outlives the call.
+    Shapes are cached by id too, not by text hash: the enumerators share
+    each shape with the parents holding it as a child, and expansion.terms
+    keeps every shape alive until the call returns.
     The sum adds count * term once per distinct term, in order of first
     appearance: the value of the tree-by-tree sum, printed alike in every
     ring that prints canonically (QFraction, never reduced, may not be).
@@ -553,13 +557,14 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     interned = {repr(a): a}  # repr -> the one term object with that repr
     applied: dict = {}  # ids of the children's terms -> op of them
     counts: dict = {}  # id(term) -> [term, number of shapes carrying it]
-    cache: dict = {}  # shape -> its interned term
+    cache: dict = {}  # id(shape) -> its interned term
     expansion = TreeExpansion()
+    next(trees(order))
     for n in range(order + 1):
         for tree in trees(n):
             kids = children(tree)
             if kids:
-                args = [cache[kid] for kid in kids]
+                args = [cache[id(kid)] for kid in kids]
                 key = tuple(map(id, args))
                 term = applied.get(key)
                 if term is None:
@@ -567,7 +572,7 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
                     term = applied[key] = interned.setdefault(repr(term), term)
             else:
                 term = a
-            cache[tree] = term
+            cache[id(tree)] = term
             expansion.terms.append((tree, term))
             seen = counts.get(id(term))
             if seen is None:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from treecalc import identities
+from treecalc import combinat, identities
 from treecalc.cli import main
 
 
@@ -687,3 +687,59 @@ def test_config_value_of_the_wrong_type_is_a_parse_error(capsys, tmp_path, conte
     )
     assert code == 2
     assert err == f"parse error: bad configuration: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# one exit code for each subcommand and each kind of bad input
+# ---------------------------------------------------------------------------
+
+# (argv, environment, config-file content, exit code); 2 is a parse error,
+# the argument parser's included, and 3 a size guard.
+EXIT_CODES = [
+    (("hook", "_"), {}, None, 2),
+    (("hook", "((_,)"), {}, None, 2),
+    (("hook", "(_,_)", "--q", "maj"), {}, None, 2),
+    (("hook", _left_comb(61), "--q", "imaj"), {}, None, 3),
+    (("hook", _left_comb(8), "--oracle"), {}, None, 3),
+    (("identity", "postnikov"), {}, None, 2),
+    (("identity", "duliu"), {}, None, 2),
+    (("identity", "ft"), {}, None, 2),
+    (("identity", "ft", "--tree", "(*"), {}, None, 2),
+    (("identity", "duliu", "--variant", "las1", "--m", "2", "--n", "3"), {}, None, 2),
+    (("identity", "eisenstein", "--order", "11"), {}, None, 3),
+    (("identity", "duliu", "--variant", "las3", "--m", "4", "--n", "3"), {}, None, 3),
+    (("identity", "eisenstein"), {"TREECALC_ORDER": "abc"}, None, 2),
+    (("expand", "inverse-linear"), {}, "[1]", 2),
+    (("expand", "postnikov", "--order", "-1"), {}, None, 2),
+    (("expand", "postnikov", "--order", "15"), {}, None, 3),
+    (("expand", "duliu", "--m", "2", "--order", "10"), {}, None, 3),
+    (("expand", "plane-q", "--order", "10"), {}, None, 3),
+    (("enumerate", "binary-trees"), {}, None, 2),
+    (("enumerate", "mary-trees", "--m", "0", "--n", "2"), {}, None, 2),
+    (("enumerate", "packed-words", "--n", "10"), {}, None, 3),
+    (("enumerate", "plane-trees", "--n", "10"), {}, None, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, config, expected", EXIT_CODES, ids=[" ".join(row[0])[:60] for row in EXIT_CODES]
+)
+def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, env, config, expected):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv = ("--config", str(path), *argv)
+    shapes = combinat._shapes.cache_info().currsize
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # the argument parser's own errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    prefixes = ("parse error: ", "usage: ") if expected == 2 else ("size guard: ",)
+    assert captured.err.startswith(prefixes)
+    assert combinat._shapes.cache_info().currsize == shapes  # refused before any shape

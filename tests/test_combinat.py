@@ -21,6 +21,7 @@ from treecalc.combinat import (
     plane_trees,
     standardize,
 )
+from treecalc.combinat import _cartesian_tree
 from treecalc.errors import ParseError, SizeGuardError
 
 words = st.lists(st.integers(min_value=1, max_value=8), min_size=0, max_size=8)
@@ -231,6 +232,83 @@ def test_plane_tree_counts_match_schroeder(packed_by_length):
         reachable = {plane_tree_of_word(w.letters) for w in packed_by_length[n]}
         assert len(reachable) == count
         assert reachable == set(plane_trees(n))
+
+
+# The recursive definitions of the two word-to-tree maps, kept here only as
+# the reference for the one iterative builder that serves both.  They build
+# the canonical text, which is cheaper than tree objects and equal iff the
+# shapes are.
+
+
+def _decreasing_tree_reference(word: tuple) -> str:
+    if not word:
+        return "_"
+    i = word.index(max(word))
+    left, right = word[:i], word[i + 1 :]
+    return f"({_decreasing_tree_reference(left)},{_decreasing_tree_reference(right)})"
+
+
+def _plane_tree_reference(word: tuple) -> str:
+    if not word:
+        return "*"
+    top, blocks = max(word), [[]]
+    for letter in word:
+        if letter == top:
+            blocks.append([])
+        else:
+            blocks[-1].append(letter)
+    return "(" + "".join(_plane_tree_reference(tuple(block)) for block in blocks) + ")"
+
+
+def _binary_text(children: list) -> str:
+    return f"({children[0]},{children[1]})"
+
+
+def _plane_text(children: list) -> str:
+    return "(" + "".join(children) + ")"
+
+
+def test_builder_matches_the_recursive_references():
+    # the builder with text nodes on all of S_0..S_8 and every packed word of
+    # length <= 7; the maps themselves on the smaller sizes below
+    for n in range(9):
+        for p in permutations(n):
+            assert _cartesian_tree(p.word, "_", _binary_text) == _decreasing_tree_reference(p.word)
+    for n in range(8):
+        for word in packed_words(n):
+            letters = word.letters
+            assert _cartesian_tree(letters, "*", _plane_text) == _plane_tree_reference(letters)
+
+
+def test_the_maps_match_the_recursive_references(perms_by_size, packed_by_length):
+    for n in range(7):
+        for p in perms_by_size[n]:
+            assert decreasing_tree(p).text == _decreasing_tree_reference(p.word)
+        for word in packed_by_length[n]:
+            assert plane_tree_of_word(word.letters).text == _plane_tree_reference(word.letters)
+
+
+def test_plane_tree_of_an_unpacked_word_matches_the_reference():
+    for word in [(5,), (3, 9, 3), (7, 2, 7, 2, 9, 1), (4, 4, 8, 1, 8)]:
+        assert plane_tree_of_word(word).text == _plane_tree_reference(word)
+
+
+@pytest.mark.parametrize(
+    "letters", [range(1, DEEP + 1), range(DEEP, 0, -1)], ids=["increasing", "decreasing"]
+)
+def test_decreasing_tree_of_a_deep_permutation(letters):
+    tree = decreasing_tree(Permutation(letters))
+    assert tree.node_count == DEEP
+    comb = "_"
+    for _ in range(DEEP):  # the maximum ends the increasing word: a left comb
+        comb = f"({comb},_)" if letters[0] == 1 else f"(_,{comb})"
+    assert tree.text == comb
+
+
+def test_plane_tree_of_a_deep_word():
+    tree = plane_tree_of_word(range(1, DEEP + 1))
+    assert (tree.leaf_count, tree.internal_count) == (DEEP + 1, DEEP)
+    assert tree.text == "(" * DEEP + "**" + ")*" * (DEEP - 1) + ")"
 
 
 # ---------------------------------------------------------------------------
