@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import identities
 from .combinat import (
@@ -129,12 +130,8 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     statistic = args.q
     if statistic != "none":
         _guard(config, n, identities.QHOOK_GUARD, f"q-hook of a {n}-node tree", "the guard")
-    if statistic == "none":
-        value = identities.hook_count(tree)
-    elif statistic == "imaj":
-        value = identities.qhook_imaj(tree)
-    else:
-        value = identities.qhook_inv(tree)
+    closed_form, _ = identities.HOOK_STATISTICS[statistic]
+    value = closed_form(tree)
 
     payload: dict = {
         "tree": tree.text,
@@ -155,7 +152,11 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
             exit_code = 1
 
     if args.dump:
-        _guard(config, n, config.max_degree, f"element dump of a {n}-node tree", "max degree")
+        # guarded by the fiber it builds; a fiber in S_n holds at most n!
+        fiber = identities.hook_count(tree)
+        degree = min(max(config.max_degree, 0), n)
+        what = f"element dump of {fiber} permutations"
+        _guard(config, fiber, factorial(degree), what, f"{degree}! =")
         element = tree_term(tree)
         payload["element"] = element.to_json()
         lines.append(json.dumps(element.to_json()))
@@ -169,32 +170,39 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
-    name = args.name
-    if name == "postnikov":
-        if args.n is None:
-            raise ParseError("identity postnikov needs --n")
-        report = identities.postnikov_check(args.n)
-    elif name == "eisenstein":
-        order = config.truncation_order
-        report = identities.eisenstein_check(order)
-    elif name == "duliu":
-        if args.n is None:
-            raise ParseError("identity duliu needs --n")
-        report = identities.duliu_check(args.variant, args.n, args.m)
-    elif name == "lagrange":
-        order = config.truncation_order
-        report = identities.lagrange_fixed_point_check(args.m, order)
-    elif name == "ft":
-        if not args.tree:
-            raise ParseError("identity ft needs --tree")
-        tree = PlaneTree.from_text(args.tree)
-        if tree.is_leaf:
-            raise ParseError("identity ft needs a nonempty plane tree")
-        report = identities.ft_check(tree, unsafe_large=config.unsafe_large)
-    else:
-        raise ParseError(f"unknown identity {name!r}")
+def _needs(args: argparse.Namespace, flag: str):
+    """The value of --flag, without which identity args.name cannot run."""
+    value = getattr(args, flag)
+    if value is None or value == "":
+        raise ParseError(f"identity {args.name} needs --{flag}")
+    return value
 
+
+def _ft_tree(args: argparse.Namespace) -> PlaneTree:
+    tree = PlaneTree.from_text(_needs(args, "tree"))
+    if tree.is_leaf:
+        raise ParseError("identity ft needs a nonempty plane tree")
+    return tree
+
+
+# The choice tables below list each choice once, in the order --help shows
+# them.  Every entry looks the library up when it is called, never holding a
+# function itself, so a function rebound on its module is the one that runs.
+IDENTITIES = {
+    "postnikov": lambda args, config: identities.postnikov_check(_needs(args, "n")),
+    "eisenstein": lambda args, config: identities.eisenstein_check(config.truncation_order),
+    "duliu": lambda args, config: identities.duliu_check(args.variant, _needs(args, "n"), args.m),
+    "lagrange": lambda args, config: identities.lagrange_fixed_point_check(
+        args.m, config.truncation_order
+    ),
+    "ft": lambda args, config: identities.ft_check(
+        _ft_tree(args), unsafe_large=config.unsafe_large
+    ),
+}
+
+
+def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
+    report = IDENTITIES[args.name](args, config)
     payload = report.to_json(include_per_tree=args.per_tree)
     lines = [
         f"identity={report.name} equal={'true' if report.equal else 'false'}",
@@ -214,22 +222,22 @@ def _inverse_linear_operator(x: TruncatedSeries, y: TruncatedSeries) -> Truncate
     return integrate(x * y)
 
 
+EQUATIONS = {
+    "inverse-linear": lambda m, order: fixed_point_binary(
+        _inverse_linear_operator, TruncatedSeries.constant(Fraction(1), order), order
+    ),
+    "postnikov": lambda m, order: fixed_point_binary(
+        identities.postnikov_operator, TruncatedSeries.constant(Fraction(1), order), order
+    ),
+    "duliu": lambda m, order: fixed_point_mary(identities.lagrange_operator(m), m, order),
+    "plane-q": lambda m, order: identities.plane_q_expansion(order),
+}
+
+
 def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
     order = config.truncation_order
     equation = args.equation
-    if equation == "inverse-linear":
-        one = TruncatedSeries.constant(Fraction(1), order)
-        expansion = fixed_point_binary(_inverse_linear_operator, one, order)
-    elif equation == "postnikov":
-        one = TruncatedSeries.constant(Fraction(1), order)
-        expansion = fixed_point_binary(identities.postnikov_operator, one, order)
-    elif equation == "duliu":
-        expansion = fixed_point_mary(identities.lagrange_operator(args.m), args.m, order)
-    elif equation == "plane-q":
-        expansion = identities.plane_q_expansion(order)
-    else:
-        raise ParseError(f"unknown equation {equation!r}")
-
+    expansion = EQUATIONS[equation](args.m, order)
     total = expansion.total
     payload: dict = {
         "equation": equation,
@@ -265,34 +273,24 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+FAMILIES = {
+    "binary-trees": lambda n, m, unsafe: binary_trees(n, unsafe_large=unsafe),
+    "mary-trees": lambda n, m, unsafe: mary_trees(m, n, unsafe_large=unsafe),
+    "plane-trees": lambda n, m, unsafe: plane_trees(n, unsafe_large=unsafe),
+    "permutations": lambda n, m, unsafe: permutations(n, unsafe_large=unsafe),
+    "packed-words": lambda n, m, unsafe: packed_words(n, unsafe_large=unsafe),
+}
+
+
 def cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
-    n = args.n
-    unsafe = config.unsafe_large
-    family = args.family
-    if family == "binary-trees":
-        stream = binary_trees(n, unsafe_large=unsafe)
-    elif family == "mary-trees":
-        stream = mary_trees(args.m, n, unsafe_large=unsafe)
-    elif family == "plane-trees":
-        stream = plane_trees(n, unsafe_large=unsafe)
-    elif family == "permutations":
-        stream = permutations(n, unsafe_large=unsafe)
-    elif family == "packed-words":
-        stream = packed_words(n, unsafe_large=unsafe)
-    else:
-        raise ParseError(f"unknown family {family!r}")
-
+    stream = FAMILIES[args.family](args.n, args.m, config.unsafe_large)
+    payload: dict = {"family": args.family, "n": args.n}
     if args.count_only:
-        count = sum(1 for _ in stream)
-        _print_payload(
-            {"family": family, "n": n, "count": count}, config, [str(count)]
-        )
-        return 0
-
-    items = [str(item) for item in stream]
-    _print_payload(
-        {"family": family, "n": n, "items": items}, config, items
-    )
+        payload["count"] = sum(1 for _ in stream)
+        lines = [str(payload["count"])]
+    else:
+        lines = payload["items"] = [str(item) for item in stream]
+    _print_payload(payload, config, lines)
     return 0
 
 
@@ -317,32 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
     # the global flags are also accepted after the subcommand; SUPPRESS
     # keeps an absent flag from clobbering the top-level value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=OUTPUT_FORMATS, default=argparse.SUPPRESS
-    )
+    common.add_argument("--format", choices=OUTPUT_FORMATS, default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument(
-        "--unsafe-large", action="store_true", default=argparse.SUPPRESS
-    )
+    common.add_argument("--unsafe-large", action="store_true", default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_hook = sub.add_parser(
-        "hook", parents=[common], help="hook-length values of a binary tree"
-    )
+    p_hook = sub.add_parser("hook", parents=[common], help="hook-length values of a binary tree")
     p_hook.add_argument("tree", help="tree in the (left,right) grammar, '_' empty")
-    p_hook.add_argument("--q", choices=("imaj", "inv", "none"), default="none")
+    p_hook.add_argument("--q", choices=identities.HOOK_STATISTICS, default="none")
     p_hook.add_argument("--oracle", action="store_true")
     p_hook.add_argument("--dump", action="store_true",
                         help="dump the fiber element as JSON")
     p_hook.set_defaults(func=cmd_hook)
 
-    p_id = sub.add_parser(
-        "identity", parents=[common], help="verify an identity from the suite"
-    )
-    p_id.add_argument(
-        "name", choices=("postnikov", "eisenstein", "duliu", "lagrange", "ft")
-    )
+    p_id = sub.add_parser("identity", parents=[common], help="verify an identity from the suite")
+    p_id.add_argument("name", choices=IDENTITIES)
     p_id.add_argument("--n", type=int, default=None)
     p_id.add_argument("--m", type=int, default=1)
     p_id.add_argument("--order", type=int, default=None)
@@ -351,30 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--per-tree", action="store_true", dest="per_tree")
     p_id.set_defaults(func=cmd_identity)
 
-    p_exp = sub.add_parser(
-        "expand", parents=[common], help="tree-expand a fixed-point equation"
-    )
-    p_exp.add_argument(
-        "equation", choices=("inverse-linear", "postnikov", "duliu", "plane-q")
-    )
+    p_exp = sub.add_parser("expand", parents=[common], help="tree-expand a fixed-point equation")
+    p_exp.add_argument("equation", choices=EQUATIONS)
     p_exp.add_argument("--order", type=int, default=None)
     p_exp.add_argument("--m", type=int, default=1)
     p_exp.add_argument("--per-tree", action="store_true", dest="per_tree")
     p_exp.set_defaults(func=cmd_expand)
 
-    p_enum = sub.add_parser(
-        "enumerate", parents=[common], help="stream a combinatorial family"
-    )
-    p_enum.add_argument(
-        "family",
-        choices=(
-            "binary-trees",
-            "mary-trees",
-            "plane-trees",
-            "permutations",
-            "packed-words",
-        ),
-    )
+    p_enum = sub.add_parser("enumerate", parents=[common], help="stream a combinatorial family")
+    p_enum.add_argument("family", choices=FAMILIES)
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--m", type=int, default=1)
     p_enum.add_argument("--count-only", action="store_true", dest="count_only")

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, permutations as _itertools_permutations, product, starmap
-from math import inf
+from itertools import chain, combinations, product, starmap
+from itertools import permutations as _itertools_permutations
+from math import comb, inf
 from operator import attrgetter
 from typing import Iterator, Sequence
 
@@ -40,6 +41,9 @@ PERMUTATION_GUARD = 12
 PACKED_WORD_GUARD = 9
 BINARY_TREE_GUARD = 14
 MARY_TREE_GUARD = 9
+# Child slots of one m-ary level, (m+1)*FussCatalan(m, n): m = 3, n = 9, the
+# largest level the node guard allowed with m <= 3.
+MARY_SLOT_GUARD = 13_449_040
 PLANE_TREE_GUARD = 9
 
 
@@ -518,41 +522,46 @@ def packed_words(n: int, *, unsafe_large: bool = False) -> Iterator[PackedWord]:
     Counts are the ordered Bell numbers 1, 1, 3, 13, 75, ...
     """
     _check_guard("packed_words", n, PACKED_WORD_GUARD, unsafe_large)
-    if n == 0:
-        yield PackedWord.empty()
-        return
-
-    word = [0] * n
-    used = [False] * (n + 1)
-
-    def rec(pos: int, current_max: int, distinct: int) -> Iterator[PackedWord]:
-        remaining = n - pos
-        if remaining == 0:
+    # an explicit stack, one entry per position: word[pos] is the letter
+    # tried there (0: none yet), top[pos] and seen[pos] the maximum and the
+    # count of distinct letters of word[:pos], uses[c] the uses of c in it
+    word, top, seen, uses = [0] * n, [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    pos = 0
+    while pos >= 0:
+        if pos == n:
             yield PackedWord(tuple(word))
-            return
-        for c in range(1, n + 1):
-            new_max = max(current_max, c)
-            first_use = not used[c]
-            if new_max - (distinct + first_use) <= remaining - 1:
-                used[c] = True
-                word[pos] = c
-                yield from rec(pos + 1, new_max, distinct + first_use)
-                if first_use:
-                    used[c] = False
-        word[pos] = 0
-
-    yield from rec(0, 0, 0)
+            pos -= 1
+            continue
+        c = word[pos]
+        uses[c] -= 1  # take back the letter last tried here (uses[0] is never read)
+        high, distinct = top[pos], seen[pos]
+        c += 1
+        if high - distinct == n - pos:  # no room to spare: only a missing letter fits
+            while c <= high and uses[c]:
+                c += 1
+        if c > distinct + n - pos:  # a new maximum this large leaves too little room
+            word[pos] = 0
+            pos -= 1
+            continue
+        word[pos] = c
+        uses[c] += 1
+        top[pos + 1] = max(high, c)
+        seen[pos + 1] = distinct + (uses[c] == 1)
+        pos += 1
 
 
 def _compositions(total: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of `parts` integers >= minimum."""
-    if parts == 0:
-        if total == 0:
+    """All ways to write total as an ordered sum of `parts` integers >= minimum,
+    in lexicographic order, with no recursion: stars and bars, the parts - 1
+    bars placed in every way among the spare units and themselves."""
+    spare = total - minimum * parts
+    if parts == 0 or spare < 0:
+        if parts == total == 0:
             yield ()
         return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
+    cells = spare + parts - 1
+    for bars in combinations(range(cells), parts - 1):
+        yield tuple(b - a - 1 + minimum for a, b in zip((-1, *bars), (*bars, cells)))
 
 
 @lru_cache(maxsize=None)
@@ -562,8 +571,11 @@ def _shapes(kind: type, arity: int | None, n: int) -> tuple:
     Binary and m-ary trees (arity = children per node) have n nodes, the
     n-1 below a root split over its child slots; plane trees (arity None)
     have n leaves, split over k >= 2 children of at least one leaf each.
-    A node's children run over the smaller shapes of each split.
+    A node's children run over the smaller shapes of each split, built
+    bottom up first, so no call nests more than one deeper.
     """
+    for smaller in range(1 if arity is None else 0, n):
+        _shapes(kind, arity, smaller)
     if arity is None:
         if n == 1:
             return (LEAF,)
@@ -591,8 +603,12 @@ def binary_trees(n: int, *, unsafe_large: bool = False) -> Iterator[BinaryTree]:
 
 
 def mary_trees(arity: int, n: int, *, unsafe_large: bool = False) -> Iterator[MAryTree]:
-    """All (arity+1)-ary tree shapes with n nodes (Fuss-Catalan counts)."""
+    """All (arity+1)-ary tree shapes with n nodes (Fuss-Catalan counts),
+    guarded also by the child slots of the level built, (m+1)*FussCatalan(m, n)."""
     _check_guard(f"mary_trees(m={arity})", n, MARY_TREE_GUARD, unsafe_large)
+    slots = (arity + 1) * comb((arity + 1) * n, n) // (arity * n + 1)
+    name = f"mary_trees(m={arity}, n={n}) child slots"
+    _check_guard(name, slots, MARY_SLOT_GUARD, unsafe_large)
     yield from _shapes(MAryTree, arity + 1, n)
 
 

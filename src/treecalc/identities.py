@@ -149,15 +149,25 @@ def hook_fiber(tree: BinaryTree, *, unsafe_large: bool = False) -> list[Permutat
     ]
 
 
+# Each hook statistic: its closed form on a shape, and the statistic of one
+# permutation of the fiber (None: the plain count).  The entries look the
+# functions up when called, so a rebound function is the one that runs.
+HOOK_STATISTICS = {
+    "imaj": (lambda tree: qhook_imaj(tree), lambda p: p.imaj()),
+    "inv": (lambda tree: qhook_inv(tree), lambda p: p.inversions()),
+    "none": (lambda tree: hook_count(tree), None),
+}
+
+
 def hook_oracle(tree: BinaryTree, statistic: str):
     """Brute-force side of the hook formulas: the size of the fiber of the
     decreasing-tree map over the shape (statistic "none"), or the sum of
-    q^imaj or q^inv over it.  It enumerates all of S_n unguarded; the
-    caller bounds n."""
+    q^imaj or q^inv over it; any other statistic raises KeyError.  It
+    enumerates all of S_n unguarded; the caller bounds n."""
+    _, stat = HOOK_STATISTICS[statistic]
     fiber = hook_fiber(tree, unsafe_large=True)
-    if statistic == "none":
+    if stat is None:
         return Fraction(len(fiber))
-    stat = Permutation.imaj if statistic == "imaj" else Permutation.inversions
     return sum((QPoly.monomial(stat(p)) for p in fiber), QPoly.zero())
 
 

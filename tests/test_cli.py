@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from treecalc import combinat, identities
+from treecalc import combinat, fqsym, identities
 from treecalc.cli import main
 
 
@@ -96,6 +96,25 @@ def test_hook_dump_of_a_deep_comb(capsys):
     terms = json.loads(captured.out)["element"]["terms"]
     # the one permutation whose decreasing tree is the left comb
     assert terms == [{"perm": ",".join(map(str, range(1, 3001))), "coeff": "1"}]
+
+
+def test_hook_dump_is_guarded_by_its_fiber(capsys):
+    # a deep comb's fiber is one permutation: no --unsafe-large needed
+    code = main(["--format", "json", "hook", _left_comb(3000), "--dump"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    terms = json.loads(captured.out)["element"]["terms"]
+    assert terms == [{"perm": ",".join(map(str, range(1, 3001))), "coeff": "1"}]
+    # 14 nodes, 2,745,600 permutations: refused before tree_term runs
+    cached = fqsym.tree_term.cache_info()
+    tree = "(((_,(_,_)),((_,_),(_,_))),(((_,_),(_,_)),((_,_),(_,_))))"
+    code, err = _run_rejected(capsys, "hook", tree, "--dump")
+    assert code == 3
+    assert err == (
+        "size guard: element dump of 2745600 permutations exceeds 7! = 5040; "
+        "pass --unsafe-large to force\n"
+    )
+    assert fqsym.tree_term.cache_info() == cached
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +737,8 @@ EXIT_CODES = [
     (("enumerate", "mary-trees", "--m", "0", "--n", "2"), {}, None, 2),
     (("enumerate", "packed-words", "--n", "10"), {}, None, 3),
     (("enumerate", "plane-trees", "--n", "10"), {}, None, 3),
+    (("enumerate", "mary-trees", "--m", "900", "--n", "3", "--count-only"), {}, None, 3),
+    (("expand", "duliu", "--m", "300", "--order", "3"), {}, None, 3),
 ]
 
 
@@ -743,3 +764,51 @@ def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, env, config, expec
     prefixes = ("parse error: ", "usage: ") if expected == 2 else ("size guard: ",)
     assert captured.err.startswith(prefixes)
     assert combinat._shapes.cache_info().currsize == shapes  # refused before any shape
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (("enumerate", "mary-trees", "--m", "2000", "--n", "1", "--count-only"), "1"),
+        (("expand", "duliu", "--m", "2000", "--order", "1"), "1 + (α)*t^1 + O(t^2)"),
+    ],
+    ids=["enumerate", "expand"],
+)
+def test_a_large_arity_meets_no_recursion_limit(capsys, argv, printed):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == printed + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the choice tables: help texts and argument errors, byte for byte
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the --help text (stdout, exit 0) or of the argument error
+# (stderr, exit 2) at COLUMNS=80, recorded before the choice lists became
+# one table per subcommand.
+PARSER_GOLDEN = {
+    ("--help",): "d18327afe673f3d1bd2ca080b950b1ad6b0f3377739886eefe1362f81b970ec9",
+    ("hook", "--help"): "23b1148dd9e0a2d6450b45dbf7f12e557d9da0b60420f5f05b8836048ce14726",
+    ("identity", "--help"): "9a37a9ddefd5aa5884b83772bd0d94d386d25037f6925a1ab043730138b44101",
+    ("expand", "--help"): "c54e892b516dce479aca94fca60db71a804897dfc32bdbf184afbf946ae49657",
+    ("enumerate", "--help"): "9336568eb433b7d3b807b9feb1a7be7ae3c4f8c23a66436064e06be386a9822a",
+    ("identity", "plane-q"): "fe1cf6f37d12c7ae53071c5bdabf47bf212f5e9333bfa0a46ba1d783c2a18e08",
+    ("expand", "bogus"): "3f044f52d852d5c53e015f35e3ac7a563df47b070a833a02e9c1cc5816d2d6a0",
+    ("enumerate", "trees"): "c2765748383550022985482806ffee6849235609482ecae261ea2168af5a5e36",
+    ("hook", "(_,_)", "--q", "maj"):
+        "afe677180709b77c6f9b63271222ce7cd7b250e5e9c652c462d1f3fbb9048663",
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_GOLDEN), ids=" ".join)
+def test_parser_output_is_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    help_asked = argv[-1] == "--help"
+    assert exit_info.value.code == (0 if help_asked else 2)
+    assert (captured.err if help_asked else captured.out) == ""
+    printed = captured.out if help_asked else captured.err
+    assert hashlib.sha256(printed.encode()).hexdigest() == PARSER_GOLDEN[argv]

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import product as iter_product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import treecalc
 from treecalc.combinat import (
     BinaryTree,
     MAryTree,
@@ -21,7 +25,7 @@ from treecalc.combinat import (
     plane_trees,
     standardize,
 )
-from treecalc.combinat import _cartesian_tree
+from treecalc.combinat import MARY_SLOT_GUARD, _cartesian_tree, _compositions
 from treecalc.errors import ParseError, SizeGuardError
 
 words = st.lists(st.integers(min_value=1, max_value=8), min_size=0, max_size=8)
@@ -364,6 +368,47 @@ def test_size_guards():
     # the override flag lifts the guard
     stream = permutations(13, unsafe_large=True)
     assert next(stream).size == 13
+
+
+def test_mary_trees_are_guarded_by_their_child_slots():
+    # the guard is the m = 3, n = 9 level; m = 4, n = 9 fills 119,751,775 slots
+    assert MARY_SLOT_GUARD == 4 * comb(4 * 9, 9) // (3 * 9 + 1)
+    with pytest.raises(SizeGuardError, match="child slots"):
+        next(mary_trees(4, 9))
+
+
+def test_compositions_in_lexicographic_order():
+    for total in range(9):
+        for parts in range(6):
+            for minimum in (0, 1):
+                brute = [
+                    c for c in iter_product(range(minimum, total + 1), repeat=parts)
+                    if sum(c) == total
+                ]
+                assert list(_compositions(total, parts, minimum)) == brute
+    assert next(_compositions(0, 3000)) == (0,) * 3000
+
+
+def test_long_packed_words_meet_no_recursion_limit():
+    assert next(packed_words(3000, unsafe_large=True)).letters == (1,) * 3000
+
+
+def test_tree_shapes_build_bottom_up():
+    # a fresh interpreter, so that no size is cached yet, with room for
+    # only 20 more frames than it starts with
+    script = (
+        "import sys\n"
+        "from treecalc.combinat import binary_trees\n"
+        "depth, frame = 0, sys._getframe()\n"
+        "while frame:\n"
+        "    depth, frame = depth + 1, frame.f_back\n"
+        "sys.setrecursionlimit(depth + 20)\n"
+        "print(sum(1 for _ in binary_trees(11)))\n"
+    )
+    source = os.path.dirname(os.path.dirname(treecalc.__file__))
+    env = {**os.environ, "PYTHONPATH": source}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "58786\n", "")
 
 
 def test_enumeration_deterministic():

@@ -106,6 +106,13 @@ def test_hook_oracle_agrees_with_the_fibers():
                 assert hook_oracle(tree, statistic) == poly
 
 
+def test_hook_oracle_refuses_an_unknown_statistic():
+    # over the fiber {132, 231} q^maj sums to 2q^2, the q^inv that an unknown
+    # name once fell back to sums to q+q^2
+    with pytest.raises(KeyError):
+        hook_oracle(BinaryTree.from_text("((_,_),(_,_))"), "maj")
+
+
 def test_hook_counts_sum_to_factorial():
     for n in range(1, 10):
         assert sum(hook_count(t) for t in binary_trees(n)) == factorial(n)
