@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Sequence, Union
 
 from .errors import NonExactDivision
@@ -263,16 +265,26 @@ def q_integer(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
+def _q_integer_product(factors) -> QPoly:
+    """The product of [k]_q over the factors k >= 0.  Since
+    [k]_q = (1 - q^k) / (1 - q), each factor is one running-window sum:
+    subtract the coefficients shifted up by k, then take running sums.
+    That is O(degree) per factor, where the dense product is
+    O(degree * k)."""
+    coeffs = [1]
+    for k in factors:
+        shifted = chain(repeat(0, k), coeffs)
+        coeffs = list(accumulate(map(sub, chain(coeffs, repeat(0, k - 1)), shifted)))
+    return QPoly(coeffs)
+
+
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPoly:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1; a loop, so a large
     n meets no recursion limit."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    result = QPoly.one()
-    for k in range(2, n + 1):
-        result = result * q_integer(k)
-    return result
+    return _q_integer_product(range(2, n + 1))
 
 
 @lru_cache(maxsize=None)

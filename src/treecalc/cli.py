@@ -75,6 +75,8 @@ def load_config(args: argparse.Namespace) -> CliConfig:
             config.max_degree = int(os.environ["TREECALC_MAX_DEGREE"])
         if "TREECALC_ORDER" in os.environ:
             config.truncation_order = int(os.environ["TREECALC_ORDER"])
+        if config.max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {config.max_degree}")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad configuration: {exc}") from exc
     if getattr(args, "order", None) is not None:
@@ -154,7 +156,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     if args.dump:
         # guarded by the fiber it builds; a fiber in S_n holds at most n!
         fiber = identities.hook_count(tree)
-        degree = min(max(config.max_degree, 0), n)
+        degree = min(config.max_degree, n)
         what = f"element dump of {fiber} permutations"
         _guard(config, fiber, factorial(degree), what, f"{degree}! =")
         element = tree_term(tree)

@@ -427,34 +427,41 @@ class HookData:
     right_sizes: tuple[int, ...] = ()
 
 
-def hook_data(tree: BinaryTree | MAryTree) -> HookData:
-    """Collect the hook multiset (and, for binary trees, the right sizes).
-
-    One breadth-first pass over a list that grows while it is read, for
-    binary and m-ary trees alike, so a deep tree never meets the
-    recursion limit.  The binary pass reads the two child slots directly,
-    with no tuple per node.
-    """
+def _internal_nodes(tree: BinaryTree | MAryTree) -> list:
+    """The internal nodes of a binary or m-ary tree, unsorted: one
+    breadth-first pass over a list that grows while it is read, so a
+    deep tree never meets the recursion limit.  The binary pass reads the
+    two child slots directly, with no tuple per node.  Every hook walk of
+    this module is this one."""
     if not tree.node_count:
         raise ValueError("hook data of the empty tree is undefined")
     nodes = [tree]
     append = nodes.append
-    if not isinstance(tree, BinaryTree):
+    if isinstance(tree, BinaryTree):
+        for node in nodes:
+            left, right = node.left, node.right
+            if left.node_count:
+                append(left)
+            if right.node_count:
+                append(right)
+    else:
         for node in nodes:
             for child in node.children:
                 if child.node_count:
                     append(child)
-        return HookData(tuple(sorted([node.node_count for node in nodes], reverse=True)))
-    for node in nodes:
-        left, right = node.left, node.right
-        if left.node_count:
-            append(left)
-        if right.node_count:
-            append(right)
-    hooks = [node.node_count for node in nodes]
-    rights = [node.right.node_count for node in nodes]
-    hooks.sort(reverse=True)
-    rights.sort(reverse=True)
+    return nodes
+
+
+def hook_data(tree: BinaryTree | MAryTree) -> HookData:
+    """Collect the hook multiset (and, for binary trees, the right sizes),
+    each sorted from the one unsorted walk ``_internal_nodes``.  A caller
+    that needs only the product of the hooks reads that walk itself and
+    skips the two sorts and the HookData."""
+    nodes = _internal_nodes(tree)
+    hooks = sorted([node.node_count for node in nodes], reverse=True)
+    if not isinstance(tree, BinaryTree):
+        return HookData(tuple(hooks))
+    rights = sorted([node.right.node_count for node in nodes], reverse=True)
     return HookData(tuple(hooks), tuple(rights))
 
 
@@ -501,7 +508,7 @@ def _check_guard(name: str, n: int, guard: int, unsafe_large: bool) -> None:
         raise ValueError(f"cannot enumerate {name} of negative size")
     if n > guard and not unsafe_large:
         raise SizeGuardError(
-            f"{name}({n}) exceeds the guard {guard}; pass unsafe_large to force"
+            f"{name}({n}) exceeds the guard {guard}; pass --unsafe-large to force"
         )
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +8,7 @@ from treecalc.arith import (
     AlphaPoly,
     QFraction,
     QPoly,
+    _q_integer_product,
     binomial_coefficient,
     exact_poly_div,
     q_binomial,
@@ -34,6 +35,31 @@ def test_q_factorial_values():
     assert q_factorial(2) == QPoly((1, 1))
     # (1+q)(1+q+q^2), multiplied out by hand
     assert q_factorial(3) == QPoly((1, 2, 2, 1))
+
+
+def test_q_factorial_matches_the_dense_product():
+    dense = QPoly.one()
+    for n in range(41):
+        if n:
+            dense = dense * q_integer(n)
+        assert q_factorial(n) == dense
+        assert all(type(c) is int for c in q_factorial(n).coeffs)
+
+
+@pytest.mark.parametrize("factors", [(), (0,), (1, 1), (3, 0, 2), (5, 2, 2, 1), (7, 1, 4)])
+def test_q_integer_product_matches_the_dense_product(factors):
+    dense = QPoly.one()
+    for k in factors:
+        dense = dense * q_integer(k)
+    assert _q_integer_product(factors) == dense
+
+
+def test_q_factorial_of_a_large_n():
+    # about 0.3 s by running-window sums; the dense product took about a minute
+    value = q_factorial(200)
+    assert value.degree == 200 * 199 // 2
+    assert value.evaluate(1) == factorial(200)
+    assert value.coeffs == value.coeffs[::-1]
 
 
 def test_q_binomial_values():

@@ -708,6 +708,28 @@ def test_config_value_of_the_wrong_type_is_a_parse_error(capsys, tmp_path, conte
     assert err == f"parse error: bad configuration: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["environment", "config file"])
+def test_a_negative_max_degree_is_a_parse_error(capsys, monkeypatch, tmp_path, source):
+    argv = ["hook", "(_,_)", "--oracle"]
+    if source == "environment":
+        monkeypatch.setenv("TREECALC_MAX_DEGREE", "-1")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"max_degree": -1}')
+        argv = ["--config", str(config), *argv]
+    code, err = _run_rejected(capsys, *argv)
+    assert code == 2
+    assert err == "parse error: bad configuration: max_degree must be >= 0, got -1\n"
+
+
+def test_an_enumerator_guard_names_the_cli_flag(capsys):
+    code, err = _run_rejected(capsys, "enumerate", "packed-words", "--n", "10")
+    assert code == 3
+    assert err == (
+        "size guard: packed_words(10) exceeds the guard 9; pass --unsafe-large to force\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # one exit code for each subcommand and each kind of bad input
 # ---------------------------------------------------------------------------
@@ -739,6 +761,8 @@ EXIT_CODES = [
     (("enumerate", "plane-trees", "--n", "10"), {}, None, 3),
     (("enumerate", "mary-trees", "--m", "900", "--n", "3", "--count-only"), {}, None, 3),
     (("expand", "duliu", "--m", "300", "--order", "3"), {}, None, 3),
+    (("hook", "(_,_)", "--oracle"), {"TREECALC_MAX_DEGREE": "-1"}, None, 2),
+    (("hook", "(_,_)", "--dump"), {}, '{"max_degree": -1}', 2),
 ]
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -7,6 +7,7 @@ from treecalc import identities
 from treecalc.arith import AlphaPoly, QPoly, q_factorial
 from treecalc.combinat import (
     BinaryTree,
+    MAryTree,
     PlaneTree,
     binary_trees,
     hook_data,
@@ -14,6 +15,7 @@ from treecalc.combinat import (
     plane_trees,
 )
 from treecalc.errors import SizeGuardError, VariantArityMismatch
+from treecalc.series import TruncatedSeries
 from treecalc.identities import (
     FT_LEAF_GUARD,
     decreasing_tree_fibers,
@@ -113,6 +115,39 @@ def test_hook_oracle_refuses_an_unknown_statistic():
         hook_oracle(BinaryTree.from_text("((_,_),(_,_))"), "maj")
 
 
+def _by_hook_data(tree) -> Fraction:
+    """n! over the product of the sorted hook multiset."""
+    return Fraction(factorial(tree.node_count), prod(hook_data(tree).hooks))
+
+
+def test_hook_count_matches_hook_data_on_every_small_shape():
+    for n in range(1, 10):
+        for tree in binary_trees(n):
+            assert hook_count(tree) == _by_hook_data(tree)
+
+
+def test_hook_count_matches_hook_data_on_deep_combs():
+    empty = BinaryTree()
+    left_comb = right_comb = empty
+    for _ in range(3000):  # well past the default recursion limit
+        left_comb = BinaryTree(left_comb, empty)
+        right_comb = BinaryTree(empty, right_comb)
+    for comb_tree in (left_comb, right_comb):
+        assert hook_count(comb_tree) == _by_hook_data(comb_tree) == 1
+
+
+def test_hook_count_walk_serves_mary_shapes():
+    # the increasing labelings of any rooted tree number n!/prod h_v
+    for m in (2, 3):
+        for n in range(1, 6):
+            for tree in mary_trees(m, n):
+                assert hook_count(tree) == _by_hook_data(tree)
+    with pytest.raises(ValueError):
+        hook_count(MAryTree(2))
+    with pytest.raises(ValueError):
+        hook_count(BinaryTree())
+
+
 def test_hook_counts_sum_to_factorial():
     for n in range(1, 10):
         assert sum(hook_count(t) for t in binary_trees(n)) == factorial(n)
@@ -133,7 +168,8 @@ def test_ft_coefficients_examples():
 
 def test_ft_coefficients_guard():
     star = PlaneTree([PlaneTree()] * (FT_LEAF_GUARD + 1))
-    with pytest.raises(SizeGuardError, match=f"on {FT_LEAF_GUARD + 1} leaves"):
+    message = f"on {FT_LEAF_GUARD + 1} leaves .*; pass --unsafe-large to force"
+    with pytest.raises(SizeGuardError, match=message):
         ft_coefficients(star)
     # C(t, 1) is the only term of a star: one letter, repeated
     assert ft_coefficients(star, unsafe_large=True) == {1: 1}
@@ -290,6 +326,48 @@ def test_postnikov_sum_against_per_tree_fractions():
         assert _postnikov_sum(n) == expected
 
 
+def _postnikov_sum_by_recursion(n: int) -> Fraction:
+    """The sum as it was first written: a recursive closure memoized by
+    text over the subtrees of the shapes with n nodes."""
+    cache = {"_": 1}
+
+    def weight(tree: BinaryTree) -> int:
+        value = cache.get(tree.text)
+        if value is None:
+            k, left = tree.node_count, tree.left
+            value = (k + 1) * comb(k - 1, left.node_count)
+            value *= weight(left) * weight(tree.right)
+            cache[tree.text] = value
+        return value
+
+    return Fraction(sum(weight(tree) for tree in binary_trees(n)), factorial(n))
+
+
+def test_postnikov_sum_matches_the_recursive_reference():
+    from treecalc.identities import _postnikov_sum
+
+    for n in range(12):
+        assert _postnikov_sum(n) == _postnikov_sum_by_recursion(n)
+
+
+def test_postnikov_sum_visits_every_shape(monkeypatch):
+    from treecalc.identities import _postnikov_sum
+
+    visited = []
+
+    def counted(n, **kwargs):
+        for tree in binary_trees(n, **kwargs):
+            visited.append(tree)
+            yield tree
+
+    monkeypatch.setattr(identities, "binary_trees", counted)
+    for n in range(1, 10):
+        visited.clear()
+        _postnikov_sum(n)
+        at_n = [tree.text for tree in visited if tree.node_count == n]
+        assert at_n == [tree.text for tree in binary_trees(n)]
+
+
 def test_duliu_tree_sum_against_ungrouped_products():
     from treecalc.identities import _duliu_tree_sum, duliu_node_factor
 
@@ -366,3 +444,42 @@ def test_a_broken_closed_form_fails_both_per_tree_checks(monkeypatch):
     assert not postnikov.equal
     assert postnikov.lhs == postnikov.rhs == "125"  # the tree sum still agrees
     assert not lagrange_fixed_point_check(2, 4).equal
+
+
+PER_TREE_ORDER = 5
+
+
+def _postnikov_per_tree(terms=None):
+    """The per-tree check of the Postnikov expansion, on its own terms or
+    on a replacement list of (tree, term) pairs."""
+    from treecalc.series import TreeExpansion
+
+    expansion, _ = identities._postnikov_paths(PER_TREE_ORDER)
+    if terms is not None:
+        expansion = TreeExpansion(terms=terms, total=expansion.total)
+    closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
+    return identities._per_tree(expansion, PER_TREE_ORDER, closed), expansion
+
+
+def test_per_tree_fails_on_one_fresh_wrong_term():
+    (equal, _), expansion = _postnikov_per_tree()
+    assert equal
+    terms = list(expansion.terms)
+    tree, term = terms[-1]
+    terms[-1] = (tree, term + TruncatedSeries.monomial(tree.node_count, PER_TREE_ORDER))
+    assert not _postnikov_per_tree(terms)[0][0]
+
+
+def test_per_tree_fails_on_one_term_shared_across_multisets():
+    # a term right for one tree, handed also to a tree of another multiset:
+    # a comparison cached by the term object alone would pass it
+    (_, values), expansion = _postnikov_per_tree()
+    terms = list(expansion.terms)
+    first = next(i for i, (tree, _) in enumerate(terms) if tree.node_count == PER_TREE_ORDER)
+    other = next(
+        i for i in range(first + 1, len(terms))
+        if hook_data(terms[i][0]).hooks != hook_data(terms[first][0]).hooks
+        and values[i] != values[first]
+    )
+    terms[other] = (terms[other][0], terms[first][1])
+    assert not _postnikov_per_tree(terms)[0][0]
