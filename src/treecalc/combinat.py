@@ -18,22 +18,25 @@ order; the tree families build each size's full list once and cache it,
 bounded only by the size guards.
 
 Permutation and PackedWord share one word core: a tuple of letters with
-its equality, hash, order and text.  Every key passes its type's one exact
-check, whether built by its public constructor or in bulk by
-``basis_keys`` for the word-algebra products: the sorted word must be
-1..n, or the set of letters {1..m}.  The comparison lists and sets are
-built per size on first use.
+its equality, hash, order and text.  Each key type has one exact check
+(the sorted word must be 1..n, or the set of letters {1..m}), run on one
+word by the public constructor and on all the words of a word-algebra
+product in one batch pass (``_Word._check_words``); the products keep
+bare letter tuples and build keys only when they are read.  The
+comparison lists and sets are built per size on first use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, product, starmap
+from itertools import chain, combinations, compress, count, product, repeat, starmap
 from itertools import permutations as _itertools_permutations
 from math import comb, inf
-from operator import attrgetter
-from typing import Iterator, Sequence
+from operator import attrgetter, eq, gt
+from typing import Collection, Iterator, Sequence
 
 from .errors import ParseError, SizeGuardError
 
@@ -75,29 +78,50 @@ def _interval(m: int) -> set[int]:
 
 def basis_keys(key_type: type, sums: dict) -> dict:
     """{key_type(w): c} over the nonzero c of sums, whose words w are
-    tuples already.  Every word passes the key type's one exact check;
-    only the public constructor's call frame and tuple copy are skipped.
-    """
-    new, store, out = object.__new__, key_type._store, {}
-    for w, c in sums.items():
-        if c:
-            key = new(key_type)
-            store(key, w)
-            out[key] = c
-    return out
+    tuples already: the batch check, then the keys built unchecked."""
+    words = [w for w, c in sums.items() if c]
+    key_type._check_words(words)
+    return dict(zip(key_type._unchecked(words), map(sums.__getitem__, words)))
 
 
 class _Word:
     """The word core of both basis-key types: one tuple of letters, equal
     only to a key of the same type with the same tuple, hashed by the
     tuple, ordered by (length, letters), and printed without separators
-    while every letter is a digit.  Each key type adds its exact check
-    ``_store`` and its own statistics."""
+    while every letter is a digit.  Each key type adds its exact check,
+    as the canonical form ``_canon`` of a word that must equal
+    ``_expected(len(canon))``, and its own statistics."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Sequence[int]):
         self._store(tuple(letters))
+
+    def _store(self, letters: tuple[int, ...]) -> None:
+        """The key type's exact check of one word, then the store."""
+        canon = self._canon(letters)
+        if canon != self._expected(len(canon)):
+            raise ValueError(self._error.format(n=len(letters), word=letters))
+        self.letters = letters
+
+    @classmethod
+    def _check_words(cls, words: Collection[tuple[int, ...]]) -> None:
+        """The exact check of ``_store`` on every word at once, at C speed;
+        a bad word raises the public constructor's error, the first bad
+        word in order."""
+        canons = list(map(cls._canon, words))
+        if not all(map(eq, canons, map(cls._expected, map(len, canons)))):
+            new = object.__new__
+            for word in words:
+                new(cls)._store(word)
+
+    @classmethod
+    def _unchecked(cls, words: Collection[tuple[int, ...]]) -> list:
+        """Fresh keys of cls for words already checked, in order, built
+        with no Python call per key."""
+        keys = list(map(object.__new__, repeat(cls, len(words))))
+        deque(map(_Word.letters.__set__, keys, words), 0)
+        return keys
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -133,11 +157,9 @@ class Permutation(_Word):
     __slots__ = ()
     word = _Word.letters  # the slot itself: a read costs no property call
 
-    def _store(self, word: tuple[int, ...]) -> None:
-        """The one exact check of a permutation key, then the store."""
-        if sorted(word) != _ascending(len(word)):
-            raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
-        self.letters = word
+    _canon = sorted
+    _expected = staticmethod(_ascending)
+    _error = "not a permutation of 1..{n}: {word}"
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -167,15 +189,24 @@ class Permutation(_Word):
         return sum(self.descents())
 
     def imaj(self) -> int:
-        """Major index of the inverse permutation."""
-        return self.inverse().maj()
+        """Major index of the inverse permutation: the sum of the values
+        i whose successor i + 1 stands to their left."""
+        pos = [0] * len(self.word)  # pos[i - 1]: the position of the value i
+        for position, value in enumerate(self.word):
+            pos[value - 1] = position
+        return sum(compress(count(1), map(gt, pos, pos[1:])))
 
     def inversions(self) -> int:
-        """Number of pairs i < j with w_i > w_j."""
-        w = self.word
-        return sum(
-            1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
-        )
+        """Number of pairs i < j with w_i > w_j: each letter, read from the
+        right, counts the smaller letters after it by bisecting their
+        sorted list."""
+        after: list[int] = []
+        total = 0
+        for value in reversed(self.word):
+            smaller = bisect_left(after, value)
+            total += smaller
+            after.insert(smaller, value)
+        return total
 
 
 class PackedWord(_Word):
@@ -187,13 +218,9 @@ class PackedWord(_Word):
 
     __slots__ = ()
 
-    def _store(self, letters: tuple[int, ...]) -> None:
-        """The one exact check of a packed-word key, then the store: the
-        m distinct letters must be {1..m}."""
-        seen = set(letters)
-        if seen != _interval(len(seen)):
-            raise ValueError(f"not a packed word: {letters}")
-        self.letters = letters
+    _canon = set  # the m distinct letters must be {1..m}
+    _expected = staticmethod(_interval)
+    _error = "not a packed word: {word}"
 
     @classmethod
     def empty(cls) -> "PackedWord":

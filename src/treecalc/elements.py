@@ -1,46 +1,101 @@
 """Finitely supported linear combinations of basis words.
 
-One representation serves both algebras: a dict from basis word
-(Permutation or PackedWord) to a nonzero coefficient, graded by word
-length.  Coefficients may live in any exact ring that supports +, -, *
-and == (int, Fraction, QPoly, ...); zero coefficients are never stored,
-so canonical form is automatic.  Elements are immutable by convention
-and all operations return fresh values.
+One representation serves both algebras: a dict from the letter tuple of
+each basis word to a nonzero coefficient, graded by word length; the
+element class alone fixes the key type the tuples stand for (Permutation
+or PackedWord).  Coefficients may live in any exact ring that supports
++, -, * and == (int, Fraction, QPoly, ...); zero coefficients are never
+stored, so canonical form is automatic.  Elements are immutable by
+convention and all operations return fresh values.
 
-Products are bilinear lifts of maps on basis words: ``bilinear`` sums
-coefficients on raw letter tuples, which hash at C speed, and builds the
-checked basis key of each distinct result word once (``keyed``).
+Products are bilinear lifts of maps on letter tuples, which hash and
+compare at C speed: ``bilinear`` sums coefficients on tuples, and
+``keyed`` checks all the words of a result in one batch pass.  No key
+object is built unless ``terms`` is read.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from collections.abc import Mapping
+from typing import Callable, Iterable
 
-from .combinat import basis_keys
+from .combinat import PackedWord, Permutation
 from .errors import BasisMismatch
+
+
+class TermsView(Mapping):
+    """The terms as {basis key: coefficient}, read-only.  Each key read is
+    a fresh object of the element's key type, equal to the public key with
+    the same letters; the words are not checked again.
+
+    >>> x = FQSymElement({Permutation((2, 1)): 3, Permutation((1,)): -1})
+    >>> x.terms[Permutation((2, 1))], PackedWord((1,)) in x.terms, x.terms.items()
+    (3, False, [(Permutation((2, 1)), 3), (Permutation((1,)), -1)])
+    >>> x.terms == {Permutation((1,)): -1, Permutation((2, 1)): 3}
+    True
+    """
+
+    __slots__ = ("_words", "_key_type")
+
+    def __init__(self, words: dict, key_type: type):
+        self._words, self._key_type = words, key_type
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __iter__(self):
+        return iter(self._key_type._unchecked(self._words))
+
+    def __contains__(self, key) -> bool:
+        return type(key) is self._key_type and key.letters in self._words
+
+    def __getitem__(self, key):
+        if key in self:
+            return self._words[key.letters]
+        raise KeyError(key)
+
+    def items(self) -> list[tuple]:
+        return list(zip(self, self._words.values()))
+
+    def values(self):
+        return self._words.values()
+
+    def __repr__(self) -> str:
+        return f"TermsView({dict(self.items())!r})"
 
 
 class AlgebraElement:
     """Base class; subclasses fix the key type and the serialization name."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_words",)
     _key_name = "word"
+    _key_type: type
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        if isinstance(terms, Mapping):
-            # Mapping keys are distinct, and copying a dict reuses their hashes.
-            data = dict(terms)
-        else:
-            data = {}
-            for key, coeff in terms:
-                data[key] = data[key] + coeff if key in data else coeff
-        for key in [key for key, c in data.items() if not c]:
-            del data[key]
-        self.terms = data
+        key_type, words = self._key_type, {}
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            if type(key) is not key_type:
+                name = type(self).__name__
+                raise TypeError(f"{name} keys must be {key_type.__name__}, got {type(key).__name__}")
+            w = key.letters
+            words[w] = words[w] + coeff if w in words else coeff
+        self._words = {w: c for w, c in words.items() if c}
+
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self._words, self._key_type)
 
     def _like(self, terms) -> "AlgebraElement":
         """Construct a result carrying the same metadata as self."""
         return type(self)(terms)
+
+    def _with(self, words: dict) -> "AlgebraElement":
+        """The element like self on {letter tuple: coefficient}, whose words
+        are checked already; the dict becomes its own, uncopied unless a
+        coefficient is zero."""
+        element = self._like(())
+        element._words = words if all(words.values()) else {w: c for w, c in words.items() if c}
+        return element
 
     def _check_compatible(self, other: "AlgebraElement") -> None:
         if type(self) is not type(other):
@@ -52,65 +107,63 @@ class AlgebraElement:
         return self.terms.get(key, 0)
 
     def support(self) -> list:
-        return sorted(self.terms)
+        return [key for key, _ in self.sorted_terms()]
 
     def sorted_terms(self) -> list[tuple]:
-        return [(key, self.terms[key]) for key in sorted(self.terms)]
+        words = sorted(sorted(self._words), key=len)  # the order of the keys
+        return list(zip(self._key_type._unchecked(words), map(self._words.__getitem__, words)))
 
     def degrees(self) -> list[int]:
-        return sorted({len(key) for key in self.terms})
+        return sorted(set(map(len, self._words)))
 
     def homogeneous(self, degree: int) -> "AlgebraElement":
-        return self._like(
-            {key: c for key, c in self.terms.items() if len(key) == degree}
-        )
+        return self._with({w: c for w, c in self._words.items() if len(w) == degree})
 
     def truncated(self, max_degree: int) -> "AlgebraElement":
-        return self._like(
-            {key: c for key, c in self.terms.items() if len(key) <= max_degree}
-        )
+        return self._with({w: c for w, c in self._words.items() if len(w) <= max_degree})
 
     def map_coefficients(self, fn: Callable) -> "AlgebraElement":
-        return self._like({key: fn(c) for key, c in self.terms.items()})
+        return self._with({w: fn(c) for w, c in self._words.items()})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._words)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._words)
 
     def __eq__(self, other) -> bool:
         if type(self) is not type(other):
             return NotImplemented
         if not self._same_flavor(other):
             return False
-        return self.terms == other.terms
+        return self._words == other._words
 
     def _same_flavor(self, other) -> bool:
         return True
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return self._like(out)
+        out = dict(self._words)
+        get = out.get
+        for w, c in other._words.items():
+            out[w] = get(w, 0) + c
+        return self._with(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self._with({w: -c for w, c in self._words.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use the module-level product functions for elements")
-        return self._like({key: c * scalar for key, c in self.terms.items()})
+        return self._with({w: c * scalar for w, c in self._words.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use the module-level product functions for elements")
-        return self._like({key: scalar * c for key, c in self.terms.items()})
+        return self._with({w: scalar * c for w, c in self._words.items()})
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +174,7 @@ class AlgebraElement:
         }
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._words:
             return "0"
         parts = []
         for key, c in self.sorted_terms():
@@ -144,6 +197,7 @@ class FQSymElement(AlgebraElement):
 
     __slots__ = ("basis",)
     _key_name = "perm"
+    _key_type = Permutation
 
     def __init__(self, terms=(), basis: str = "G"):
         if basis not in ("G", "F"):
@@ -176,31 +230,31 @@ class WQSymElement(AlgebraElement):
 
     __slots__ = ()
     _key_name = "word"
+    _key_type = PackedWord
 
 
-def bilinear(
-    x: AlgebraElement, y: AlgebraElement, words: Callable, key: type
-) -> AlgebraElement:
-    """Bilinear lift of a map on pairs of basis words: each pair of terms
-    (a, ca), (b, cb) adds ca * cb to every raw word in the sequence
+def bilinear(x: AlgebraElement, y: AlgebraElement, words: Callable) -> AlgebraElement:
+    """Bilinear lift of a map on pairs of letter tuples: each pair of
+    terms (a, ca), (b, cb) adds ca * cb to every word in the sequence
     words(a, b); an empty sequence costs no ring multiplication."""
     sums: dict = {}
     get = sums.get
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
+    for a, ca in x._words.items():
+        for b, cb in y._words.items():
             ws = words(a, b)
             if ws:
                 c = ca * cb
                 for w in ws:
                     sums[w] = get(w, 0) + c
-    return keyed(x, sums, key)
+    return keyed(x, sums)
 
 
-def keyed(x: AlgebraElement, sums: dict, key: type) -> AlgebraElement:
-    """The element like x with coefficient sums[w] on key(w) for each raw
-    word w whose sum is nonzero; every key passes its type's exact check
-    (``combinat.basis_keys``).  The dict built there becomes the element's
-    own, uncopied: a product's terms exist twice at most."""
-    element = x._like(())
-    element.terms = basis_keys(key, sums)
+def keyed(x: AlgebraElement, sums: dict) -> AlgebraElement:
+    """The element like x with coefficient sums[w] on each letter tuple w
+    whose sum is nonzero.  Those words pass the key type's exact check in
+    one batch pass, which raises the public constructor's error; a word
+    whose sum cancelled is never checked.  The dict becomes the element's
+    own, uncopied when nothing cancelled."""
+    element = x._with(sums)
+    x._key_type._check_words(element._words)
     return element

@@ -8,6 +8,9 @@ maximal letter, the bilinear lift that inserts a new maximal letter
 between the factors (whose tree iterates sum the fibers of the
 decreasing-tree map), a q-shuffle deformation on the F basis, and the
 specializations into one-variable power series.
+
+The element products apply each value split to bare letter tuples with
+``itemgetter`` (``elements.bilinear``) and build no key object.
 """
 
 from __future__ import annotations
@@ -97,12 +100,12 @@ def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], li
     return prec, succ
 
 
-def _split_words(a: Permutation, b: Permutation, part: int, middle: tuple = ()) -> list:
+def _split_words(a: tuple, b: tuple, part: int, middle: tuple = ()) -> list:
     """Part 0 (prec), 1 (succ) or 2 (every) of the value splits applied
-    to a.middle.(b shifted by |a|), as raw tuples.  Only the half
-    products (parts 0 and 1) reject an empty operand."""
-    k, l = len(a.word), len(b.word)
-    word = a.word + middle + tuple(v + k for v in b.word)
+    to the letter tuples a.middle.(b shifted by |a|), as tuples.  Only
+    the half products (parts 0 and 1) reject an empty operand."""
+    k, l = len(a), len(b)
+    word = a + middle + tuple(v + k for v in b)
     if k and l:
         return list(map(itemgetter(*word), _split_values(k + l, k)[part]))
     if part < 2:
@@ -114,13 +117,13 @@ def product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     """Bilinear extension of the convolution product (G basis)."""
     x.require_basis("G")
     y.require_basis("G")
-    return bilinear(x, y, lambda a, b: _split_words(a, b, 2), Permutation)
+    return bilinear(x, y, lambda a, b: _split_words(a, b, 2))
 
 
 def _half_product(x: FQSymElement, y: FQSymElement, side: int) -> FQSymElement:
     x.require_basis("G")
     y.require_basis("G")
-    return bilinear(x, y, lambda a, b: _split_words(a, b, side), Permutation)
+    return bilinear(x, y, lambda a, b: _split_words(a, b, side))
 
 
 def prec_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
@@ -139,13 +142,12 @@ def derive(x: FQSymElement) -> FQSymElement:
     """
     x.require_basis("G")
     out: dict = {}
-    for perm, c in x.terms.items():
-        w = perm.word
+    for w, c in x._words.items():
         if w:
             i = w.index(len(w))
             shorter = w[:i] + w[i + 1 :]
             out[shorter] = out.get(shorter, 0) + c
-    return keyed(x, out, Permutation)
+    return keyed(x, out)
 
 
 def bilinear_B(a: Permutation, b: Permutation) -> list[Permutation]:
@@ -162,9 +164,7 @@ def b_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     """Bilinear extension of bilinear_B to elements (G basis)."""
     x.require_basis("G")
     y.require_basis("G")
-    return bilinear(
-        x, y, lambda a, b: _split_words(a, b, 2, (len(a.word) + len(b.word) + 1,)), Permutation
-    )
+    return bilinear(x, y, lambda a, b: _split_words(a, b, 2, (len(a) + len(b) + 1,)))
 
 
 # Shapes up to this many nodes recurse, so never deeper than this.
@@ -200,8 +200,8 @@ def phi(x: FQSymElement, order: int) -> TruncatedSeries:
     homomorphism into rational power series)."""
     x.require_basis("G")
     coeffs = [Fraction(0)] * (order + 1)
-    for perm, c in x.terms.items():
-        n = perm.size
+    for w, c in x._words.items():
+        n = len(w)
         if n <= order:
             coeffs[n] += c
     return TruncatedSeries(
@@ -266,9 +266,7 @@ def scale_alphabet(x: FQSymElement) -> FQSymElement:
     the q-specialization sends degree-n elements to t^n multiples, so
     substituting qt for t is exactly this scaling.
     """
-    return x._like(
-        {key: QPoly.monomial(len(key)) * c for key, c in x.terms.items()}
-    )
+    return x._with({w: QPoly.monomial(len(w)) * c for w, c in x._words.items()})
 
 
 def pairing(x: FQSymElement, y: FQSymElement):
@@ -280,8 +278,8 @@ def pairing(x: FQSymElement, y: FQSymElement):
         raise BasisMismatch(f"pairing needs opposite bases, got {x.basis} twice")
     total = 0
     small, big = (x, y) if len(x) <= len(y) else (y, x)
-    for key, c in small.terms.items():
-        other = big.terms.get(key)
+    for w, c in small._words.items():
+        other = big._words.get(w)
         if other is not None:
             total = total + c * other
     return total

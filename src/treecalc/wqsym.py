@@ -9,9 +9,9 @@ maximal letter between k blocks and lift the k-fold product through it.
 Evaluating M_u at a binomial coefficient C(t, max u) turns all of this
 into the discrete calculus of polynomials in the binomial basis.
 
-Products accumulate on raw letter tuples (``elements.bilinear``); one
-cache holds each pair's packed convolution already split into the three
-tridendriform parts, so a part product generates only its own words.
+Products and delta run on bare letter tuples (``elements.bilinear``) and
+build no key object; one cache holds each pair's packed convolution split
+into the three tridendriform parts, so a part product makes only its own.
 """
 
 from __future__ import annotations
@@ -114,18 +114,18 @@ def product(
     powers of the graded generating element affordable.
     """
 
-    def words(a: PackedWord, b: PackedWord) -> tuple:
-        if max_length is not None and len(a.letters) + len(b.letters) > max_length:
+    def words(a: tuple, b: tuple) -> tuple:
+        if max_length is not None and len(a) + len(b) > max_length:
             return ()
-        return _packed_convolve_cached(a.letters, b.letters)[3]
+        return _packed_convolve_cached(a, b)[3]
 
-    return bilinear(x, y, words, PackedWord)
+    return bilinear(x, y, words)
 
 
-def _split_words(a: PackedWord, b: PackedWord, part: int) -> tuple:
-    if not a.letters or not b.letters:
+def _split_words(a: tuple, b: tuple, part: int) -> tuple:
+    if not a or not b:
         raise EmptyOperand("tridendriform operations need nonempty operands")
-    return _packed_convolve_cached(a.letters, b.letters)[part]
+    return _packed_convolve_cached(a, b)[part]
 
 
 def tridendriform_split(
@@ -134,13 +134,13 @@ def tridendriform_split(
     """Partition the packed convolution by comparing block maxima:
     prec has max(prefix) > max(suffix), circ equality, succ the rest."""
     prec, circ, succ = (
-        [PackedWord(w) for w in _split_words(a, b, part)] for part in range(3)
+        [PackedWord(w) for w in _split_words(a.letters, b.letters, part)] for part in range(3)
     )
     return prec, circ, succ
 
 
 def _split_product(x: WQSymElement, y: WQSymElement, part: int) -> WQSymElement:
-    return bilinear(x, y, lambda a, b: _split_words(a, b, part), PackedWord)
+    return bilinear(x, y, lambda a, b: _split_words(a, b, part))
 
 
 def prec_product(x: WQSymElement, y: WQSymElement) -> WQSymElement:
@@ -164,19 +164,18 @@ def delta(x: WQSymElement) -> WQSymElement:
     itself to zero.
     """
     out: dict = {}
-    for word, c in x.terms.items():
-        letters = word.letters
+    for letters, c in x._words.items():
         if letters:
             m = max(letters)
             shorter = tuple(letter for letter in letters if letter != m)
             out[shorter] = out.get(shorter, 0) + c
-    return keyed(x, out, PackedWord)
+    return keyed(x, out)
 
 
-def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[tuple[int, ...]]:
+def _sandwich_words(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """Letter tuples of the packed words w = w_1 m w_2 m ... m w_k where
-    pack(w_i) matches the given blocks and m is one more than the maximum
-    over all blocks.
+    pack(w_i) matches the given blocks (packed letter tuples) and m is one
+    more than the maximum over all blocks.
 
     For k = 1 the degenerate sandwich is taken to be w_1 followed by the
     new maximum, which keeps "erase the maximum" a left inverse of the
@@ -184,8 +183,8 @@ def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[tuple[int, ...]]:
     """
     if len(blocks) == 1:
         block = blocks[0]
-        return [block.letters + (block.max_letter + 1,)]
-    sizes = tuple(block.max_letter for block in blocks)
+        return [block + (max(block, default=0) + 1,)]
+    sizes = tuple(max(block, default=0) for block in blocks)
     out = []
     for top in range(max(sizes, default=0), sum(sizes) + 1):
         for supports in _letter_supports(sizes, top):
@@ -194,7 +193,7 @@ def _sandwich_words(blocks: tuple[PackedWord, ...]) -> list[tuple[int, ...]]:
             for i, block in enumerate(blocks):
                 if i:
                     word += separator
-                word += _relabel(block.letters, supports[i])
+                word += _relabel(block, supports[i])
             out.append(word)
     out.sort()
     return out
@@ -209,26 +208,26 @@ def f_k(args: Sequence[WQSymElement]) -> WQSymElement:
         raise ValueError("f_k needs at least one argument")
     out: dict = {}
 
-    def rec(index: int, blocks: list[PackedWord], coeff) -> None:
+    def rec(index: int, blocks: list[tuple[int, ...]], coeff) -> None:
         if index == len(args):
             for w in _sandwich_words(tuple(blocks)):
                 out[w] = out.get(w, 0) + coeff
             return
         for word, c in sorted(args[index].terms.items()):
-            blocks.append(word)
+            blocks.append(word.letters)
             rec(index + 1, blocks, coeff * c)
             blocks.pop()
 
     rec(0, [], 1)
-    return keyed(args[0], out, PackedWord)
+    return keyed(args[0], out)
 
 
 def psi(x: WQSymElement) -> BinomialPoly:
     """Evaluate M_u to the binomial coefficient C(t, max u); an algebra
     homomorphism onto polynomials in the binomial basis."""
     out: dict = {}
-    for word, c in x.terms.items():
-        k = word.max_letter
+    for word, c in x._words.items():
+        k = max(word, default=0)
         out[k] = out.get(k, 0) + c
     return BinomialPoly(out)
 

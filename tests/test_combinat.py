@@ -92,6 +92,16 @@ def test_inversions_against_definition(perms_by_size):
         assert p.inversions() == count
 
 
+def test_statistics_against_their_definitions_up_to_seven():
+    """imaj against the major index of the inverse key, and inversions
+    against the count of pairs, on all of S_0 .. S_7."""
+    for n in range(8):
+        for p in permutations(n):
+            w = p.word
+            assert p.imaj() == p.inverse().maj()
+            assert p.inversions() == sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+
+
 # ---------------------------------------------------------------------------
 # trees
 # ---------------------------------------------------------------------------
