@@ -53,6 +53,13 @@ def exact_scalar(value) -> Scalar:
     raise TypeError(f"not a rational scalar: {value!r}")
 
 
+def _check_exact(value) -> None:
+    """Raise TypeError on a float or complex value: how the containers over
+    any exact ring (series, BinomialPoly, algebra elements) keep floats out."""
+    if isinstance(value, (float, complex)):
+        raise TypeError(f"not an exact value: {value!r}")
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -340,12 +347,16 @@ def exact_poly_div(num: Poly, den: Poly):
 def binomial_coefficient(beta, k: int):
     """Generalized binomial C(beta, k) = beta (beta-1) ... (beta-k+1) / k!
 
-    beta may be a Fraction or a polynomial (an AlphaPoly for the
-    alpha-parameterized identities); the result lives in the same ring.
+    beta may be a polynomial (an AlphaPoly for the alpha-parameterized
+    identities), and the result lives in the same ring, or else an exact
+    scalar, and the result is a Fraction; a float raises TypeError.
     """
     if k < 0:
         raise ValueError("binomial_coefficient needs k >= 0")
-    result = beta - beta + 1 if isinstance(beta, Poly) else Fraction(1)
+    if isinstance(beta, Poly):
+        result = beta - beta + 1
+    else:
+        beta, result = exact_scalar(beta), Fraction(1)
     for i in range(k):
         result = result * (beta - i)
         result = result / (i + 1)

@@ -27,7 +27,7 @@ from .combinat import (
     permutations,
     plane_trees,
 )
-from .errors import ParseError, SizeGuardError, TreecalcError
+from .errors import ParseError, SizeGuardError, TreecalcError, refuse_large
 from .fqsym import tree_term
 from .series import TruncatedSeries, fixed_point_binary, fixed_point_mary, integrate
 
@@ -119,11 +119,6 @@ def _print_payload(payload: dict, config: CliConfig, text_lines) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _guard(config: CliConfig, size: int, limit: int, what: str, bound: str) -> None:
-    if size > limit and not config.unsafe_large:
-        raise SizeGuardError(f"{what} exceeds {bound} {limit}; pass --unsafe-large to force")
-
-
 def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     tree = BinaryTree.from_text(args.tree)
     if tree.is_empty:
@@ -131,7 +126,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     n = tree.node_count
     statistic = args.q
     if statistic != "none":
-        _guard(config, n, identities.QHOOK_GUARD, f"q-hook of a {n}-node tree", "the guard")
+        refuse_large(f"q-hook of a {n}-node tree", n, identities.QHOOK_GUARD, config.unsafe_large)
     closed_form, _ = identities.HOOK_STATISTICS[statistic]
     value = closed_form(tree)
 
@@ -145,7 +140,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
     exit_code = 0
 
     if args.oracle:
-        _guard(config, n, config.max_degree, f"oracle over S_{n}", "max degree")
+        refuse_large(f"oracle over S_{n}", n, config.max_degree, config.unsafe_large, "max degree")
         oracle_value = identities.hook_oracle(tree, statistic)
         match = oracle_value == value
         payload["oracle"] = {"value": str(oracle_value), "match": match}
@@ -158,7 +153,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
         fiber = identities.hook_count(tree)
         degree = min(config.max_degree, n)
         what = f"element dump of {fiber} permutations"
-        _guard(config, fiber, factorial(degree), what, f"{degree}! =")
+        refuse_large(what, fiber, factorial(degree), config.unsafe_large, f"{degree}! =")
         element = tree_term(tree)
         payload["element"] = element.to_json()
         lines.append(json.dumps(element.to_json()))

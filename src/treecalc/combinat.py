@@ -38,7 +38,7 @@ from math import comb, inf
 from operator import attrgetter, eq, gt
 from typing import Collection, Iterator, Sequence
 
-from .errors import ParseError, SizeGuardError
+from .errors import ParseError, refuse_large
 
 PERMUTATION_GUARD = 12
 PACKED_WORD_GUARD = 9
@@ -533,10 +533,7 @@ def plane_tree_of_word(word: Sequence[int]) -> PlaneTree:
 def _check_guard(name: str, n: int, guard: int, unsafe_large: bool) -> None:
     if n < 0:
         raise ValueError(f"cannot enumerate {name} of negative size")
-    if n > guard and not unsafe_large:
-        raise SizeGuardError(
-            f"{name}({n}) exceeds the guard {guard}; pass --unsafe-large to force"
-        )
+    refuse_large(f"{name}({n})", n, guard, unsafe_large)
 
 
 def permutations(n: int, *, unsafe_large: bool = False) -> Iterator[Permutation]:

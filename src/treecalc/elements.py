@@ -3,10 +3,10 @@
 One representation serves both algebras: a dict from the letter tuple of
 each basis word to a nonzero coefficient, graded by word length; the
 element class alone fixes the key type the tuples stand for (Permutation
-or PackedWord).  Coefficients may live in any exact ring that supports
-+, -, * and == (int, Fraction, QPoly, ...); zero coefficients are never
-stored, so canonical form is automatic.  Elements are immutable by
-convention and all operations return fresh values.
+or PackedWord).  Coefficients live in any commutative exact ring with +,
+-, * and == (int, Fraction, QPoly, ...), never a float (TypeError); zero
+coefficients are never stored, so canonical form is automatic.  Elements
+are immutable by convention and all operations return fresh values.
 
 Products are bilinear lifts of maps on letter tuples, which hash and
 compare at C speed: ``bilinear`` sums coefficients on tuples, and
@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Callable, Iterable
 
+from .arith import _check_exact
 from .combinat import PackedWord, Permutation
 from .errors import BasisMismatch
 
@@ -77,6 +78,7 @@ class AlgebraElement:
             if type(key) is not key_type:
                 name = type(self).__name__
                 raise TypeError(f"{name} keys must be {key_type.__name__}, got {type(key).__name__}")
+            _check_exact(coeff)
             w = key.letters
             words[w] = words[w] + coeff if w in words else coeff
         self._words = {w: c for w, c in words.items() if c}
@@ -158,12 +160,10 @@ class AlgebraElement:
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use the module-level product functions for elements")
+        _check_exact(scalar)
         return self._with({w: c * scalar for w, c in self._words.items()})
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, AlgebraElement):
-            raise TypeError("use the module-level product functions for elements")
-        return self._with({w: scalar * c for w, c in self._words.items()})
+    __rmul__ = __mul__  # every coefficient ring here is commutative
 
     def to_json(self) -> dict:
         return {

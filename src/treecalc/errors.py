@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one refusal of
+every size guard that --unsafe-large overrides.
 
 The CLI maps these onto its stable exit codes: ParseError (with its
 subclass VariantArityMismatch) -> 2, SizeGuardError -> 3.  Everything
@@ -16,6 +17,13 @@ class ParseError(TreecalcError):
 
 class SizeGuardError(TreecalcError):
     """An enumeration or check was requested above its safety guard."""
+
+
+def refuse_large(what: str, size: int, limit: int, unsafe_large: bool, bound="the guard") -> None:
+    """Raise SizeGuardError when size exceeds limit and unsafe_large is not
+    set; the text names the CLI flag that forces the work."""
+    if size > limit and not unsafe_large:
+        raise SizeGuardError(f"{what} exceeds {bound} {limit}; pass --unsafe-large to force")
 
 
 class NonExactDivision(TreecalcError):

@@ -100,12 +100,13 @@ def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], li
     return prec, succ
 
 
-def _split_words(a: tuple, b: tuple, part: int, middle: tuple = ()) -> list:
+def _split_words(a: tuple, b: tuple, part: int, top: bool = False) -> list:
     """Part 0 (prec), 1 (succ) or 2 (every) of the value splits applied
-    to the letter tuples a.middle.(b shifted by |a|), as tuples.  Only
-    the half products (parts 0 and 1) reject an empty operand."""
+    to the letter tuples a.(b shifted by |a|), as tuples, with a new
+    maximal letter between the factors if top is set.  Only the half
+    products (parts 0 and 1) reject an empty operand."""
     k, l = len(a), len(b)
-    word = a + middle + tuple(v + k for v in b)
+    word = a + ((k + l + 1,) if top else ()) + tuple(v + k for v in b)
     if k and l:
         return list(map(itemgetter(*word), _split_values(k + l, k)[part]))
     if part < 2:
@@ -113,17 +114,20 @@ def _split_words(a: tuple, b: tuple, part: int, middle: tuple = ()) -> list:
     return [word]  # the one split is the identity
 
 
-def product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
-    """Bilinear extension of the convolution product (G basis)."""
+def _g_product(x: FQSymElement, y: FQSymElement, part: int, top: bool = False) -> FQSymElement:
+    """The lift of _split_words(a, b, part, top) to G-basis elements."""
     x.require_basis("G")
     y.require_basis("G")
-    return bilinear(x, y, lambda a, b: _split_words(a, b, 2))
+    return bilinear(x, y, lambda a, b: _split_words(a, b, part, top))
+
+
+def product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
+    """Bilinear extension of the convolution product (G basis)."""
+    return _g_product(x, y, 2)
 
 
 def _half_product(x: FQSymElement, y: FQSymElement, side: int) -> FQSymElement:
-    x.require_basis("G")
-    y.require_basis("G")
-    return bilinear(x, y, lambda a, b: _split_words(a, b, side))
+    return _g_product(x, y, side)
 
 
 def prec_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
@@ -162,9 +166,7 @@ def bilinear_B(a: Permutation, b: Permutation) -> list[Permutation]:
 
 def b_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     """Bilinear extension of bilinear_B to elements (G basis)."""
-    x.require_basis("G")
-    y.require_basis("G")
-    return bilinear(x, y, lambda a, b: _split_words(a, b, 2, (len(a) + len(b) + 1,)))
+    return _g_product(x, y, 2, True)
 
 
 # Shapes up to this many nodes recurse, so never deeper than this.
@@ -228,20 +230,16 @@ def phi_q(x: FQSymElement, order: int) -> TruncatedSeries:
 def q_shuffle_words(a: Permutation, b: Permutation) -> list[tuple[Permutation, QPoly]]:
     """The q-shuffle of a with the shifted b: each interleaving c is
     weighted by q to the number of inversions created by the shuffle,
-    inv(c) - inv(a) - inv(b)."""
+    inv(c) - inv(a) - inv(b): as b-letters exceed a-letters, the b-letters
+    before each a-letter, p_j - j before the one at position p_j, j >= 0."""
     k, l = a.size, b.size
     shifted = tuple(v + k for v in b.word)
-    base = a.inversions() + b.inversions()
     out = []
     for positions in combinations(range(k + l), k):
-        word = [0] * (k + l)
         pos_set = set(positions)
-        ai = iter(a.word)
-        bi = iter(shifted)
-        for i in range(k + l):
-            word[i] = next(ai) if i in pos_set else next(bi)
-        gamma = Permutation(tuple(word))
-        out.append((gamma, QPoly.monomial(gamma.inversions() - base)))
+        ai, bi = iter(a.word), iter(shifted)
+        word = tuple(next(ai) if i in pos_set else next(bi) for i in range(k + l))
+        out.append((Permutation(word), QPoly.monomial(sum(positions) - k * (k - 1) // 2)))
     return out
 
 

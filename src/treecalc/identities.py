@@ -35,7 +35,7 @@ from .combinat import (
     mary_trees,
     permutations,
 )
-from .errors import NonIntegerResult, SizeGuardError, VariantArityMismatch
+from .errors import NonIntegerResult, SizeGuardError, VariantArityMismatch, refuse_large
 from .series import (
     BinomialPoly,
     TreeExpansion,
@@ -100,6 +100,12 @@ class IdentityReport:
         if include_per_tree and self.per_tree is not None:
             data["per_tree"] = self.per_tree
         return data
+
+
+def _report(name, parameters, start, lhs, rhs, equal, per_tree=None) -> IdentityReport:
+    """The report of a check begun at perf_counter() time start, sides printed by str."""
+    elapsed = (time.perf_counter() - start) * 1000
+    return IdentityReport(name, parameters, str(lhs), str(rhs), equal, per_tree, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +211,8 @@ def ft_coefficients(tree: PlaneTree, *, unsafe_large: bool = False) -> dict[int,
     """
     if tree.is_leaf:
         raise ValueError("ft_coefficients needs a nonempty plane tree")
-    if tree.leaf_count > FT_LEAF_GUARD and not unsafe_large:
-        raise SizeGuardError(
-            f"ft_coefficients on {tree.leaf_count} leaves exceeds the guard "
-            f"{FT_LEAF_GUARD}; pass --unsafe-large to force"
-        )
+    what = f"ft_coefficients on {tree.leaf_count} leaves"
+    refuse_large(what, tree.leaf_count, FT_LEAF_GUARD, unsafe_large)
     value = evaluate_plane_tree(tree, _discrete_product_family, BinomialPoly.one())
     out: dict[int, int] = {}
     for k, c in sorted(value.coeffs.items()):
@@ -234,14 +237,8 @@ def ft_check(tree: PlaneTree, *, unsafe_large: bool = False) -> IdentityReport:
     start = time.perf_counter()
     oracle = ft_brute_force(tree, unsafe_large=unsafe_large)
     formula = ft_coefficients(tree, unsafe_large=unsafe_large)
-    return IdentityReport(
-        name="ft",
-        parameters={"tree": tree.text},
-        lhs=json.dumps({str(k): v for k, v in formula.items()}),
-        rhs=json.dumps({str(k): v for k, v in oracle.items()}),
-        equal=formula == oracle,
-        elapsed_ms=(time.perf_counter() - start) * 1000,
-    )
+    lhs, rhs = (json.dumps({str(k): v for k, v in side.items()}) for side in (formula, oracle))
+    return _report("ft", {"tree": tree.text}, start, lhs, rhs, formula == oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +348,7 @@ def postnikov_check(n: int) -> IdentityReport:
     equal = lhs == rhs and trees_equal
     equal = equal and expansion.total == eisenstein_coefficients(order) == picard
 
-    elapsed = (time.perf_counter() - start) * 1000
-    return IdentityReport(
-        name="postnikov",
-        parameters={"n": n, "series_order": order},
-        lhs=str(lhs),
-        rhs=str(rhs),
-        equal=equal,
-        per_tree=per_tree,
-        elapsed_ms=elapsed,
-    )
+    return _report("postnikov", {"n": n, "series_order": order}, start, lhs, rhs, equal, per_tree)
 
 
 def eisenstein_check(order: int) -> IdentityReport:
@@ -377,15 +365,7 @@ def eisenstein_check(order: int) -> IdentityReport:
     residual = explicit - exp_series(explicit.times_t())
     expansion, picard = _postnikov_paths(order)
     equal = (not residual) and expansion.total == explicit and picard == explicit
-    elapsed = (time.perf_counter() - start) * 1000
-    return IdentityReport(
-        name="eisenstein",
-        parameters={"order": order},
-        lhs=str(explicit),
-        rhs=str(expansion.total),
-        equal=equal,
-        elapsed_ms=elapsed,
-    )
+    return _report("eisenstein", {"order": order}, start, explicit, expansion.total, equal)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +434,8 @@ def duliu_check(variant: str, n: int, m: int = 1) -> IdentityReport:
     start = time.perf_counter()
     lhs = _duliu_tree_sum(variant, m, n)
     rhs = duliu_rhs(variant, m, n)
-    elapsed = (time.perf_counter() - start) * 1000
-    return IdentityReport(
-        name=f"duliu-{variant}",
-        parameters={"variant": variant, "n": n, "m": m},
-        lhs=str(lhs),
-        rhs=str(rhs),
-        equal=lhs == rhs,
-        elapsed_ms=elapsed,
-    )
+    parameters = {"variant": variant, "n": n, "m": m}
+    return _report(f"duliu-{variant}", parameters, start, lhs, rhs, lhs == rhs)
 
 
 def duliu_cross_check(n: int) -> bool:
@@ -482,12 +455,9 @@ def duliu_cross_check(n: int) -> bool:
 
 
 def lagrange_series(m: int, order: int) -> TruncatedSeries:
-    """f(t) = sum_n C((mn+1) alpha, n) t^n / (mn+1)."""
-    coeffs = []
-    for n in range(order + 1):
-        c = binomial_coefficient(AlphaPoly((0, m * n + 1)), n) / (m * n + 1)
-        coeffs.append(c)
-    return TruncatedSeries(coeffs)
+    """f(t) = sum_n C((mn+1) alpha, n) t^n / (mn+1): the coefficient of t^n
+    is the las3 closed form of the (m+1)-ary trees with n nodes."""
+    return TruncatedSeries([duliu_rhs("las3", m, n) for n in range(order + 1)])
 
 
 def lagrange_operator(m: int):
@@ -530,15 +500,8 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
     closed = lambda hooks: _duliu_product("las3", m, hooks)
     equal = equal and _per_tree(expansion, tree_order, closed)[0]
 
-    elapsed = (time.perf_counter() - start) * 1000
-    return IdentityReport(
-        name="lagrange",
-        parameters={"m": m, "order": order, "tree_order": tree_order},
-        lhs=str(f),
-        rhs=str(rhs),
-        equal=equal,
-        elapsed_ms=elapsed,
-    )
+    parameters = {"m": m, "order": order, "tree_order": tree_order}
+    return _report("lagrange", parameters, start, f, rhs, equal)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +527,7 @@ def plane_q_expansion(order: int) -> TreeExpansion:
 
 
 def _truncate_q(p: BinomialPoly, max_degree: int) -> BinomialPoly:
-    def cut(c):
-        if isinstance(c, QPoly):
-            return c.truncated(max_degree)
-        return c
-
-    return BinomialPoly({k: cut(c) for k, c in p.coeffs.items()})
+    return p.map_coefficients(lambda c: c.truncated(max_degree) if isinstance(c, QPoly) else c)
 
 
 def plane_q_check(order: int) -> IdentityReport:
@@ -590,14 +548,5 @@ def plane_q_check(order: int) -> IdentityReport:
     for n in range(2, order + 2):
         rhs = rhs + power * QPoly.monomial(n - 1)
         power = power * total
-    equal = equal and _truncate_q(lhs, order) == _truncate_q(rhs, order)
-
-    elapsed = (time.perf_counter() - start) * 1000
-    return IdentityReport(
-        name="plane-q",
-        parameters={"order": order},
-        lhs=str(_truncate_q(lhs, order)),
-        rhs=str(_truncate_q(rhs, order)),
-        equal=equal,
-        elapsed_ms=elapsed,
-    )
+    lhs, rhs = _truncate_q(lhs, order), _truncate_q(rhs, order)
+    return _report("plane-q", {"order": order}, start, lhs, rhs, equal and lhs == rhs)

@@ -37,7 +37,7 @@ from math import comb
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from .arith import QFraction, QPoly, binomial_coefficient, exact_scalar, q_integer
+from .arith import QFraction, QPoly, _check_exact, binomial_coefficient, exact_scalar, q_integer
 from .combinat import PlaneTree, binary_trees, mary_trees, plane_trees
 from .errors import ValuationViolation
 
@@ -63,10 +63,12 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
+        _check_exact(value)
         return cls((value,) + (0,) * order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncatedSeries":
+        _check_exact(coefficient)
         coeffs = [0] * (order + 1)
         if exponent <= order:
             coeffs[exponent] = coefficient
@@ -100,14 +102,12 @@ class TruncatedSeries:
         return any(bool(c) for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
-        # Equality as truncated objects: orders must agree.  Compare
-        # through == so mixed coefficient rings (QFraction vs QPoly,
-        # int 0 vs Fraction 0) resolve correctly.
+        # Equality as truncated objects: orders must agree.  Tuple equality
+        # compares through ==, so mixed coefficient rings (QFraction vs
+        # QPoly, int 0 vs Fraction 0) resolve correctly.
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -135,6 +135,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
+            _check_exact(other)
             return TruncatedSeries([c * other if c else 0 for c in self.coeffs])
         n = min(self.order, other.order)
         nonzero = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
@@ -150,8 +151,7 @@ class TruncatedSeries:
                 out[k] = a * b if type(c) is int and not c else c + a * b
         return TruncatedSeries(out)
 
-    def __rmul__(self, other):
-        return TruncatedSeries([other * c if c else 0 for c in self.coeffs])
+    __rmul__ = __mul__  # every coefficient ring here is commutative
 
     def __pow__(self, n: int):
         if n < 0:
@@ -329,7 +329,7 @@ class BinomialPoly:
     index up) and the forward difference (which shifts it down).  The
     product never leaves the basis and divides nothing, so int
     coefficients stay int.  Coefficients follow the same generic-ring
-    convention as series.
+    convention as series; a float coefficient raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -340,6 +340,7 @@ class BinomialPoly:
         for k, c in items:
             if k < 0:
                 raise ValueError("binomial basis indices are nonnegative")
+            _check_exact(c)
             if k in data:
                 c = data[k] + c
             if c:
@@ -364,9 +365,7 @@ class BinomialPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinomialPoly):
             return NotImplemented
-        if self.coeffs.keys() != other.coeffs.keys():
-            return False
-        return all(other.coeffs[k] == c for k, c in self.coeffs.items())
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
         if not isinstance(other, BinomialPoly):
@@ -397,6 +396,7 @@ class BinomialPoly:
         C(t,1) + (2)*C(t,2)
         """
         if not isinstance(other, BinomialPoly):
+            _check_exact(other)
             return BinomialPoly({k: c * other for k, c in self.coeffs.items()})
         out: dict = {}
         get = out.get
@@ -408,8 +408,7 @@ class BinomialPoly:
                     out[k] = ab * n if c is None else c + ab * n
         return BinomialPoly(out)
 
-    def __rmul__(self, other):
-        return BinomialPoly({k: other * c for k, c in self.coeffs.items()})
+    __rmul__ = __mul__
 
     def map_coefficients(self, fn: Callable) -> "BinomialPoly":
         return BinomialPoly({k: fn(c) for k, c in self.coeffs.items()})

@@ -17,7 +17,8 @@ into the three tridendriform parts, so a part product makes only its own.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product as cartesian_product
+from math import prod
 from typing import Sequence
 
 from .combinat import PackedWord, PlaneTree, packed_words, plane_tree_of_word
@@ -207,18 +208,12 @@ def f_k(args: Sequence[WQSymElement]) -> WQSymElement:
     if not args:
         raise ValueError("f_k needs at least one argument")
     out: dict = {}
-
-    def rec(index: int, blocks: list[tuple[int, ...]], coeff) -> None:
-        if index == len(args):
-            for w in _sandwich_words(tuple(blocks)):
-                out[w] = out.get(w, 0) + coeff
-            return
-        for word, c in sorted(args[index].terms.items()):
-            blocks.append(word.letters)
-            rec(index + 1, blocks, coeff * c)
-            blocks.pop()
-
-    rec(0, [], 1)
+    # each argument's terms in the order of their keys, (length, letters)
+    ordered = [sorted(x._words.items(), key=lambda item: (len(item[0]), item[0])) for x in args]
+    for terms in cartesian_product(*ordered):
+        coeff = prod(c for _, c in terms)
+        for w in _sandwich_words(tuple(w for w, _ in terms)):
+            out[w] = out.get(w, 0) + coeff
     return keyed(args[0], out)
 
 

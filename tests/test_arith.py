@@ -309,6 +309,12 @@ def test_float_coefficients_rejected():
         QPoly((1, 2)) * 0.5
 
 
+def test_binomial_coefficient_rejects_a_float_beta():
+    with pytest.raises(TypeError):
+        binomial_coefficient(0.5, 2)
+    assert binomial_coefficient(Fraction(1, 2), 2) == Fraction(-1, 8)
+
+
 def test_poly_evaluate_rejects_float_point():
     with pytest.raises(TypeError):
         QPoly((1, 2)).evaluate(0.5)

@@ -730,6 +730,35 @@ def test_an_enumerator_guard_names_the_cli_flag(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("enumerate", "permutations", "--n", "13"),
+            "permutations(13) exceeds the guard 12; pass --unsafe-large to force",
+        ),
+        (
+            ("expand", "duliu", "--m", "2", "--order", "10"),
+            "mary_trees(m=2)(10) exceeds the guard 9; pass --unsafe-large to force",
+        ),
+        (
+            ("enumerate", "mary-trees", "--m", "900", "--n", "3", "--count-only"),
+            "mary_trees(m=900, n=3) child slots(1096743151) exceeds the guard 13449040; "
+            "pass --unsafe-large to force",
+        ),
+        (
+            ("hook", _left_comb(8), "--oracle"),
+            "oracle over S_8 exceeds max degree 7; pass --unsafe-large to force",
+        ),
+    ],
+    ids=["permutations", "m-ary nodes", "m-ary child slots", "hook oracle"],
+)
+def test_each_guard_prints_its_refusal_in_full(capsys, argv, message):
+    code, err = _run_rejected(capsys, *argv)
+    assert code == 3
+    assert err == f"size guard: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # one exit code for each subcommand and each kind of bad input
 # ---------------------------------------------------------------------------

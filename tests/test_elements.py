@@ -212,3 +212,22 @@ def test_a_bad_word_reaching_the_kernel_raises_the_public_error(element, key_typ
 def test_the_first_bad_word_is_the_one_reported():
     with pytest.raises(ValueError, match=r"1\.\.2: \(2, 2\)"):
         keyed(fqsym.unit(), {(1, 2): 1, (2, 2): 1, (3, 3, 3): 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FQSymElement({Permutation((1,)): 0.5}),
+        lambda: WQSymElement({PackedWord((1,)): 0.5}),
+        lambda: FQSymElement({Permutation((1,)): 1}) * 0.5,
+        lambda: WQSymElement({PackedWord((1,)): 1}) * 0.5,
+        lambda: 0.5 * WQSymElement({PackedWord((1,)): 1}),
+    ],
+    ids=[
+        "FQSym coefficient", "WQSym coefficient", "FQSym times float", "WQSym times float",
+        "float times WQSym",
+    ],
+)
+def test_a_float_gets_into_no_element(build):
+    with pytest.raises(TypeError):
+        build()

@@ -28,6 +28,7 @@ from treecalc.fqsym import (
     prec_product,
     product,
     q_shuffle_product,
+    q_shuffle_words,
     scale_alphabet,
     succ_product,
     to_basis,
@@ -357,6 +358,19 @@ def test_q_shuffle_at_one_matches_product():
                         "F",
                     )
                     assert at_one == ordinary.map_coefficients(Fraction)
+
+
+def test_q_shuffle_weight_is_the_inversions_the_shuffle_creates():
+    # the definition, inv(c) - inv(a) - inv(b), counted on each interleaving c
+    for k in range(4):
+        for l in range(4):
+            for a in permutations(k):
+                for b in permutations(l):
+                    pairs = q_shuffle_words(a, b)
+                    assert len({gamma for gamma, _ in pairs}) == len(pairs) == comb(k + l, k)
+                    for gamma, weight in pairs:
+                        created = gamma.inversions() - a.inversions() - b.inversions()
+                        assert weight == QPoly.monomial(created)
 
 
 def test_q_shuffle_requires_f_basis():

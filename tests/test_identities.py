@@ -176,6 +176,15 @@ def test_ft_coefficients_guard():
     assert ft_coefficients(PlaneTree([PlaneTree()] * FT_LEAF_GUARD)) == {1: 1}
 
 
+def test_ft_coefficients_guard_text():
+    star = PlaneTree([PlaneTree()] * 257)
+    with pytest.raises(SizeGuardError) as info:
+        ft_coefficients(star)
+    assert str(info.value) == (
+        "ft_coefficients on 257 leaves exceeds the guard 256; pass --unsafe-large to force"
+    )
+
+
 def test_ft_check_reports_both_sides():
     report = ft_check(PlaneTree.from_text("((**)(**)(***))"))
     assert report.name == "ft" and report.equal

@@ -197,6 +197,29 @@ def test_binomial_poly_evaluate_rejects_float_point():
     assert p.evaluate(Fraction(1, 10)) == Fraction(1, 10)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TruncatedSeries.constant(0.5, 2),
+        lambda: TruncatedSeries.monomial(1, 2, 0.5),
+        lambda: TruncatedSeries([1]) * 0.5,
+        lambda: 0.5 * TruncatedSeries([1]),
+        lambda: TruncatedSeries([1]) + 0.5,
+        lambda: BinomialPoly({0: 0.5}),
+        lambda: BinomialPoly({0: 1}) * 0.5,
+        lambda: 0.5 * BinomialPoly({0: 1}),
+    ],
+    ids=[
+        "series constant", "series monomial", "series times float", "float times series",
+        "series plus float", "binomial poly", "binomial poly times float",
+        "float times binomial poly",
+    ],
+)
+def test_a_float_gets_into_no_series(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # exponential and binomial series
 # ---------------------------------------------------------------------------
