@@ -11,6 +11,14 @@ such as [n]_q! and Gaussian binomials never touch Fraction arithmetic.
 types, so a q-expression can never be added to an alpha-expression by
 accident.
 
+The kernels keep their results canonical by construction: + copies the
+longer operand and adds in only the nonzero slots of the shorter one,
+normalizing just the slots it touched and stripping zeros from the top,
+and negation, integer monomials and products of q-integers are canonical
+as built, so none of them scans its result again.  The public ``Poly``
+constructor is the one that checks: it brings outside coefficients to
+canonical form and refuses floats.
+
 Floats are rejected, not converted: a float coefficient or scalar
 operand, or a float point given to ``Poly.evaluate`` or
 ``QFraction.evaluate``, raises TypeError.
@@ -23,8 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import neg, sub
 from typing import Sequence, Union
 
 from .errors import NonExactDivision
@@ -84,6 +92,16 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _canonical(cls, coeffs: tuple):
+        """The polynomial on a tuple that is canonical already (each entry
+        an int or a Fraction whose denominator is not 1, no trailing zero),
+        taken as it is.  Only kernels whose results are canonical by
+        construction call it; outside input goes through the constructor."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -95,6 +113,8 @@ class Poly:
     def monomial(cls, exponent: int, coefficient=1):
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
+        if type(coefficient) is int and coefficient:
+            return cls._canonical((0,) * exponent + (coefficient,))
         return cls((0,) * exponent + (coefficient,))
 
     @classmethod
@@ -147,18 +167,24 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # Copy the longer side and add in the nonzero slots of the shorter:
+        # only a touched slot can leave canonical form, and only the top
+        # slots can cancel to zero.
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return type(self)(out)
+        for i in compress(count(), b):
+            c = out[i] + b[i]
+            out[i] = c if type(c) is int else exact_scalar(c)
+        while out and not out[-1]:
+            out.pop()
+        return self._canonical(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(tuple(-c for c in self.coeffs))
+        return self._canonical(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -282,7 +308,26 @@ def _q_integer_product(factors) -> QPoly:
     for k in factors:
         shifted = chain(repeat(0, k), coeffs)
         coeffs = list(accumulate(map(sub, chain(coeffs, repeat(0, k - 1)), shifted)))
-    return QPoly(coeffs)
+    # Integers throughout, and the product is monic unless a factor is [0]_q.
+    return QPoly._canonical(tuple(coeffs)) if coeffs[-1] else QPoly.zero()
+
+
+def _q_integer_quotient(shift: int, numerator, denominator) -> QPoly:
+    """q^shift times the product of [k]_q over the multiset numerator,
+    divided by the product of [h]_q over the multiset denominator.  The
+    q-integers both multisets hold are cancelled first, so only the
+    leftover factors are multiplied out, and the one exact_poly_div by the
+    leftover denominator still raises NonExactDivision on a remainder."""
+    top, bottom = [], [h for h in denominator if h != 1]
+    for k in numerator:
+        if k in bottom:
+            bottom.remove(k)
+        elif k != 1:
+            top.append(k)
+    coeffs = _q_integer_product(top).coeffs
+    # times q^shift: a shift, not a product
+    shifted = QPoly._canonical((0,) * shift + coeffs) if coeffs else QPoly.zero()
+    return exact_poly_div(shifted, _q_integer_product(bottom))
 
 
 @lru_cache(maxsize=None)

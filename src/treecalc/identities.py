@@ -19,10 +19,8 @@ from math import comb, factorial, prod
 from .arith import (
     AlphaPoly,
     QPoly,
-    _q_integer_product,
+    _q_integer_quotient,
     binomial_coefficient,
-    exact_poly_div,
-    q_factorial,
 )
 from .combinat import (
     BinaryTree,
@@ -131,11 +129,9 @@ def hook_count(tree: BinaryTree) -> Fraction:
 
 
 def _qhook(tree: BinaryTree) -> QPoly:
+    """q^delta [n]_q! / prod_v [h_v]_q, delta the sum of the right sizes."""
     data = hook_data(tree)
-    n = tree.node_count
-    # times q^delta, delta the sum of the right sizes: a shift, not a product
-    numerator = QPoly((0,) * sum(data.right_sizes) + q_factorial(n).coeffs)
-    return exact_poly_div(numerator, _q_integer_product(data.hooks))
+    return _q_integer_quotient(sum(data.right_sizes), range(2, tree.node_count + 1), data.hooks)
 
 
 def qhook_imaj(tree: BinaryTree) -> QPoly:

@@ -59,12 +59,28 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
+        # One C-speed pass collects the coefficient types, and each
+        # distinct type is tested once: a float or complex raises TypeError.
+        for kind in set(map(type, coeffs)):
+            if issubclass(kind, (float, complex)):
+                for c in coeffs:
+                    _check_exact(c)
         self.coeffs = coeffs
+
+    @classmethod
+    def _unchecked(cls, coeffs: Sequence) -> "TruncatedSeries":
+        """The series on at least one coefficient that is exact already,
+        with no scan: the series operations build their results from
+        checked series and checked scalars through it, while outside
+        coefficients go through the constructor."""
+        series = object.__new__(cls)
+        series.coeffs = tuple(coeffs)
+        return series
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
         _check_exact(value)
-        return cls((value,) + (0,) * order)
+        return cls._unchecked((value,) + (0,) * order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncatedSeries":
@@ -114,7 +130,7 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(other, self.order)
         # zip stops at the smaller order.  Only the int 0 is handed over: a
         # zero QFraction adds its denominator to the printed form of a sum.
-        return TruncatedSeries([
+        return TruncatedSeries._unchecked([
             b if type(a) is int and not a
             else a if type(b) is int and not b else a + b
             for a, b in zip(self.coeffs, other.coeffs)
@@ -123,7 +139,7 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._unchecked([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -136,7 +152,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             _check_exact(other)
-            return TruncatedSeries([c * other if c else 0 for c in self.coeffs])
+            return TruncatedSeries._unchecked([c * other if c else 0 for c in self.coeffs])
         n = min(self.order, other.order)
         nonzero = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
         out = [0] * (n + 1)
@@ -149,7 +165,7 @@ class TruncatedSeries:
                     break
                 c = out[k]
                 out[k] = a * b if type(c) is int and not c else c + a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries._unchecked(out)
 
     __rmul__ = __mul__  # every coefficient ring here is commutative
 
@@ -163,7 +179,7 @@ class TruncatedSeries:
 
     def times_t(self) -> "TruncatedSeries":
         """Multiply by t; the top coefficient falls off the truncation."""
-        return TruncatedSeries((0,) + self.coeffs[:-1])
+        return TruncatedSeries._unchecked((0,) + self.coeffs[:-1])
 
     def map_coefficients(self, fn: Callable) -> "TruncatedSeries":
         return TruncatedSeries([fn(c) for c in self.coeffs])
@@ -188,8 +204,8 @@ class TruncatedSeries:
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
     """d/dt; the result is one order shorter than the input."""
     if f.order == 0:
-        return TruncatedSeries((0,))
-    return TruncatedSeries(
+        return TruncatedSeries._unchecked((0,))
+    return TruncatedSeries._unchecked(
         [f.coeffs[n] * n for n in range(1, f.order + 1)]
     )
 
@@ -204,7 +220,7 @@ def integrate(f: TruncatedSeries) -> TruncatedSeries:
     for n, (c, reciprocal) in enumerate(zip(f.coeffs, _reciprocals(f.order))):
         if c:
             out[n + 1] = c * reciprocal
-    return TruncatedSeries(out)
+    return TruncatedSeries._unchecked(out)
 
 
 @lru_cache(maxsize=None)
@@ -225,23 +241,23 @@ def q_integrate(f: TruncatedSeries) -> TruncatedSeries:
         if c:
             c = c if isinstance(c, QFraction) else QFraction(c)
             out[n + 1] = c / q_integer(n + 1)
-    return TruncatedSeries(out)
+    return TruncatedSeries._unchecked(out)
 
 
 def q_derivative(f: TruncatedSeries) -> TruncatedSeries:
     """D_q f = (f(qt) - f(t)) / (qt - t), i.e. t^n maps to [n]_q t^(n-1)."""
     if f.order == 0:
-        return TruncatedSeries((0,))
+        return TruncatedSeries._unchecked((0,))
     out = []
     for n in range(1, f.order + 1):
         c = f.coeffs[n]
         out.append(c * q_integer(n) if c else 0)
-    return TruncatedSeries(out)
+    return TruncatedSeries._unchecked(out)
 
 
 def substitute_qt(f: TruncatedSeries) -> TruncatedSeries:
     """f(qt): multiply the coefficient of t^n by q^n."""
-    return TruncatedSeries(
+    return TruncatedSeries._unchecked(
         [c * QPoly.monomial(n) if c else 0 for n, c in enumerate(f.coeffs)]
     )
 

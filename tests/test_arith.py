@@ -349,3 +349,96 @@ def test_q_factorial_and_binomial_need_no_recursion_on_n():
     assert qf.evaluate(1) == factorial(60)
     assert qb.evaluate(1) == comb(60, 3)
     assert qb * q_factorial(3) * q_factorial(57) == qf
+
+
+# ---------------------------------------------------------------------------
+# The add, negate and monomial kernels against a dense Fraction reference.
+# ---------------------------------------------------------------------------
+
+kernel_scalars = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+kernel_lists = st.lists(kernel_scalars, min_size=0, max_size=8)
+
+
+def _dense(values, width):
+    """Reference coefficients as Fractions, zero-padded to width."""
+    return [Fraction(v) for v in values] + [Fraction(0)] * (width - len(values))
+
+
+def assert_kernel_canonical(poly):
+    """Every coefficient an int or a non-integral Fraction, no trailing zero."""
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in poly.coeffs)
+    assert not poly.coeffs or poly.coeffs[-1] != 0
+
+
+@given(st.data())
+def test_poly_kernels_match_a_dense_reference(data):
+    a_values = data.draw(kernel_lists)
+    mode = data.draw(st.sampled_from(["free", "cancel top", "sum to integers"]))
+    if mode == "free":
+        b_values = data.draw(kernel_lists)
+    elif mode == "cancel top":
+        # b ends in the negated top of a, so a + b loses its top slots
+        keep = data.draw(st.integers(min_value=0, max_value=len(a_values)))
+        b_values = data.draw(st.lists(kernel_scalars, min_size=keep, max_size=keep))
+        b_values += [-v for v in a_values[keep:]]
+    else:
+        # every slot of a + b is an integer, the Fraction slots included
+        b_values = [data.draw(st.integers(min_value=-3, max_value=3)) - v for v in a_values]
+    a, b = QPoly(a_values), QPoly(b_values)
+    width = max(len(a_values), len(b_values))
+    da, db = _dense(a_values, width), _dense(b_values, width)
+    expected = {
+        "a + b": [x + y for x, y in zip(da, db)],
+        "b + a": [x + y for x, y in zip(da, db)],
+        "a - b": [x - y for x, y in zip(da, db)],
+        "-a": [-x for x in da],
+    }
+    results = {"a + b": a + b, "b + a": b + a, "a - b": a - b, "-a": -a}
+    for name, poly in results.items():
+        assert list(poly.coeffs) == _fraction_coeffs(expected[name]), name
+        assert_kernel_canonical(poly)
+    terms = data.draw(st.lists(st.tuples(st.integers(min_value=0, max_value=9), kernel_scalars), max_size=12))
+    dense = [Fraction(0)] * 10
+    for exponent, coefficient in terms:
+        dense[exponent] += coefficient
+        monomial = QPoly.monomial(exponent, coefficient)
+        assert list(monomial.coeffs) == _fraction_coeffs([0] * exponent + [coefficient])
+        assert_kernel_canonical(monomial)
+    total = sum((QPoly.monomial(e, c) for e, c in terms), QPoly.zero())
+    assert list(total.coeffs) == _fraction_coeffs(dense)
+    assert_kernel_canonical(total)
+
+
+def test_integer_monomials_and_q_integer_products_are_canonical():
+    assert QPoly.monomial(3, Fraction(4, 2)).coeffs == (0, 0, 0, 2)
+    assert QPoly.monomial(2, True).coeffs == (0, 0, 1)
+    assert QPoly.monomial(2, 0) == QPoly.zero() and not QPoly.monomial(2, 0).coeffs
+    for factors in ((), (0,), (1,), (3, 0, 2), (5, 2, 2, 1)):
+        assert_kernel_canonical(_q_integer_product(factors))
+    assert _q_integer_product((3, 0, 2)).coeffs == ()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QPoly((1, 0.5)),
+        lambda: QPoly((1, 2)) + 0.5,
+        lambda: 0.5 + QPoly((1, 2)),
+        lambda: QPoly((1, 2)) - 0.5,
+        lambda: 0.5 - QPoly((1, 2)),
+        lambda: QPoly.monomial(2, 0.5),
+        lambda: QPoly.monomial(2, 1.0),
+        lambda: QPoly.monomial(2, 1j),
+        lambda: sum([QPoly.monomial(1), 0.5], QPoly.zero()),
+    ],
+    ids=[
+        "constructor", "plus float", "float plus", "minus float", "float minus",
+        "float monomial", "integral float monomial", "complex monomial", "sum with a float",
+    ],
+)
+def test_the_poly_kernels_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()

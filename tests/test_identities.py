@@ -1,10 +1,19 @@
+import random
 from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
 
 from treecalc import identities
-from treecalc.arith import AlphaPoly, QPoly, q_factorial
+from treecalc.arith import (
+    AlphaPoly,
+    QPoly,
+    _q_integer_product,
+    _q_integer_quotient,
+    exact_poly_div,
+    q_factorial,
+    q_integer,
+)
 from treecalc.combinat import (
     BinaryTree,
     MAryTree,
@@ -14,7 +23,7 @@ from treecalc.combinat import (
     mary_trees,
     plane_trees,
 )
-from treecalc.errors import SizeGuardError, VariantArityMismatch
+from treecalc.errors import NonExactDivision, SizeGuardError, VariantArityMismatch
 from treecalc.series import TruncatedSeries
 from treecalc.identities import (
     FT_LEAF_GUARD,
@@ -95,6 +104,62 @@ def test_qhook_sums_to_q_factorial():
         for tree in binary_trees(n):
             total = total + qhook_imaj(tree)
         assert total == q_factorial(n)
+
+
+def _qhook_reference(tree) -> QPoly:
+    """The q-hook with nothing cancelled: the whole q^delta [n]_q! divided
+    by the whole product of the [h]_q."""
+    data = hook_data(tree)
+    numerator = QPoly((0,) * sum(data.right_sizes) + q_factorial(tree.node_count).coeffs)
+    return exact_poly_div(numerator, _q_integer_product(data.hooks))
+
+
+def _comb(n: int) -> BinaryTree:
+    tree = BinaryTree()
+    for _ in range(n):
+        tree = BinaryTree(tree, BinaryTree())
+    return tree
+
+
+def _balanced(n: int) -> BinaryTree:
+    if not n:
+        return BinaryTree()
+    left = (n - 1) // 2
+    return BinaryTree(_balanced(left), _balanced(n - 1 - left))
+
+
+def _random_shape(n: int, rng: random.Random) -> BinaryTree:
+    if not n:
+        return BinaryTree()
+    left = rng.randrange(n)
+    return BinaryTree(_random_shape(left, rng), _random_shape(n - 1 - left, rng))
+
+
+def test_qhook_equals_the_uncancelled_reference():
+    rng = random.Random(701539)
+    shapes = [tree for n in range(1, 10) for tree in binary_trees(n)]
+    shapes += [_comb(60), _balanced(60)] + [_random_shape(60, rng) for _ in range(3)]
+    for tree in shapes:
+        reference = _qhook_reference(tree)
+        assert qhook_imaj(tree) == reference, tree
+        assert qhook_inv(tree) == reference, tree
+
+
+def test_qhook_cancellation_mutants():
+    for n in range(2, 8):
+        for tree in binary_trees(n):
+            data = hook_data(tree)
+            delta = sum(data.right_sizes)
+            # a denominator missing one hook still divides, one [h]_q too high
+            hook = min(h for h in data.hooks if h > 1)
+            missing = list(data.hooks)
+            missing.remove(hook)
+            wrong = _q_integer_quotient(delta, range(2, n + 1), missing)
+            assert wrong == qhook_imaj(tree) * q_integer(hook) != qhook_imaj(tree)
+            # a numerator missing the root's [n]_q leaves the cyclotomic
+            # factor of [n]_q in the divisor alone
+            with pytest.raises(NonExactDivision):
+                _q_integer_quotient(delta, range(2, n), data.hooks)
 
 
 def test_hook_oracle_agrees_with_the_fibers():

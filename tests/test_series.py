@@ -208,11 +208,16 @@ def test_binomial_poly_evaluate_rejects_float_point():
         lambda: BinomialPoly({0: 0.5}),
         lambda: BinomialPoly({0: 1}) * 0.5,
         lambda: 0.5 * BinomialPoly({0: 1}),
+        lambda: TruncatedSeries([0.5]),
+        lambda: TruncatedSeries([1, 0.5]) + TruncatedSeries([1, 1]),
+        lambda: TruncatedSeries([1, 2j]),
+        lambda: TruncatedSeries([2, 1]).map_coefficients(lambda c: c / 2),
     ],
     ids=[
         "series constant", "series monomial", "series times float", "float times series",
         "series plus float", "binomial poly", "binomial poly times float",
-        "float times binomial poly",
+        "float times binomial poly", "series constructor", "sum of a float series",
+        "complex series coefficient", "series mapped to floats",
     ],
 )
 def test_a_float_gets_into_no_series(build):
