@@ -114,31 +114,20 @@ def _qhook_reference(tree) -> QPoly:
     return exact_poly_div(numerator, _q_integer_product(data.hooks))
 
 
-def _comb(n: int) -> BinaryTree:
-    tree = BinaryTree()
-    for _ in range(n):
-        tree = BinaryTree(tree, BinaryTree())
-    return tree
-
-
-def _balanced(n: int) -> BinaryTree:
+def _shape(n: int, left_size) -> BinaryTree:
+    """The n-node shape each of whose subtrees, of k nodes, has
+    left_size(k) nodes on its left."""
     if not n:
         return BinaryTree()
-    left = (n - 1) // 2
-    return BinaryTree(_balanced(left), _balanced(n - 1 - left))
-
-
-def _random_shape(n: int, rng: random.Random) -> BinaryTree:
-    if not n:
-        return BinaryTree()
-    left = rng.randrange(n)
-    return BinaryTree(_random_shape(left, rng), _random_shape(n - 1 - left, rng))
+    left = left_size(n)
+    return BinaryTree(_shape(left, left_size), _shape(n - 1 - left, left_size))
 
 
 def test_qhook_equals_the_uncancelled_reference():
     rng = random.Random(701539)
     shapes = [tree for n in range(1, 10) for tree in binary_trees(n)]
-    shapes += [_comb(60), _balanced(60)] + [_random_shape(60, rng) for _ in range(3)]
+    shapes += [_shape(60, lambda k: k - 1), _shape(60, lambda k: (k - 1) // 2)]
+    shapes += [_shape(60, rng.randrange) for _ in range(3)]
     for tree in shapes:
         reference = _qhook_reference(tree)
         assert qhook_imaj(tree) == reference, tree
