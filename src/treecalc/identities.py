@@ -1,10 +1,12 @@
 """End-to-end verification of the hook-length-type identities.
 
-Every check computes its two sides by disjoint code paths (closed form
-with exact polynomial division versus enumeration of fibers, or explicit
-coefficients versus tree expansion versus Picard iteration) and reports
-both in serialized exact form, so a mismatch is immediately diagnosable.
-All comparisons are exact; nothing is tolerance-based.
+Every check computes its sides by disjoint code paths (closed form with
+exact polynomial division versus enumeration of fibers, or explicit
+coefficients versus tree expansion versus Picard iteration), names each
+path, and reports two sides in serialized exact form.  _report alone
+decides equality and names in IdentityReport.disagree each path whose
+value differs from its reference.  All comparisons are exact; nothing is
+tolerance-based.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ DULIU_GUARDS = {1: 7, 2: 5, 3: 5}
 # 2-core Xeon host with Python 3.11, growing about 16-fold per doubling.
 FT_LEAF_GUARD = 256
 
-# Nodes of a q-hook tree.  With [n]_q! and the hook product built by
-# running-window sums, the exact division is the cost: a random shape took
-# 0.16 s at 60 nodes and 0.51 s at 80 on a 2-core Xeon host with Python
-# 3.11, the comb 0.02 s and 0.04 s.  With dense products the comb took
-# 0.56 s and 1.9 s; the guard was set then and is kept.
+# Nodes of a q-hook tree.  With the shared q-integers cancelled, the comb
+# takes 0.1 ms at 60 and 80 nodes (best of 3, 2-core Xeon, Python 3.11), a
+# balanced shape 0.03 s and 0.09 s, seeded random shapes 0.02-0.03 s and
+# 0.04-0.10 s.  Set when dense products made the comb the dear case (0.56 s
+# at 60 nodes); kept, since it decides which hook --q inputs exit 3.
 QHOOK_GUARD = 60
 
 # Tree expansions with alpha-polynomial coefficients get expensive fast for
@@ -85,6 +87,7 @@ class IdentityReport:
     equal: bool
     per_tree: list | None = None
     elapsed_ms: float = 0.0
+    disagree: tuple[str, ...] = ()  # the paths that differ; not serialized
 
     def to_json(self, *, include_per_tree: bool = False) -> dict:
         data = {
@@ -100,10 +103,12 @@ class IdentityReport:
         return data
 
 
-def _report(name, parameters, start, lhs, rhs, equal, per_tree=None) -> IdentityReport:
-    """The report of a check begun at perf_counter() time start, sides printed by str."""
+def _report(name, parameters, start, lhs, rhs, paths, per_tree=None) -> IdentityReport:
+    """The report begun at start: equal when no path's value differs from its reference."""
+    disagree = tuple(path for path, (value, reference) in paths.items() if value != reference)
     elapsed = (time.perf_counter() - start) * 1000
-    return IdentityReport(name, parameters, str(lhs), str(rhs), equal, per_tree, elapsed)
+    sides = str(lhs), str(rhs)
+    return IdentityReport(name, parameters, *sides, not disagree, per_tree, elapsed, disagree)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +239,7 @@ def ft_check(tree: PlaneTree, *, unsafe_large: bool = False) -> IdentityReport:
     oracle = ft_brute_force(tree, unsafe_large=unsafe_large)
     formula = ft_coefficients(tree, unsafe_large=unsafe_large)
     lhs, rhs = (json.dumps({str(k): v for k, v in side.items()}) for side in (formula, oracle))
-    return _report("ft", {"tree": tree.text}, start, lhs, rhs, formula == oracle)
+    return _report("ft", {"tree": tree.text}, start, lhs, rhs, {"oracle": (formula, oracle)})
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +307,7 @@ def _per_tree(expansion: TreeExpansion, order: int, closed) -> tuple[bool, list]
         pair = (id(term), hooks)
         if pair not in compared:
             compared.add(pair)
-            equal = equal and term == form[1]
+            equal &= term == form[1]
         values.append(form[0])
     return equal, values
 
@@ -341,27 +346,35 @@ def postnikov_check(n: int) -> IdentityReport:
         if text is None:
             text = printed[id(value)] = str(value)
         per_tree.append({"tree": tree.text, "coefficient": text})
-    equal = lhs == rhs and trees_equal
-    equal = equal and expansion.total == eisenstein_coefficients(order) == picard
-
-    return _report("postnikov", {"n": n, "series_order": order}, start, lhs, rhs, equal, per_tree)
+    explicit = eisenstein_coefficients(order)
+    paths = {
+        "shape-sum": (rhs, lhs),
+        "per-tree": (trees_equal, True),
+        "tree-expansion": (expansion.total, explicit),
+        "picard": (picard, explicit),
+    }
+    return _report("postnikov", {"n": n, "series_order": order}, start, lhs, rhs, paths, per_tree)
 
 
 def eisenstein_check(order: int) -> IdentityReport:
-    """Three-way agreement for g(t) = sum (n+1)^(n-1) t^n / n!:
+    """Four-way agreement for g(t) = sum (n+1)^(n-1) t^n / n!:
 
-    the explicit coefficients, the residual of g = exp(t g), and the
-    binary-tree expansion of x = 1 + t x^2/2 + (1/2) int x^2 must all
-    coincide to the requested order.
+    the explicit coefficients, exp(t g) computed from them, and the
+    binary-tree expansion and Picard solution of x = 1 + t x^2/2 + (1/2)
+    int x^2 must all coincide to the requested order.
     """
     if order > EISENSTEIN_GUARD:
         raise SizeGuardError(f"eisenstein_check needs order <= {EISENSTEIN_GUARD}")
     start = time.perf_counter()
     explicit = eisenstein_coefficients(order)
-    residual = explicit - exp_series(explicit.times_t())
+    exponential = exp_series(explicit.times_t())
     expansion, picard = _postnikov_paths(order)
-    equal = (not residual) and expansion.total == explicit and picard == explicit
-    return _report("eisenstein", {"order": order}, start, explicit, expansion.total, equal)
+    paths = {
+        "exp(t g)": (exponential, explicit),
+        "tree-expansion": (expansion.total, explicit),
+        "picard": (picard, explicit),
+    }
+    return _report("eisenstein", {"order": order}, start, explicit, expansion.total, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +444,7 @@ def duliu_check(variant: str, n: int, m: int = 1) -> IdentityReport:
     lhs = _duliu_tree_sum(variant, m, n)
     rhs = duliu_rhs(variant, m, n)
     parameters = {"variant": variant, "n": n, "m": m}
-    return _report(f"duliu-{variant}", parameters, start, lhs, rhs, lhs == rhs)
+    return _report(f"duliu-{variant}", parameters, start, lhs, rhs, {"closed-form": (lhs, rhs)})
 
 
 def duliu_cross_check(n: int) -> bool:
@@ -485,19 +498,19 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
     start = time.perf_counter()
     f = lagrange_series(m, order)
     rhs = binomial_series(ALPHA, (f**m).times_t(), order)
-    equal = f == rhs
-
     operator = lagrange_operator(m)
-    equal = equal and picard_mary(operator, m, order) == f
-
+    picard = picard_mary(operator, m, order)
     tree_order = min(order, MARY_EXPANSION_ORDER[m])
     expansion = fixed_point_mary(operator, m, tree_order)
-    equal = equal and expansion.total == f.truncated(tree_order)
     closed = lambda hooks: _duliu_product("las3", m, hooks)
-    equal = equal and _per_tree(expansion, tree_order, closed)[0]
-
+    paths = {
+        "binomial": (rhs, f),
+        "picard": (picard, f),
+        "tree-expansion": (expansion.total, f.truncated(tree_order)),
+        "per-tree": (_per_tree(expansion, tree_order, closed)[0], True),
+    }
     parameters = {"m": m, "order": order, "tree_order": tree_order}
-    return _report("lagrange", parameters, start, f, rhs, equal)
+    return _report("lagrange", parameters, start, f, rhs, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +549,6 @@ def plane_q_check(order: int) -> IdentityReport:
     total = expansion.total
 
     direct = psi(graded_word_sum(order, weight=lambda n: QPoly.monomial(n)))
-    equal = total == direct
-
     lhs = finite_difference(total)
     rhs = BinomialPoly()
     power = total * total
@@ -545,4 +556,5 @@ def plane_q_check(order: int) -> IdentityReport:
         rhs = rhs + power * QPoly.monomial(n - 1)
         power = power * total
     lhs, rhs = _truncate_q(lhs, order), _truncate_q(rhs, order)
-    return _report("plane-q", {"order": order}, start, lhs, rhs, equal and lhs == rhs)
+    paths = {"word-sum": (direct, total), "difference": (lhs, rhs)}
+    return _report("plane-q", {"order": order}, start, lhs, rhs, paths)

@@ -8,6 +8,7 @@ import pytest
 
 from treecalc import combinat, fqsym, identities
 from treecalc.cli import main
+from treecalc.series import TruncatedSeries
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -662,6 +663,30 @@ def test_format_output_is_golden(capsys, argv):
     assert code == 0
     out = re.sub(r',\n  "elapsed_ms": [^\n]*', "", out)
     assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_GOLDEN[argv]
+
+
+# SHA-256 of each format of a failing check, identity lagrange --m 2 --order 4
+# with binomial_series off by t (elapsed_ms removed): the lhs and rhs a
+# failure prints, and no path names
+FAILURE_GOLDEN = {
+    "text": "2dd35fda253c7c837d45c8a0b3b0b15184ef12d3e98e0089af279434f29a2f23",
+    "json": "77730407a02a875b0811a354d53c2f0929c354269ccd33edf0552a86e770e1d1",
+    "csv": "311fbf367b98f9880b3a57e4e33d8a5cb6080ece8970750b2f16135aa88fab69",
+}
+
+
+def test_failing_check_output_is_golden(capsys, monkeypatch):
+    binomial_series = identities.binomial_series
+    monkeypatch.setattr(
+        identities, "binomial_series",
+        lambda beta, u, order: binomial_series(beta, u, order) + TruncatedSeries.monomial(1, order),
+    )
+    for fmt, digest in FAILURE_GOLDEN.items():
+        code, out = run(capsys, "--format", fmt, "identity", "lagrange", "--m", "2", "--order", "4")
+        assert code == 1
+        out = re.sub(r',\n  "elapsed_ms": [^\n]*', "", out)
+        out = re.sub(r",[0-9.e-]+\n\Z", ",\n", out)  # the csv row ends with elapsed_ms
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from treecalc.combinat import (
     plane_trees,
 )
 from treecalc.errors import NonExactDivision, SizeGuardError, VariantArityMismatch
-from treecalc.series import TruncatedSeries
+from treecalc.series import BinomialPoly, TreeExpansion, TruncatedSeries
 from treecalc.identities import (
     FT_LEAF_GUARD,
     decreasing_tree_fibers,
@@ -546,3 +546,92 @@ def test_per_tree_fails_on_one_term_shared_across_multisets():
     )
     terms[other] = (terms[other][0], terms[first][1])
     assert not _postnikov_per_tree(terms)[0][0]
+
+
+# ---------------------------------------------------------------------------
+# one equality rule: every named path is compared, and the failing ones named
+# ---------------------------------------------------------------------------
+
+PATH_CHECKS = {
+    "postnikov": lambda: postnikov_check(4),
+    "eisenstein": lambda: eisenstein_check(4),
+    "duliu": lambda: duliu_check("las3", 3, 2),
+    "lagrange": lambda: lagrange_fixed_point_check(2, 4),
+    "ft": lambda: ft_check(PlaneTree.from_text("((**)(**)(***))")),
+    "plane-q": lambda: plane_q_check(4),
+}
+
+
+def _off_by(bump):
+    """A mutant of a function whose results are bumped by bump."""
+    return lambda real: lambda *args, **kwargs: bump(real(*args, **kwargs))
+
+
+def _plus_t(series):
+    return series + TruncatedSeries.monomial(1, series.order)
+
+
+def _total_plus_t(expansion):
+    return TreeExpansion(terms=expansion.terms, total=_plus_t(expansion.total))
+
+
+def _closed_form_doubled(per_tree):
+    return lambda expansion, order, closed: per_tree(expansion, order, lambda h: closed(h) * 2)
+
+
+_plus_one = _off_by(lambda value: value + 1)
+_plus_c0 = _off_by(lambda p: p + BinomialPoly({0: QPoly.one()}))  # C(t, 0) = 1
+
+# (check, path) -> (the identities function behind the path, its mutant)
+PATH_MUTANTS = {
+    ("postnikov", "shape-sum"): ("_postnikov_sum", _plus_one),
+    ("postnikov", "per-tree"): ("_per_tree", _closed_form_doubled),
+    ("postnikov", "tree-expansion"): ("fixed_point_binary", _off_by(_total_plus_t)),
+    ("postnikov", "picard"): ("picard_binary", _off_by(_plus_t)),
+    ("eisenstein", "exp(t g)"): ("exp_series", _off_by(_plus_t)),
+    ("eisenstein", "tree-expansion"): ("fixed_point_binary", _off_by(_total_plus_t)),
+    ("eisenstein", "picard"): ("picard_binary", _off_by(_plus_t)),
+    ("duliu", "closed-form"): ("duliu_rhs", _plus_one),
+    ("lagrange", "binomial"): ("binomial_series", _off_by(_plus_t)),
+    ("lagrange", "picard"): ("picard_mary", _off_by(_plus_t)),
+    ("lagrange", "tree-expansion"): ("fixed_point_mary", _off_by(_total_plus_t)),
+    ("lagrange", "per-tree"): ("_per_tree", _closed_form_doubled),
+    ("ft", "oracle"): ("ft_brute_force", _off_by(lambda counts: {**counts, 0: 1})),
+    ("plane-q", "word-sum"): ("psi", _plus_c0),
+    ("plane-q", "difference"): ("finite_difference", _plus_c0),
+}
+
+
+def _mutate(monkeypatch, check, paths):
+    for path in paths:
+        name, mutant = PATH_MUTANTS[check, path]
+        monkeypatch.setattr(identities, name, mutant(getattr(identities, name)))
+
+
+@pytest.mark.parametrize("check", list(PATH_CHECKS))
+def test_a_passing_check_names_no_path(check):
+    report = PATH_CHECKS[check]()
+    assert report.equal is True
+    assert report.disagree == ()
+
+
+@pytest.mark.parametrize("check, path", list(PATH_MUTANTS))
+def test_each_path_mutant_is_named(monkeypatch, check, path):
+    _mutate(monkeypatch, check, [path])
+    report = PATH_CHECKS[check]()
+    assert report.equal is False
+    assert report.disagree == (path,)
+
+
+@pytest.mark.parametrize("check, paths", [
+    ("lagrange", ("binomial", "picard")),
+    ("postnikov", ("shape-sum", "picard")),
+    ("eisenstein", ("exp(t g)", "picard")),
+    ("plane-q", ("word-sum", "difference")),
+])
+def test_two_path_mutants_are_both_named(monkeypatch, check, paths):
+    # no path stops the comparison of the ones after it
+    _mutate(monkeypatch, check, paths)
+    report = PATH_CHECKS[check]()
+    assert report.equal is False
+    assert report.disagree == paths
