@@ -2,12 +2,12 @@
 word algebras, and hook-length-type identities.
 
 Everything is computed over exact rings (rationals, polynomials in q or
-alpha, unreduced q-polynomial quotients); there is no floating point.
+alpha, and q-series whose coefficient of t^n / [n]_q! is a polynomial);
+there is no floating point.
 """
 
 from .arith import (
     AlphaPoly,
-    QFraction,
     QPoly,
     Rational,
     binomial_coefficient,
@@ -59,6 +59,7 @@ from .identities import (
 )
 from .series import (
     BinomialPoly,
+    QDividedSeries,
     TreeExpansion,
     TruncatedSeries,
     binomial_series,

@@ -1,5 +1,5 @@
 """Exact coefficient rings: rationals, dense polynomials in q or alpha,
-unreduced quotients of q-polynomials, and q-combinatorial primitives.
+and q-combinatorial primitives.
 
 There is no floating point anywhere in this package.  Scalars are
 ``int`` or ``fractions.Fraction`` (re-exported as ``Rational``);
@@ -20,8 +20,7 @@ constructor is the one that checks: it brings outside coefficients to
 canonical form and refuses floats.
 
 Floats are rejected, not converted: a float coefficient or scalar
-operand, or a float point given to ``Poly.evaluate`` or
-``QFraction.evaluate``, raises TypeError.
+operand, or a float point given to ``Poly.evaluate``, raises TypeError.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -66,6 +65,13 @@ def _check_exact(value) -> None:
     any exact ring (series, BinomialPoly, algebra elements) keep floats out."""
     if isinstance(value, (float, complex)):
         raise TypeError(f"not an exact value: {value!r}")
+
+
+def _nonnegative(n: int) -> int:
+    """n as an index or order; a negative one would read a tuple from its far end."""
+    if n < 0:
+        raise ValueError(f"indices and orders are nonnegative, got {n}")
+    return n
 
 
 class Poly:
@@ -132,7 +138,7 @@ class Poly:
         return 0
 
     def truncated(self, max_degree: int) -> "Poly":
-        return type(self)(self.coeffs[: max_degree + 1])
+        return type(self)(self.coeffs[: _nonnegative(max_degree) + 1])
 
     def _coerce(self, other):
         """Return other as this polynomial type, or None if impossible.
@@ -248,10 +254,6 @@ class Poly:
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]):
-        return cls(tuple(Fraction(s) for s in data))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -406,101 +408,3 @@ def binomial_coefficient(beta, k: int):
         result = result * (beta - i)
         result = result / (i + 1)
     return result
-
-
-class QFraction:
-    """An unreduced quotient num/den of q-polynomials.
-
-    QPoly is not a field, and values like q^j / [n]_q! have no polynomial
-    representative, so they are carried as explicit pairs with a declared
-    denominator.  Equality is decided by cross-multiplication; nothing is
-    ever reduced and nothing is ever approximated.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, QFraction):
-            if den is not None:
-                raise TypeError("cannot re-wrap a QFraction with a denominator")
-            self.num, self.den = num.num, num.den
-            return
-        self.num = num if isinstance(num, QPoly) else QPoly((num,))
-        if den is None:
-            den = QPoly.one()
-        elif not isinstance(den, QPoly):
-            den = QPoly((den,))
-        if not den:
-            raise ZeroDivisionError("QFraction with zero denominator")
-        self.den = den
-
-    @staticmethod
-    def _wrap(value) -> "QFraction":
-        if isinstance(value, QFraction):
-            return value
-        return QFraction(value)
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (QFraction, QPoly, int, Fraction)):
-            other = self._wrap(other)
-            return self.num * other.den == other.num * self.den
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, (QFraction, QPoly, int, Fraction)):
-            return NotImplemented
-        other = self._wrap(other)
-        if self.den == other.den:
-            return QFraction(self.num + other.num, self.den)
-        return QFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, (QFraction, QPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (QFraction, QPoly, int, Fraction)):
-            return NotImplemented
-        return self._wrap(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, (QFraction, QPoly, int, Fraction)):
-            return NotImplemented
-        other = self._wrap(other)
-        return QFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (QFraction, QPoly, int, Fraction)):
-            return NotImplemented
-        other = self._wrap(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero QFraction")
-        return QFraction(self.num * other.den, self.den * other.num)
-
-    def evaluate(self, point) -> Fraction:
-        """The value at an int or Fraction point, always a Fraction."""
-        den = self.den.evaluate(point)
-        if not den:
-            raise ZeroDivisionError(f"denominator vanishes at q={point}")
-        return Fraction(self.num.evaluate(point), den)
-
-    def __str__(self) -> str:
-        if self.den == QPoly.one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"QFraction({str(self)!r})"

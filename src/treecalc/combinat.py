@@ -76,14 +76,6 @@ def _interval(m: int) -> set[int]:
     return set(range(1, m + 1))
 
 
-def basis_keys(key_type: type, sums: dict) -> dict:
-    """{key_type(w): c} over the nonzero c of sums, whose words w are
-    tuples already: the batch check, then the keys built unchecked."""
-    words = [w for w, c in sums.items() if c]
-    key_type._check_words(words)
-    return dict(zip(key_type._unchecked(words), map(sums.__getitem__, words)))
-
-
 class _Word:
     """The word core of both basis-key types: one tuple of letters, equal
     only to a key of the same type with the same tuple, hashed by the
@@ -344,10 +336,6 @@ class BinaryTree(_Shape):
 
     def __repr__(self) -> str:
         return f"BinaryTree.from_text({self.text!r})"
-
-    @classmethod
-    def leaf_node(cls) -> "BinaryTree":
-        return cls(cls(), cls())
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryTree":

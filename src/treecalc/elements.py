@@ -115,9 +115,6 @@ class AlgebraElement:
         words = sorted(sorted(self._words), key=len)  # the order of the keys
         return list(zip(self._key_type._unchecked(words), map(self._words.__getitem__, words)))
 
-    def degrees(self) -> list[int]:
-        return sorted(set(map(len, self._words)))
-
     def homogeneous(self, degree: int) -> "AlgebraElement":
         return self._with({w: c for w, c in self._words.items() if len(w) == degree})
 

@@ -21,11 +21,11 @@ from itertools import combinations
 from math import factorial
 from operator import itemgetter
 
-from .arith import QFraction, QPoly, q_factorial
+from .arith import QPoly
 from .combinat import BinaryTree, Permutation
 from .elements import FQSymElement, bilinear, keyed
 from .errors import BasisMismatch, EmptyOperand
-from .series import TruncatedSeries
+from .series import QDividedSeries, TruncatedSeries
 
 EMPTY_PERM = Permutation(())
 
@@ -211,20 +211,16 @@ def phi(x: FQSymElement, order: int) -> TruncatedSeries:
     )
 
 
-def phi_q(x: FQSymElement, order: int) -> TruncatedSeries:
-    """The q-specialization G_s -> q^imaj(s) t^n / [n]_q!.
-
-    Coefficients are carried as explicit quotients with denominator
-    [n]_q!, compared by cross-multiplication (QPoly is not a field).
-    """
+def phi_q(x: FQSymElement, order: int) -> QDividedSeries:
+    """The q-specialization G_s -> q^imaj(s) t^n / [n]_q!, an algebra
+    homomorphism into q-series in the q-divided-power basis."""
     x.require_basis("G")
     numerators = [QPoly.zero() for _ in range(order + 1)]
     for perm, c in x.terms.items():
         n = perm.size
         if n <= order:
             numerators[n] = numerators[n] + QPoly.monomial(perm.imaj()) * c
-    coeffs = [QFraction(numerators[n], q_factorial(n)) for n in range(order + 1)]
-    return TruncatedSeries(coeffs)
+    return QDividedSeries(numerators)
 
 
 def q_shuffle_words(a: Permutation, b: Permutation) -> list[tuple[Permutation, QPoly]]:

@@ -1,14 +1,15 @@
-"""Truncated power series over generic exact rings, binomial-basis
-polynomials with their finite-difference calculus, and the engines that
-solve fixed-point equations as sums over trees.
+"""Truncated power series over generic exact rings, q-series in the
+q-divided-power basis, binomial-basis polynomials with their
+finite-difference calculus, and the engines that solve fixed-point
+equations as sums over trees.
 
 A TruncatedSeries of order N stores exactly N+1 coefficients and never
 reads beyond them; binary operations truncate to the smaller order.
-Coefficients may be int, Fraction, QPoly, AlphaPoly or QFraction; zero
-padding uses plain int 0, which every coefficient ring absorbs, and the
-padding costs no ring operation: + hands over the other side of an int 0
-slot, and * skips zero factors and writes a slot's first product as it
-is rather than adding it to 0.
+Coefficients may be int, Fraction, QPoly or AlphaPoly; zero padding uses
+plain int 0, which every coefficient ring absorbs, and the padding costs
+no ring operation: + hands over the other side of an int 0 slot, and *
+skips zero factors and writes a slot's first product as it is rather
+than adding it to 0.  A negative index or order raises ValueError.
 
 A BinomialPoly is a polynomial in the basis C(t, k); sums, products,
 the discrete integral and the forward difference all stay in that basis,
@@ -34,10 +35,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import attrgetter
+from operator import add, attrgetter, neg
 from typing import Callable, Sequence
 
-from .arith import QFraction, QPoly, _check_exact, binomial_coefficient, exact_scalar, q_integer
+from .arith import (
+    QPoly,
+    _check_exact,
+    _nonnegative,
+    binomial_coefficient,
+    exact_scalar,
+    q_binomial,
+    q_factorial,
+)
 from .combinat import PlaneTree, binary_trees, mary_trees, plane_trees
 from .errors import ValuationViolation
 
@@ -80,13 +89,13 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
         _check_exact(value)
-        return cls._unchecked((value,) + (0,) * order)
+        return cls._unchecked((value,) + (0,) * _nonnegative(order))
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncatedSeries":
         _check_exact(coefficient)
         coeffs = [0] * (order + 1)
-        if exponent <= order:
+        if _nonnegative(exponent) <= order:
             coeffs[exponent] = coefficient
         return cls(coeffs)
 
@@ -95,7 +104,7 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def coefficient(self, n: int):
-        return self.coeffs[n]
+        return self.coeffs[_nonnegative(n)]
 
     def valuation(self) -> int | None:
         for n, c in enumerate(self.coeffs):
@@ -106,7 +115,7 @@ class TruncatedSeries:
     def truncated(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot truncate upward; use with_order")
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[: _nonnegative(order) + 1])
 
     def with_order(self, order: int) -> "TruncatedSeries":
         """Truncate or zero-pad to the requested order."""
@@ -119,8 +128,7 @@ class TruncatedSeries:
 
     def __eq__(self, other) -> bool:
         # Equality as truncated objects: orders must agree.  Tuple equality
-        # compares through ==, so mixed coefficient rings (QFraction vs
-        # QPoly, int 0 vs Fraction 0) resolve correctly.
+        # compares mixed rings (int 0 vs QPoly zero) through ==.
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -128,8 +136,8 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.order)
-        # zip stops at the smaller order.  Only the int 0 is handed over: a
-        # zero QFraction adds its denominator to the printed form of a sum.
+        # zip stops at the smaller order.  Only the padding's int 0 is handed
+        # over; a ring's own zero adds as usual and keeps the slot in its ring.
         return TruncatedSeries._unchecked([
             b if type(a) is int and not a
             else a if type(b) is int and not b else a + b
@@ -229,39 +237,6 @@ def _reciprocals(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for k in range(1, n + 1))
 
 
-def q_integrate(f: TruncatedSeries) -> TruncatedSeries:
-    """The q-antiderivative: t^n maps to t^(n+1) / [n+1]_q.
-
-    Division by a q-integer has no polynomial result, so coefficients
-    come out as QFraction pairs; everything stays division-free.
-    """
-    out: list = [QFraction(0)] * (f.order + 1)
-    for n in range(f.order):
-        c = f.coeffs[n]
-        if c:
-            c = c if isinstance(c, QFraction) else QFraction(c)
-            out[n + 1] = c / q_integer(n + 1)
-    return TruncatedSeries._unchecked(out)
-
-
-def q_derivative(f: TruncatedSeries) -> TruncatedSeries:
-    """D_q f = (f(qt) - f(t)) / (qt - t), i.e. t^n maps to [n]_q t^(n-1)."""
-    if f.order == 0:
-        return TruncatedSeries._unchecked((0,))
-    out = []
-    for n in range(1, f.order + 1):
-        c = f.coeffs[n]
-        out.append(c * q_integer(n) if c else 0)
-    return TruncatedSeries._unchecked(out)
-
-
-def substitute_qt(f: TruncatedSeries) -> TruncatedSeries:
-    """f(qt): multiply the coefficient of t^n by q^n."""
-    return TruncatedSeries._unchecked(
-        [c * QPoly.monomial(n) if c else 0 for n, c in enumerate(f.coeffs)]
-    )
-
-
 def exp_series(f: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
     """exp(f) = sum f^k / k! for a series with zero constant term."""
     if f.coeffs[0]:
@@ -294,6 +269,113 @@ def binomial_series(beta, u: TruncatedSeries, order: int | None = None) -> Trunc
         power = power * u
         result = result + power * binomial_coefficient(beta, k)
     return result
+
+
+# ---------------------------------------------------------------------------
+# q-series in the q-divided-power basis t^n / [n]_q!.
+# ---------------------------------------------------------------------------
+
+
+class QDividedSeries:
+    """The series sum a_n t^n / [n]_q! known exactly up to t^order, stored
+    as its numerators a_n: exact scalars or QPolys, a float raising
+    TypeError.  Since t^i / [i]_q! times t^j / [j]_q! is
+    qbin(i+j, i) t^(i+j) / [i+j]_q!, the product is the Gaussian-binomial
+    convolution c_n = sum_i qbin(n, i) a_i b_(n-i) and divides nothing.
+
+    >>> t = QDividedSeries([0, 1, 0])
+    >>> (t * t).coeffs  # t^2 = [2]_q! t^2 / [2]_q!
+    (0, 0, QPoly('1+q'))
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
+            raise ValueError("a truncated series needs at least the constant term")
+        for c in self.coeffs:
+            if not isinstance(c, (int, Fraction, QPoly)):
+                raise TypeError(f"not an exact scalar or q-polynomial: {c!r}")
+
+    @classmethod
+    def constant(cls, value, order: int) -> "QDividedSeries":
+        return cls((value,) + (0,) * _nonnegative(order))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coefficient(self, n: int):
+        """The numerator a_n of t^n / [n]_q!."""
+        return self.coeffs[_nonnegative(n)]
+
+    def with_order(self, order: int) -> "QDividedSeries":
+        """Truncate or zero-pad to the requested order."""
+        padding = (0,) * (order - self.order)
+        return QDividedSeries(self.coeffs[: _nonnegative(order) + 1] + padding)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QDividedSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        if not isinstance(other, QDividedSeries):
+            other = QDividedSeries.constant(other, self.order)
+        return QDividedSeries(map(add, self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return QDividedSeries(map(neg, self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, QDividedSeries):
+            other = QDividedSeries.constant(other, self.order)
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (min(self.order, other.order) + 1)
+        for n in range(len(out)):
+            for i in range(n + 1):
+                if a[i] and b[n - i]:
+                    out[n] = out[n] + q_binomial(n, i) * a[i] * b[n - i]
+        return QDividedSeries(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def evaluate(self, point) -> TruncatedSeries:
+        """The series sum a_n(point) t^n / [n]_point! at an int or Fraction
+        point; a float point raises TypeError."""
+        point = exact_scalar(point)
+        values = [c.evaluate(point) if isinstance(c, QPoly) else c for c in self.coeffs]
+        return TruncatedSeries(
+            [Fraction(c) / q_factorial(n).evaluate(point) for n, c in enumerate(values)]
+        )
+
+    def __repr__(self) -> str:
+        return f"QDividedSeries({list(self.coeffs)!r})"
+
+
+def q_integrate(f: QDividedSeries) -> QDividedSeries:
+    """The q-antiderivative with zero constant term: t^n / [n]_q! maps to
+    t^(n+1) / [n+1]_q!, so each numerator moves up one slot and the top
+    one falls off the truncation."""
+    return QDividedSeries((0,) + f.coeffs[:-1])
+
+
+def q_derivative(f: QDividedSeries) -> QDividedSeries:
+    """D_q f = (f(qt) - f(t)) / (qt - t): t^n / [n]_q! maps to
+    t^(n-1) / [n-1]_q!, so each numerator moves down one slot; the result
+    is one order shorter than the input."""
+    return QDividedSeries(f.coeffs[1:] or (0,))
+
+
+def substitute_qt(f: QDividedSeries) -> QDividedSeries:
+    """f(qt): multiply the numerator of t^n by q^n."""
+    return QDividedSeries(
+        [c * QPoly.monomial(n) if c else 0 for n, c in enumerate(f.coeffs)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +631,7 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     Many shapes share a term (Postnikov's depends only on the hook
     multiset), so the terms are hash-consed: each result of op is interned
     by repr, which keeps apart terms that compare equal but print or add
-    differently (an int 0 and a zero QFraction), and op runs once per
+    differently (an int 0 and a ring's explicit zero), and op runs once per
     distinct tuple of its children's interned terms, keyed by their ids.
     Every interned term stays referenced by the tables until the call
     returns, so no id is reused meanwhile, and no table outlives the call.
@@ -558,7 +640,7 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     keeps every shape alive until the call returns.
     The sum adds count * term once per distinct term, in order of first
     appearance: the value of the tree-by-tree sum, printed alike in every
-    ring that prints canonically (QFraction, never reduced, may not be).
+    ring that prints canonically.
 
     >>> one = TruncatedSeries.constant(Fraction(1), 3)
     >>> calls = []

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from treecalc.arith import (
     AlphaPoly,
-    QFraction,
     QPoly,
     _q_integer_product,
     binomial_coefficient,
@@ -158,7 +157,6 @@ def test_poly_str_and_json():
     assert str(p) == "q^2+q^3+q^4"
     assert str(AlphaPoly((0, 1))) == "α"
     assert str(QPoly.zero()) == "0"
-    assert QPoly.from_json(p.to_json()) == p
     assert p.to_json() == ["0", "0", "1", "1", "1"]
 
 
@@ -176,24 +174,6 @@ def test_generalized_binomial():
     assert binomial_coefficient(Fraction(5), 2) == Fraction(10)
     two = binomial_coefficient(alpha, 2)
     assert two == AlphaPoly((0, Fraction(-1, 2), Fraction(1, 2)))
-
-
-def test_qfraction_cross_multiplied_equality():
-    half = QFraction(QPoly.one(), q_integer(2))
-    assert half == QFraction(q_integer(2), q_integer(2) * q_integer(2))
-    assert half + half * QPoly.gen() == 1  # (1+q)/[2]_q
-    assert QFraction(QPoly.zero(), q_integer(3)) == 0
-
-
-def test_qfraction_arithmetic():
-    q = QPoly.gen()
-    x = QFraction(q, q_factorial(2))
-    assert x * q_factorial(2) == q
-    assert (x + x) / 2 == x
-    assert x - x == 0
-    assert x.evaluate(Fraction(1)) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        QFraction(QPoly.one(), QPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +302,11 @@ def test_poly_evaluate_rejects_float_point():
     assert QPoly((1, 2)).evaluate(Fraction(1, 2)) == 2
 
 
-def test_qfraction_evaluate_returns_fraction_at_int_point():
-    value = QFraction(QPoly((1, 1)), QPoly((2,))).evaluate(1)
-    assert value == 1
-    assert type(value) is Fraction
-    value = QFraction(QPoly.one(), q_integer(2)).evaluate(1)
-    assert value == Fraction(1, 2)
-    assert type(value) is Fraction
-    with pytest.raises(TypeError):
-        QFraction(QPoly.one(), q_integer(2)).evaluate(0.5)
+def test_poly_truncated_refuses_a_negative_degree():
+    # a negative degree would slice from the far end: 1+2q at -2
+    assert QPoly((1, 2, 3)).truncated(1) == QPoly((1, 2))
+    with pytest.raises(ValueError):
+        QPoly((1, 2, 3)).truncated(-2)
 
 
 def test_q_factorial_and_binomial_need_no_recursion_on_n():

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from treecalc import fqsym, wqsym
 from treecalc.arith import QPoly
-from treecalc.combinat import PackedWord, Permutation, basis_keys, packed_words, permutations
-from treecalc.elements import FQSymElement, WQSymElement
+from treecalc.combinat import PackedWord, Permutation, packed_words, permutations
+from treecalc.elements import FQSymElement, WQSymElement, keyed
 from treecalc.errors import EmptyOperand
 
 PERMS = [p for n in range(4) for p in permutations(n)]
@@ -202,10 +202,11 @@ def test_kernel_keys_equal_public_keys(x, y, v, w, middle):
     "key_type, bad", [(Permutation, (1, 1)), (Permutation, (2, 3)), (PackedWord, (1, 3))]
 )
 def test_bulk_keys_raise_the_public_error(key_type, bad):
+    like = FQSymElement() if key_type is Permutation else WQSymElement()
     with pytest.raises(ValueError) as public:
         key_type(bad)
     with pytest.raises(ValueError) as bulk:
-        basis_keys(key_type, {(1,): 1, bad: 2})
+        keyed(like, {(1,): 1, bad: 2})
     assert str(bulk.value) == str(public.value)
-    # a word whose sum cancelled builds no key
-    assert basis_keys(key_type, {(1,): 1, bad: 0}) == {key_type((1,)): 1}
+    # a word whose sum cancelled is never checked and builds no key
+    assert keyed(like, {(1,): 1, bad: 0}).terms == {key_type((1,)): 1}

@@ -460,15 +460,15 @@ def test_empty_shapes_are_pairwise_unequal():
 
 def test_mary_tree_of_arity_one_is_not_a_binary_tree():
     mary = MAryTree.from_text(1, "(__)")
-    assert mary != BinaryTree.leaf_node()
-    assert BinaryTree.leaf_node() != mary
+    assert mary != BinaryTree(BinaryTree(), BinaryTree())
+    assert BinaryTree(BinaryTree(), BinaryTree()) != mary
     list(binary_trees(2))  # the binary shapes of size 2 are cached first
     assert [type(t) for t in mary_trees(1, 2)] == [MAryTree, MAryTree]
 
 
 def test_equal_shapes_hash_equal():
     pairs = [
-        (BinaryTree.leaf_node(), BinaryTree.from_text("(_,_)")),
+        (BinaryTree(BinaryTree(), BinaryTree()), BinaryTree.from_text("(_,_)")),
         (MAryTree(2, [MAryTree(2)] * 3), MAryTree.from_text(2, "(___)")),
         (PlaneTree([PlaneTree(), PlaneTree()]), PlaneTree.from_text("(**)")),
     ]

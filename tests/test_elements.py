@@ -145,7 +145,6 @@ def agree(kernel, public):
     assert kernel.to_json() == public.to_json()
     assert kernel.support() == public.support()
     assert kernel.sorted_terms() == public.sorted_terms()
-    assert kernel.degrees() == public.degrees()
     assert len(kernel) == len(public) and bool(kernel) == bool(public)
 
 

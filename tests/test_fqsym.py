@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from treecalc.arith import QFraction, QPoly, q_binomial, q_factorial
+from treecalc.arith import QPoly, q_binomial
 from treecalc.combinat import (
     BinaryTree,
     Permutation,
@@ -35,6 +35,7 @@ from treecalc.fqsym import (
     tree_term,
     unit,
 )
+from treecalc.identities import qhook_imaj
 from treecalc.series import TruncatedSeries
 
 
@@ -281,8 +282,9 @@ def test_phi_is_multiplicative():
 
 
 def test_phi_q_example():
+    # G_21 -> q t^2 / [2]_q!: the numerator is q^imaj(21) = q
     series = phi_q(g_basis(perm(2, 1)), 2)
-    assert series.coefficient(2) == QFraction(QPoly.monomial(1), q_factorial(2))
+    assert series.coefficient(2) == QPoly.monomial(1)
     assert series.coefficient(1) == 0
 
 
@@ -319,12 +321,17 @@ def test_phi_q_of_lift_is_q_integral():
 
 def test_phi_q_at_one_is_phi():
     element = all_perms_element(3) + all_perms_element(2)
-    q_series = phi_q(element, 4)
-    plain = phi(element, 4)
-    for n in range(5):
-        c = q_series.coefficient(n)
-        value = c.evaluate(Fraction(1)) if isinstance(c, QFraction) else c
-        assert value == plain.coefficient(n)
+    assert phi_q(element, 4).evaluate(1) == phi(element, 4)
+
+
+def test_phi_q_of_tree_term_is_the_q_hook():
+    # the paper's route to the q-hook formula: the q-specialization of a
+    # tree's fiber has numerator qhook_imaj at t^n
+    for n in range(1, 8):
+        for tree in binary_trees(n):
+            series = phi_q(tree_term(tree), n)
+            assert series.coefficient(n) == qhook_imaj(tree)
+            assert all(series.coefficient(k) == 0 for k in range(n))
 
 
 # ---------------------------------------------------------------------------

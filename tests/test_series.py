@@ -7,11 +7,12 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecalc.arith import AlphaPoly, QFraction, QPoly, q_integer
+from treecalc.arith import AlphaPoly, QPoly, q_factorial
 from treecalc.combinat import binary_trees, hook_data, mary_trees, plane_trees
 from treecalc.errors import ValuationViolation
 from treecalc.series import (
     BinomialPoly,
+    QDividedSeries,
     TruncatedSeries,
     binomial_series,
     binomial_to_monomial,
@@ -66,6 +67,27 @@ def test_series_arithmetic():
     assert series(0, 0).valuation() is None
 
 
+NEGATIVE_INDEX_CALLS = {
+    "monomial": lambda: TruncatedSeries.monomial(-1, 3),
+    "coefficient": lambda: TruncatedSeries([1, 2, 3]).coefficient(-1),
+    "truncated": lambda: TruncatedSeries([1, 2, 3]).truncated(-2),
+    "with_order": lambda: TruncatedSeries([1, 2, 3]).with_order(-2),
+    "constant": lambda: TruncatedSeries.constant(1, -1),
+    "picard_binary": lambda: picard_binary(inverse_linear, series(1, 0, 0), -2),
+    "q-divided coefficient": lambda: QDividedSeries([1, 2, 3]).coefficient(-1),
+    "q-divided with_order": lambda: QDividedSeries([1, 2, 3]).with_order(-2),
+    "q-divided constant": lambda: QDividedSeries.constant(1, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_INDEX_CALLS))
+def test_a_negative_index_or_order_raises(name):
+    # each would read from the far end: monomial(-1, 3) was t^3, and
+    # truncated(-2) an order-1 series
+    with pytest.raises(ValueError):
+        NEGATIVE_INDEX_CALLS[name]()
+
+
 # ---------------------------------------------------------------------------
 # the integral operators
 # ---------------------------------------------------------------------------
@@ -89,31 +111,26 @@ def test_integrate_nested_tree_values():
 
 
 def test_q_integrate_examples():
-    f = q_integrate(TruncatedSeries([1, 0, 0]))
-    assert f.coefficient(1) == QFraction(QPoly.one(), q_integer(1))
-    assert f.coefficient(1) == 1
-    g = q_integrate(TruncatedSeries([0, 1, 0]))
-    assert g.coefficient(2) == QFraction(QPoly.one(), q_integer(2))
+    # numerators of t^n / [n]_q!: the q-integral moves each up one slot
+    f = q_integrate(QDividedSeries([1, 0, 0]))
+    assert f == QDividedSeries([0, 1, 0])
+    g = q_integrate(QDividedSeries([0, 1, 0]))  # t^2 / [2]_q
+    assert g.coefficient(2) == 1
 
 
 def test_q_derivative_examples():
-    f = TruncatedSeries([0, 0, 1])  # t^2
-    assert q_derivative(f) == TruncatedSeries([0, QPoly((1, 1))])
-    assert q_derivative(TruncatedSeries([5])) == TruncatedSeries([0])
+    f = QDividedSeries([0, 0, QPoly((1, 1))])  # t^2 = [2]_q! t^2 / [2]_q!
+    assert q_derivative(f) == QDividedSeries([0, QPoly((1, 1))])  # [2]_q t
+    assert q_derivative(QDividedSeries([5])) == QDividedSeries([0])
 
 
 def test_q_derivative_at_one_is_derivative():
-    f = series(3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5)
-    dq = q_derivative(f)
-    plain = derivative(f)
-    for n in range(dq.order + 1):
-        c = dq.coefficient(n)
-        value = c.evaluate(Fraction(1)) if isinstance(c, QPoly) else Fraction(c)
-        assert value == plain.coefficient(n)
+    X = QDividedSeries([3, 1, QPoly((4, 1)), 1, 5, QPoly((0, 9)), 2, 6, 5, 3, 5])
+    assert q_derivative(X).evaluate(1) == derivative(X.evaluate(1))
 
 
 def test_substitute_qt():
-    f = TruncatedSeries([1, 1, 1])
+    f = QDividedSeries([1, 1, 1])
     g = substitute_qt(f)
     assert g.coefficient(0) == 1
     assert g.coefficient(1) == QPoly.gen()
@@ -122,18 +139,55 @@ def test_substitute_qt():
 
 def test_q_functional_equation():
     # x = 1 + B_q(x, x) with B_q(f, g) = q-integral of f(s) g(qs); the
-    # solution projects to sum t^n, and D_q x = x(t) x(qt)
-    order = 6
+    # solution's numerators are [n]_q!, so it projects to sum t^n, and
+    # D_q x = x(t) x(qt)
+    order = 10
 
     def b_q(f, g):
         return q_integrate(f * substitute_qt(g))
 
-    one = TruncatedSeries.constant(1, order)
+    one = QDividedSeries.constant(1, order)
     x = picard_binary(b_q, one, order)
-    assert x == TruncatedSeries([1] * (order + 1))
+    assert x == QDividedSeries([q_factorial(n) for n in range(order + 1)])
+    assert x.evaluate(2) == TruncatedSeries([1] * (order + 1))
     lhs = q_derivative(x)
-    rhs = (x * substitute_qt(x)).truncated(order - 1)
+    rhs = (x * substitute_qt(x)).with_order(order - 1)
     assert lhs == rhs
+
+
+q_numerators = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=3).map(QPoly),
+)
+
+
+@st.composite
+def q_divided_pairs(draw):
+    def one_series():
+        order = draw(st.integers(min_value=0, max_value=5))
+        return QDividedSeries(draw(st.lists(q_numerators, min_size=order + 1, max_size=order + 1)))
+
+    return one_series(), one_series(), draw(q_numerators)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_divided_pairs())
+def test_q_divided_series_evaluates_as_a_ring_homomorphism(case):
+    x, y, scalar = case
+    for q in (2, 3):
+        at = lambda s: s.evaluate(q)
+        c = scalar.evaluate(q) if isinstance(scalar, QPoly) else scalar
+        assert at(x + y) == at(x) + at(y)
+        assert at(x - y) == at(x) - at(y)
+        assert at(x * y) == at(x) * at(y)
+        assert at(x * scalar) == at(x) * c == at(scalar * x)
+    with pytest.raises(TypeError):
+        QDividedSeries(list(x.coeffs) + [0.5])
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(TypeError):
+        x.evaluate(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +490,7 @@ def dense_sub(x, y):
 
 def dense_mul(x, y):
     # a product with a zero factor is zero in every ring and is left out,
-    # so that a zero QFraction does not lend its denominator to a slot
+    # as the kernel leaves it out
     n = min(x.order, y.order)
     out = [0] * (n + 1)
     for i in range(n + 1):
@@ -468,18 +522,6 @@ def test_kernel_matches_dense_reference(case):
     assert_same(x * scalar, TruncatedSeries([c * scalar for c in x.coeffs]))
     assert_same(scalar * x, TruncatedSeries([scalar * c for c in x.coeffs]))
     assert_same(integrate(x), dense_integrate(x))
-
-
-def test_kernel_keeps_qfraction_zeros():
-    # q_integrate pads with QFraction(0); a zero QFraction over [3]_q, as
-    # the q-specialization of FQSym makes, prints unreduced once added to
-    # a QPoly, and the kernel keeps that form
-    f = TruncatedSeries([QPoly((1, 2)), 0, QPoly((0, 1)), 0])
-    g = TruncatedSeries([0, QPoly((3,)), QFraction(0, q_integer(3)), QPoly((1, 1))])
-    for x, y in ((q_integrate(f), f), (f, q_integrate(f)), (g, f), (f, g)):
-        assert_same(x + y, dense_add(x, y))
-        assert_same(x - y, dense_sub(x, y))
-        assert_same(x * y, dense_mul(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +661,33 @@ def test_memoized_engine_matches_per_tree_reference(case, order):
     assert repr(expansion.total) == repr(total)
 
 
+class Marked(Fraction):
+    """A rational that prints with a mark and marks every sum or product
+    it enters: its zero is falsy and equals 0 like the int 0, but unlike
+    the int 0 it is not handed over by +."""
+
+    def __add__(self, other):
+        return Marked(Fraction(self) + other)
+
+    def __mul__(self, other):
+        return Marked(Fraction(self) * other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __str__(self):
+        return f"{Fraction.__str__(self)}'"
+
+    def __repr__(self):
+        return f"Marked({self})"
+
+
 def test_memo_keeps_apart_terms_that_print_alike():
-    # P and R compare equal and print alike, but P's zero is a QFraction
-    # over [3]_q: P + t prints ((1+q+q^2)/(1+q+q^2))*t^1 where R + t prints
-    # (1)*t^1.  A memo keyed by str or == would hand R's sums to P's parents.
-    a = TruncatedSeries([0, QFraction(1)])
-    P = TruncatedSeries([QFraction(1), QFraction(0, q_integer(3))])
-    R = TruncatedSeries([QFraction(1), 0])
+    # P and R compare equal and print alike, but P's zero is a Marked 0:
+    # P + t prints (1')*t^1 where R + t prints (1)*t^1.  A memo keyed by
+    # str or == would hand R's sums to P's parents.
+    a = TruncatedSeries([0, 1])
+    P = TruncatedSeries([1, Marked(0)])
+    R = TruncatedSeries([1, 0])
     assert P == R and str(P) == str(R) and str(P + a) != str(R + a)
 
     def family(k):
@@ -640,7 +702,7 @@ def test_memo_keeps_apart_terms_that_print_alike():
     apply = lambda *xs: family(len(xs))(*xs)
     terms, total, _ = per_tree_reference(apply, a, order, plane_trees, attrgetter("children"))
     assert printed_terms(expansion.terms) == printed_terms(terms)
-    assert "((***)*): 1 + ((1+q+q^2)/(1+q+q^2))*t^1 + O(t^2)" in [
+    assert "((***)*): 1 + (1')*t^1 + O(t^2)" in [
         f"{tree.text}: {term}" for tree, term in expansion.terms
     ]
     assert str(expansion.total) == str(total)
