@@ -497,7 +497,7 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
         raise SizeGuardError(f"lagrange check needs order <= {LAGRANGE_ORDER_GUARD}")
     start = time.perf_counter()
     f = lagrange_series(m, order)
-    rhs = binomial_series(ALPHA, (f**m).times_t(), order)
+    rhs = binomial_series(ALPHA, (f**m).times_t())
     operator = lagrange_operator(m)
     picard = picard_mary(operator, m, order)
     tree_order = min(order, MARY_EXPANSION_ORDER[m])

@@ -3,13 +3,18 @@ q-divided-power basis, binomial-basis polynomials with their
 finite-difference calculus, and the engines that solve fixed-point
 equations as sums over trees.
 
-A TruncatedSeries of order N stores exactly N+1 coefficients and never
-reads beyond them; binary operations truncate to the smaller order.
-Coefficients may be int, Fraction, QPoly or AlphaPoly; zero padding uses
-plain int 0, which every coefficient ring absorbs, and the padding costs
-no ring operation: + hands over the other side of an int 0 slot, and *
-skips zero factors and writes a slot's first product as it is rather
-than adding it to 0.  A negative index or order raises ValueError.
+Both series bases, the monomial TruncatedSeries and QDividedSeries,
+share one container: a series of order N stores exactly N+1
+coefficients and never reads beyond them, and binary operations truncate
+to the smaller order.  Mixing follows Poly._coerce: a scalar becomes a
+constant series, a series of the other basis raises TypeError in +, -
+and * in either operand order, and == between the two bases is False.
+TruncatedSeries coefficients may be int, Fraction, QPoly or AlphaPoly;
+zero padding uses plain int 0, which every coefficient ring absorbs, and
+the padding costs no ring operation: + hands over the other side of an
+int 0 slot, and * skips zero factors and writes a slot's first product
+as it is rather than adding it to 0.  A negative index or order raises
+ValueError.
 
 A BinomialPoly is a polynomial in the basis C(t, k); sums, products,
 the discrete integral and the forward difference all stay in that basis,
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add, attrgetter, neg
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .arith import (
@@ -51,16 +56,10 @@ from .combinat import PlaneTree, binary_trees, mary_trees, plane_trees
 from .errors import ValuationViolation
 
 
-class TruncatedSeries:
-    """Power series in t known exactly up to and including t^order.
-
-    The product of two monomials does one ring operation; the other slots
-    stay the int 0:
-
-    >>> x = TruncatedSeries.monomial(1, 3, Fraction(1, 2))
-    >>> (x * TruncatedSeries.monomial(2, 3, 3)).coeffs
-    (0, 0, 0, Fraction(3, 2))
-    """
+class _Series:
+    """The container both series bases share, coefficients known exactly
+    up to and including t^order; each basis adds its exactness rule
+    (_check), its series-by-series product and its own operations."""
 
     __slots__ = ("coeffs",)
 
@@ -68,16 +67,11 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        # One C-speed pass collects the coefficient types, and each
-        # distinct type is tested once: a float or complex raises TypeError.
-        for kind in set(map(type, coeffs)):
-            if issubclass(kind, (float, complex)):
-                for c in coeffs:
-                    _check_exact(c)
+        self._check(coeffs)
         self.coeffs = coeffs
 
     @classmethod
-    def _unchecked(cls, coeffs: Sequence) -> "TruncatedSeries":
+    def _unchecked(cls, coeffs: Sequence):
         """The series on at least one coefficient that is exact already,
         with no scan: the series operations build their results from
         checked series and checked scalars through it, while outside
@@ -87,17 +81,16 @@ class TruncatedSeries:
         return series
 
     @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
-        _check_exact(value)
-        return cls._unchecked((value,) + (0,) * _nonnegative(order))
+    def _scalar(cls, value):
+        """value, checked as a scalar of this basis."""
+        if isinstance(value, _Series):
+            raise TypeError(f"cannot mix {cls.__name__} with {type(value).__name__}")
+        cls._check((value,))
+        return value
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncatedSeries":
-        _check_exact(coefficient)
-        coeffs = [0] * (order + 1)
-        if _nonnegative(exponent) <= order:
-            coeffs[exponent] = coefficient
-        return cls(coeffs)
+    def constant(cls, value, order: int):
+        return cls._unchecked((cls._scalar(value),) + (0,) * _nonnegative(order))
 
     @property
     def order(self) -> int:
@@ -112,33 +105,33 @@ class TruncatedSeries:
                 return n
         return None
 
-    def truncated(self, order: int) -> "TruncatedSeries":
+    def truncated(self, order: int):
         if order > self.order:
             raise ValueError("cannot truncate upward; use with_order")
-        return TruncatedSeries(self.coeffs[: _nonnegative(order) + 1])
+        return self._unchecked(self.coeffs[: _nonnegative(order) + 1])
 
-    def with_order(self, order: int) -> "TruncatedSeries":
+    def with_order(self, order: int):
         """Truncate or zero-pad to the requested order."""
         if order <= self.order:
             return self.truncated(order)
-        return TruncatedSeries(self.coeffs + (0,) * (order - self.order))
+        return self._unchecked(self.coeffs + (0,) * (order - self.order))
 
     def __bool__(self) -> bool:
-        return any(bool(c) for c in self.coeffs)
+        return any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         # Equality as truncated objects: orders must agree.  Tuple equality
         # compares mixed rings (int 0 vs QPoly zero) through ==.
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, _Series):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order)
+        if type(other) is not type(self):
+            other = self.constant(other, self.order)
         # zip stops at the smaller order.  Only the padding's int 0 is handed
         # over; a ring's own zero adds as usual and keeps the slot in its ring.
-        return TruncatedSeries._unchecked([
+        return self._unchecked([
             b if type(a) is int and not a
             else a if type(b) is int and not b else a + b
             for a, b in zip(self.coeffs, other.coeffs)
@@ -147,20 +140,69 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._unchecked([-c for c in self.coeffs])
+        return self._unchecked([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.order)
         return self + (-other)
 
     def __rsub__(self, other):
-        return TruncatedSeries.constant(other, self.order) + (-self)
+        return -self + other
 
+    def _scaled(self, scalar):
+        """Multiply slot by slot by a scalar; zero slots stay the int 0."""
+        scalar = self._scalar(scalar)
+        return self._unchecked([c * scalar if c else 0 for c in self.coeffs])
+
+    def _shifted(self):
+        """Move each coefficient up one slot; the top one falls off the
+        truncation."""
+        return self._unchecked((0,) + self.coeffs[:-1])
+
+    def map_coefficients(self, fn: Callable):
+        return type(self)([fn(c) for c in self.coeffs])
+
+    def to_json(self) -> list[str]:
+        return [str(c) for c in self.coeffs]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+
+class TruncatedSeries(_Series):
+    """Power series in t known exactly up to and including t^order.
+
+    The product of two monomials does one ring operation; the other slots
+    stay the int 0:
+
+    >>> x = TruncatedSeries.monomial(1, 3, Fraction(1, 2))
+    >>> (x * TruncatedSeries.monomial(2, 3, 3)).coeffs
+    (0, 0, 0, Fraction(3, 2))
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(coeffs: tuple) -> None:
+        # One C-speed pass collects the coefficient types, and each
+        # distinct type is tested once: a float or complex raises TypeError.
+        for kind in set(map(type, coeffs)):
+            if issubclass(kind, (float, complex)):
+                for c in coeffs:
+                    _check_exact(c)
+
+    @classmethod
+    def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncatedSeries":
+        _check_exact(coefficient)
+        coeffs = [0] * (order + 1)
+        if _nonnegative(exponent) <= order:
+            coeffs[exponent] = coefficient
+        return cls(coeffs)
+
+    # __mul__ stays in this class body: bench/tracing.py wraps it through
+    # the class __dict__.
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            _check_exact(other)
-            return TruncatedSeries._unchecked([c * other if c else 0 for c in self.coeffs])
+            return self._scaled(other)
         n = min(self.order, other.order)
         nonzero = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
         out = [0] * (n + 1)
@@ -187,13 +229,7 @@ class TruncatedSeries:
 
     def times_t(self) -> "TruncatedSeries":
         """Multiply by t; the top coefficient falls off the truncation."""
-        return TruncatedSeries._unchecked((0,) + self.coeffs[:-1])
-
-    def map_coefficients(self, fn: Callable) -> "TruncatedSeries":
-        return TruncatedSeries([fn(c) for c in self.coeffs])
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return self._shifted()
 
     def __str__(self) -> str:
         parts = []
@@ -204,9 +240,6 @@ class TruncatedSeries:
             parts.append(term)
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
@@ -237,35 +270,30 @@ def _reciprocals(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for k in range(1, n + 1))
 
 
-def exp_series(f: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """exp(f) = sum f^k / k! for a series with zero constant term."""
+def exp_series(f: TruncatedSeries) -> TruncatedSeries:
+    """exp(f) = sum f^k / k! to f's order, for f with zero constant term."""
     if f.coeffs[0]:
         raise ValueError("exp_series needs a zero constant term")
-    if order is None:
-        order = f.order
-    f = f.with_order(order)
-    result = TruncatedSeries.constant(Fraction(1), order)
-    term = TruncatedSeries.constant(Fraction(1), order)
-    for k in range(1, order + 1):
+    result = TruncatedSeries.constant(Fraction(1), f.order)
+    term = TruncatedSeries.constant(Fraction(1), f.order)
+    for k in range(1, f.order + 1):
         term = term * f * Fraction(1, k)
         result = result + term
     return result
 
 
-def binomial_series(beta, u: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """(1 + u)^beta = sum_k C(beta, k) u^k for u with zero constant term.
+def binomial_series(beta, u: TruncatedSeries) -> TruncatedSeries:
+    """(1 + u)^beta = sum_k C(beta, k) u^k for u with zero constant term,
+    to u's own order.
 
     beta may be a Fraction or a linear AlphaPoly; the generalized binomial
     coefficients C(beta, k) then live in the same ring.
     """
     if u.coeffs[0]:
         raise ValueError("binomial_series needs u with zero constant term")
-    if order is None:
-        order = u.order
-    u = u.with_order(order)
-    result = TruncatedSeries.constant(1, order)
-    power = TruncatedSeries.constant(1, order)
-    for k in range(1, order + 1):
+    result = TruncatedSeries.constant(1, u.order)
+    power = TruncatedSeries.constant(1, u.order)
+    for k in range(1, u.order + 1):
         power = power * u
         result = result + power * binomial_coefficient(beta, k)
     return result
@@ -276,7 +304,7 @@ def binomial_series(beta, u: TruncatedSeries, order: int | None = None) -> Trunc
 # ---------------------------------------------------------------------------
 
 
-class QDividedSeries:
+class QDividedSeries(_Series):
     """The series sum a_n t^n / [n]_q! known exactly up to t^order, stored
     as its numerators a_n: exact scalars or QPolys, a float raising
     TypeError.  Since t^i / [i]_q! times t^j / [j]_q! is
@@ -288,61 +316,26 @@ class QDividedSeries:
     (0, 0, QPoly('1+q'))
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
-        for c in self.coeffs:
+    @staticmethod
+    def _check(coeffs: tuple) -> None:
+        for c in coeffs:
             if not isinstance(c, (int, Fraction, QPoly)):
                 raise TypeError(f"not an exact scalar or q-polynomial: {c!r}")
 
-    @classmethod
-    def constant(cls, value, order: int) -> "QDividedSeries":
-        return cls((value,) + (0,) * _nonnegative(order))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int):
-        """The numerator a_n of t^n / [n]_q!."""
-        return self.coeffs[_nonnegative(n)]
-
-    def with_order(self, order: int) -> "QDividedSeries":
-        """Truncate or zero-pad to the requested order."""
-        padding = (0,) * (order - self.order)
-        return QDividedSeries(self.coeffs[: _nonnegative(order) + 1] + padding)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QDividedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, QDividedSeries):
-            other = QDividedSeries.constant(other, self.order)
-        return QDividedSeries(map(add, self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return QDividedSeries(map(neg, self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, QDividedSeries):
-            other = QDividedSeries.constant(other, self.order)
+            return self._scaled(other)
         a, b = self.coeffs, other.coeffs
         out = [0] * (min(self.order, other.order) + 1)
         for n in range(len(out)):
             for i in range(n + 1):
                 if a[i] and b[n - i]:
                     out[n] = out[n] + q_binomial(n, i) * a[i] * b[n - i]
-        return QDividedSeries(out)
+        return QDividedSeries._unchecked(out)
 
-    __radd__, __rmul__ = __add__, __mul__
+    __rmul__ = __mul__
 
     def evaluate(self, point) -> TruncatedSeries:
         """The series sum a_n(point) t^n / [n]_point! at an int or Fraction
@@ -353,22 +346,19 @@ class QDividedSeries:
             [Fraction(c) / q_factorial(n).evaluate(point) for n, c in enumerate(values)]
         )
 
-    def __repr__(self) -> str:
-        return f"QDividedSeries({list(self.coeffs)!r})"
-
 
 def q_integrate(f: QDividedSeries) -> QDividedSeries:
     """The q-antiderivative with zero constant term: t^n / [n]_q! maps to
     t^(n+1) / [n+1]_q!, so each numerator moves up one slot and the top
     one falls off the truncation."""
-    return QDividedSeries((0,) + f.coeffs[:-1])
+    return f._shifted()
 
 
 def q_derivative(f: QDividedSeries) -> QDividedSeries:
     """D_q f = (f(qt) - f(t)) / (qt - t): t^n / [n]_q! maps to
     t^(n-1) / [n-1]_q!, so each numerator moves down one slot; the result
     is one order shorter than the input."""
-    return QDividedSeries(f.coeffs[1:] or (0,))
+    return QDividedSeries._unchecked(f.coeffs[1:] or (0,))
 
 
 def substitute_qt(f: QDividedSeries) -> QDividedSeries:

@@ -679,7 +679,7 @@ def test_failing_check_output_is_golden(capsys, monkeypatch):
     binomial_series = identities.binomial_series
     monkeypatch.setattr(
         identities, "binomial_series",
-        lambda beta, u, order: binomial_series(beta, u, order) + TruncatedSeries.monomial(1, order),
+        lambda beta, u: binomial_series(beta, u) + TruncatedSeries.monomial(1, u.order),
     )
     for fmt, digest in FAILURE_GOLDEN.items():
         code, out = run(capsys, "--format", fmt, "identity", "lagrange", "--m", "2", "--order", "4")

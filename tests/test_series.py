@@ -2,7 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from math import factorial
-from operator import attrgetter
+from operator import add, attrgetter, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +86,37 @@ def test_a_negative_index_or_order_raises(name):
     # truncated(-2) an order-1 series
     with pytest.raises(ValueError):
         NEGATIVE_INDEX_CALLS[name]()
+
+
+def test_the_two_bases_do_not_mix():
+    # as Poly._coerce has it for QPoly and AlphaPoly; a sum, difference or
+    # product of the two bases was a TruncatedSeries of QDividedSeries
+    t, q = TruncatedSeries([1, 2]), QDividedSeries([1, 2])
+    for combine in (add, sub, mul):
+        for left, right in ((t, q), (q, t)):
+            with pytest.raises(TypeError):
+                combine(left, right)
+    assert not t == q and not q == t
+
+
+def test_q_divided_series_has_the_container_operations():
+    assert not QDividedSeries([0, 0])
+    assert QDividedSeries([0, QPoly((0, 1))])
+    assert QDividedSeries([0, 0, 1]).valuation() == 2
+    x = QDividedSeries([3, QPoly((1, 1)), Fraction(1, 2)])
+    assert 1 - x == -(x - 1)
+    assert 2 * x == x * 2 == x + x
+
+
+def test_one_container_holds_the_shared_operations():
+    # bench/tracing.py wraps TruncatedSeries.__mul__ through the class
+    # __dict__, which lacks an inherited method
+    assert "__mul__" in TruncatedSeries.__dict__
+    shared = {"constant", "order", "coefficient", "valuation", "truncated", "with_order",
+              "__bool__", "__eq__", "__add__", "__neg__", "__sub__", "__rsub__",
+              "map_coefficients", "to_json", "__repr__"}
+    for cls in (TruncatedSeries, QDividedSeries):
+        assert not shared & set(cls.__dict__)
 
 
 # ---------------------------------------------------------------------------
