@@ -17,10 +17,11 @@ normalizing just the slots it touched and stripping zeros from the top,
 and negation, integer monomials and products of q-integers are canonical
 as built, so none of them scans its result again.  The public ``Poly``
 constructor is the one that checks: it brings outside coefficients to
-canonical form and refuses floats.
+canonical form and refuses anything else.
 
-Floats are rejected, not converted: a float coefficient or scalar
-operand, or a float point given to ``Poly.evaluate``, raises TypeError.
+``_EXACT`` states once what is exact: int, Fraction and the polynomials,
+subclasses included.  Anything else, a float of any kind, a Decimal or a
+numpy integer, raises TypeError and is never converted.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -58,13 +59,6 @@ def exact_scalar(value) -> Scalar:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"not a rational scalar: {value!r}")
-
-
-def _check_exact(value) -> None:
-    """Raise TypeError on a float or complex value: how the containers over
-    any exact ring (series, BinomialPoly, algebra elements) keep floats out."""
-    if isinstance(value, (float, complex)):
-        raise TypeError(f"not an exact value: {value!r}")
 
 
 def _nonnegative(n: int) -> int:
@@ -291,6 +285,18 @@ class AlphaPoly(Poly):
 
     __slots__ = ()
     variable = "α"
+
+
+# The exact types, stated once; subclasses (bool among them) count.
+_EXACT = (int, Fraction, Poly)
+
+
+def _check_exact(value, ring: tuple = _EXACT):
+    """value, or TypeError unless it is in ring (by default every exact
+    type): how series, BinomialPoly and the elements keep inexact values out."""
+    if not isinstance(value, ring):
+        raise TypeError(f"not an exact value: {value!r}")
+    return value
 
 
 def q_integer(n: int) -> QPoly:

@@ -141,7 +141,7 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
 
     if args.oracle:
         refuse_large(f"oracle over S_{n}", n, config.max_degree, config.unsafe_large, "max degree")
-        oracle_value = identities.hook_oracle(tree, statistic)
+        oracle_value = identities.hook_oracle(tree, statistic, unsafe_large=config.unsafe_large)
         match = oracle_value == value
         payload["oracle"] = {"value": str(oracle_value), "match": match}
         lines.append(f"oracle: {oracle_value} ({'match' if match else 'MISMATCH'})")

@@ -3,10 +3,11 @@
 One representation serves both algebras: a dict from the letter tuple of
 each basis word to a nonzero coefficient, graded by word length; the
 element class alone fixes the key type the tuples stand for (Permutation
-or PackedWord).  Coefficients live in any commutative exact ring with +,
--, * and == (int, Fraction, QPoly, ...), never a float (TypeError); zero
-coefficients are never stored, so canonical form is automatic.  Elements
-are immutable by convention and all operations return fresh values.
+or PackedWord).  Coefficients are exact, from arith's allowlist: the
+constructor, scalar * and map_coefficients raise TypeError on anything
+else.  Zero coefficients are never stored, so canonical form is
+automatic.  Elements are immutable by convention and all operations
+return fresh values.
 
 Products are bilinear lifts of maps on letter tuples, which hash and
 compare at C speed: ``bilinear`` sums coefficients on tuples, and
@@ -122,7 +123,7 @@ class AlgebraElement:
         return self._with({w: c for w, c in self._words.items() if len(w) <= max_degree})
 
     def map_coefficients(self, fn: Callable) -> "AlgebraElement":
-        return self._with({w: fn(c) for w, c in self._words.items()})
+        return self._with({w: _check_exact(fn(c)) for w, c in self._words.items()})
 
     def __bool__(self) -> bool:
         return bool(self._words)

@@ -171,13 +171,13 @@ HOOK_STATISTICS = {
 }
 
 
-def hook_oracle(tree: BinaryTree, statistic: str):
+def hook_oracle(tree: BinaryTree, statistic: str, *, unsafe_large: bool = False):
     """Brute-force side of the hook formulas: the size of the fiber of the
     decreasing-tree map over the shape (statistic "none"), or the sum of
     q^imaj or q^inv over it; any other statistic raises KeyError.  It
-    enumerates all of S_n unguarded; the caller bounds n."""
+    enumerates all of S_n, under the permutations guard unless unsafe_large."""
     _, stat = HOOK_STATISTICS[statistic]
-    fiber = hook_fiber(tree, unsafe_large=True)
+    fiber = hook_fiber(tree, unsafe_large=unsafe_large)
     if stat is None:
         return Fraction(len(fiber))
     return sum((QPoly.monomial(stat(p)) for p in fiber), QPoly.zero())
@@ -293,23 +293,23 @@ def _per_tree(expansion: TreeExpansion, order: int, closed) -> tuple[bool, list]
     multiset, and a term is compared with it once per distinct (term
     object, multiset) pair: the engine shares equal terms between trees,
     so each tree is still checked against its own multiset's form.
-    Returns whether all terms match, and each tree's closed form in the
-    expansion's order."""
-    forms: dict = {}  # hooks -> (closed value, expected term)
+    Returns whether all terms match, and each tree's closed form, printed,
+    in the expansion's order."""
+    forms: dict = {}  # hooks -> (printed closed value, expected term)
     compared: set = set()  # (id(term), hooks); the expansion keeps every term alive
-    equal, values = True, []
+    equal, texts = True, []
     for tree, term in expansion.terms:
         hooks = hook_data(tree).hooks if tree.node_count else ()
         form = forms.get(hooks)
         if form is None:
             value = closed(hooks)
-            form = forms[hooks] = (value, TruncatedSeries.monomial(len(hooks), order, value))
+            form = forms[hooks] = (str(value), TruncatedSeries.monomial(len(hooks), order, value))
         pair = (id(term), hooks)
         if pair not in compared:
             compared.add(pair)
             equal &= term == form[1]
-        values.append(form[0])
-    return equal, values
+        texts.append(form[0])
+    return equal, texts
 
 
 def _postnikov_paths(order: int) -> tuple[TreeExpansion, TruncatedSeries]:
@@ -338,14 +338,10 @@ def postnikov_check(n: int) -> IdentityReport:
     order = min(n, 8)
     expansion, picard = _postnikov_paths(order)
     closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
-    trees_equal, values = _per_tree(expansion, order, closed)
-    printed: dict = {}  # id(value) -> str(value): one closed value per hook multiset
-    per_tree = []
-    for (tree, _), value in zip(expansion.terms, values):
-        text = printed.get(id(value))
-        if text is None:
-            text = printed[id(value)] = str(value)
-        per_tree.append({"tree": tree.text, "coefficient": text})
+    trees_equal, texts = _per_tree(expansion, order, closed)
+    per_tree = [
+        {"tree": tree.text, "coefficient": text} for (tree, _), text in zip(expansion.terms, texts)
+    ]
     explicit = eisenstein_coefficients(order)
     paths = {
         "shape-sum": (rhs, lhs),

@@ -9,12 +9,13 @@ coefficients and never reads beyond them, and binary operations truncate
 to the smaller order.  Mixing follows Poly._coerce: a scalar becomes a
 constant series, a series of the other basis raises TypeError in +, -
 and * in either operand order, and == between the two bases is False.
-TruncatedSeries coefficients may be int, Fraction, QPoly or AlphaPoly;
-zero padding uses plain int 0, which every coefficient ring absorbs, and
-the padding costs no ring operation: + hands over the other side of an
-int 0 slot, and * skips zero factors and writes a slot's first product
-as it is rather than adding it to 0.  A negative index or order raises
-ValueError.
+Each basis names its ring from arith's exact types (QDividedSeries: int,
+Fraction and QPoly only); any other coefficient or scalar operand raises
+TypeError.  Zero padding uses plain int 0, which every coefficient ring
+absorbs, and the padding costs no ring operation: + hands over the other
+side of an int 0 slot, and * skips zero factors and writes a slot's
+first product as it is rather than adding it to 0.  A negative index or
+order raises ValueError.
 
 A BinomialPoly is a polynomial in the basis C(t, k); sums, products,
 the discrete integral and the forward difference all stay in that basis,
@@ -45,6 +46,7 @@ from typing import Callable, Sequence
 
 from .arith import (
     QPoly,
+    _EXACT,
     _check_exact,
     _nonnegative,
     binomial_coefficient,
@@ -58,8 +60,8 @@ from .errors import ValuationViolation
 
 class _Series:
     """The container both series bases share, coefficients known exactly
-    up to and including t^order; each basis adds its exactness rule
-    (_check), its series-by-series product and its own operations."""
+    up to and including t^order; each basis adds its coefficient ring
+    (_ring), its series-by-series product and its own operations."""
 
     __slots__ = ("coeffs",)
 
@@ -69,6 +71,15 @@ class _Series:
             raise ValueError("a truncated series needs at least the constant term")
         self._check(coeffs)
         self.coeffs = coeffs
+
+    @classmethod
+    def _check(cls, coeffs: tuple) -> None:
+        # One C-speed pass collects the coefficient types, and each
+        # distinct type is tested once against the basis' ring.
+        for kind in set(map(type, coeffs)):
+            if not issubclass(kind, cls._ring):
+                for c in coeffs:
+                    _check_exact(c, cls._ring)
 
     @classmethod
     def _unchecked(cls, coeffs: Sequence):
@@ -85,8 +96,7 @@ class _Series:
         """value, checked as a scalar of this basis."""
         if isinstance(value, _Series):
             raise TypeError(f"cannot mix {cls.__name__} with {type(value).__name__}")
-        cls._check((value,))
-        return value
+        return _check_exact(value, cls._ring)
 
     @classmethod
     def constant(cls, value, order: int):
@@ -180,15 +190,7 @@ class TruncatedSeries(_Series):
     """
 
     __slots__ = ()
-
-    @staticmethod
-    def _check(coeffs: tuple) -> None:
-        # One C-speed pass collects the coefficient types, and each
-        # distinct type is tested once: a float or complex raises TypeError.
-        for kind in set(map(type, coeffs)):
-            if issubclass(kind, (float, complex)):
-                for c in coeffs:
-                    _check_exact(c)
+    _ring = _EXACT
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncatedSeries":
@@ -306,7 +308,7 @@ def binomial_series(beta, u: TruncatedSeries) -> TruncatedSeries:
 
 class QDividedSeries(_Series):
     """The series sum a_n t^n / [n]_q! known exactly up to t^order, stored
-    as its numerators a_n: exact scalars or QPolys, a float raising
+    as its numerators a_n: exact scalars or QPolys, anything else raising
     TypeError.  Since t^i / [i]_q! times t^j / [j]_q! is
     qbin(i+j, i) t^(i+j) / [i+j]_q!, the product is the Gaussian-binomial
     convolution c_n = sum_i qbin(n, i) a_i b_(n-i) and divides nothing.
@@ -317,12 +319,7 @@ class QDividedSeries(_Series):
     """
 
     __slots__ = ()
-
-    @staticmethod
-    def _check(coeffs: tuple) -> None:
-        for c in coeffs:
-            if not isinstance(c, (int, Fraction, QPoly)):
-                raise TypeError(f"not an exact scalar or q-polynomial: {c!r}")
+    _ring = (int, Fraction, QPoly)
 
     def __mul__(self, other):
         if not isinstance(other, QDividedSeries):

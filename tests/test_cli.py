@@ -308,6 +308,25 @@ def test_oracle_respects_max_degree_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_oracle_above_the_permutations_guard_needs_unsafe_large(capsys, monkeypatch):
+    # a max degree of 13 passes the oracle's own check, but S_13 is still
+    # past the permutations guard of 12; the oracle once switched it off
+    real, calls = identities.permutations, []
+
+    def spy(n, *, unsafe_large=False):
+        calls.append((n, unsafe_large))
+        # forced: an empty fiber stands in for S_13, which is never listed
+        return iter(()) if unsafe_large else real(n, unsafe_large=unsafe_large)
+
+    monkeypatch.setattr(identities, "permutations", spy)
+    monkeypatch.setenv("TREECALC_MAX_DEGREE", "13")
+    code, err = _run_rejected(capsys, "hook", _left_comb(13), "--oracle")
+    assert (code, calls) == (3, [(13, False)])
+    assert err == "size guard: permutations(13) exceeds the guard 12; pass --unsafe-large to force\n"
+    code, _ = run(capsys, "--unsafe-large", "hook", _left_comb(13), "--oracle")
+    assert (code, calls[-1]) == (1, (13, True))  # the empty stand-in mismatches
+
+
 # ---------------------------------------------------------------------------
 # negative sizes and orders
 # ---------------------------------------------------------------------------
