@@ -103,11 +103,11 @@ def _print_payload(payload: dict, config: CliConfig, text_lines) -> None:
             rows = [
                 {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
             ]
-        if isinstance(rows[0], dict):
+        if isinstance(rows, list) and isinstance(rows[0], dict):
             header = list(rows[0])
             writer.writerow(header)
             writer.writerows([row[h] for h in header] for row in rows)
-        else:
+        else:  # enumerated items, one field each, written as they come
             writer.writerows([row] for row in rows)
     else:
         for line in text_lines:
@@ -285,8 +285,9 @@ def cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
     if args.count_only:
         payload["count"] = sum(1 for _ in stream)
         lines = [str(payload["count"])]
-    else:
-        lines = payload["items"] = [str(item) for item in stream]
+    else:  # text and CSV print each item as it is yielded; JSON needs the list
+        items = map(str, stream)
+        lines = payload["items"] = list(items) if config.output_format == "json" else items
     _print_payload(payload, config, lines)
     return 0
 

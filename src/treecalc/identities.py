@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 from .arith import (
@@ -248,9 +249,15 @@ def ft_check(tree: PlaneTree, *, unsafe_large: bool = False) -> IdentityReport:
 
 
 def postnikov_operator(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """B(x, y) = t*x*y/2 + (1/2) * integral of x*y."""
+    """B(x, y) = t*x*y/2 + (1/2) * integral of x*y, in one pass of
+    integrate: t^n of x*y moves to t^(n+1) times (n+2)/(2(n+1))."""
     xy = x * y
-    return (xy.times_t() + integrate(xy)) * Fraction(1, 2)
+    return integrate(xy, _postnikov_factors(xy.order))
+
+
+@lru_cache(maxsize=None)
+def _postnikov_factors(order: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n + 2, 2 * n + 2) for n in range(order))
 
 
 def _postnikov_sum(n: int) -> Fraction:
@@ -467,15 +474,20 @@ def lagrange_series(m: int, order: int) -> TruncatedSeries:
 
 def lagrange_operator(m: int):
     """The (m+1)-linear operator of the integro-algebraic fixed point:
-    F(x_1..x_{m+1}) = (alpha m - 1)/(m+1) t prod x + (alpha+1)/(m+1) int prod x."""
-    c_algebraic = AlphaPoly((-1, m)) / (m + 1)
-    c_integral = AlphaPoly((1, 1)) / (m + 1)
+    F(x_1..x_{m+1}) = (alpha m - 1)/(m+1) t prod x + (alpha+1)/(m+1) int prod x,
+    in one pass of integrate: t^n of prod x moves to t^(n+1) times
+    (alpha m - 1)/(m+1) + (alpha+1)/((m+1)(n+1)) = (alpha (mn+m+1) - n)/((m+1)(n+1))."""
 
     def operator(*args: TruncatedSeries) -> TruncatedSeries:
         product = prod(args[1:], start=args[0])
-        return product.times_t() * c_algebraic + integrate(product) * c_integral
+        return integrate(product, _lagrange_factors(m, product.order))
 
     return operator
+
+
+@lru_cache(maxsize=None)
+def _lagrange_factors(m: int, order: int) -> tuple[AlphaPoly, ...]:
+    return tuple(AlphaPoly((-n, m * n + m + 1)) / ((m + 1) * (n + 1)) for n in range(order))
 
 
 def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:

@@ -31,8 +31,8 @@ is listed with its term, but the terms are interned by repr and the
 operator runs once per distinct tuple of child terms (364 for the 6,918
 binary shapes of Postnikov's equation at order 9); the total adds each
 distinct term times its multiplicity.  The independent cross-check is
-Picard iteration, deliberately kept as a separate code path that calls
-the raw operator.
+graded Picard iteration, a separate code path that calls only the raw
+operator and series +: pass k fixes t^k and runs at order k.
 """
 
 from __future__ import annotations
@@ -253,16 +253,15 @@ def derivative(f: TruncatedSeries) -> TruncatedSeries:
     )
 
 
-def integrate(f: TruncatedSeries) -> TruncatedSeries:
-    """Antiderivative with zero constant term.
-
-    The coefficient of t^n moves to t^(n+1) divided by n+1; the top input
-    coefficient has no slot at the same truncation order and is dropped.
-    """
+def integrate(f: TruncatedSeries, factors: Sequence | None = None) -> TruncatedSeries:
+    """Antiderivative with zero constant term: the coefficient of t^n moves
+    to t^(n+1) times factors[n], by default 1/(n+1), so a table of f.order
+    exact factors gives any map that shifts and scales, in the same pass.
+    The top input coefficient has no slot at this order and is dropped."""
     out = [0] * (f.order + 1)
-    for n, (c, reciprocal) in enumerate(zip(f.coeffs, _reciprocals(f.order))):
+    for n, (c, factor) in enumerate(zip(f.coeffs, factors or _reciprocals(f.order))):
         if c:
-            out[n + 1] = c * reciprocal
+            out[n + 1] = c * factor
     return TruncatedSeries._unchecked(out)
 
 
@@ -692,12 +691,13 @@ def fixed_point_binary(
 
 
 def _picard(op, arity: int, a: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Iterate x -> a + op(x, ..., x) from x = a; each pass fixes one more
-    coefficient, so order+1 passes suffice."""
+    """Graded Picard iteration from x = a at order 0: pass k = 1..order sets
+    x = a + op(x, ..., x) at order k, x zero-padded.  op raises valuation, so
+    slot k reads only the slots below k, which the passes before fixed."""
     a = a.with_order(order)
-    x = a
-    for _ in range(order + 1):
-        x = a + op(*[x] * arity)
+    x = a.truncated(0)
+    for k in range(1, order + 1):
+        x = a.truncated(k) + op(*[x.with_order(k)] * arity)
     return x
 
 
@@ -706,7 +706,7 @@ def picard_binary(
     a: TruncatedSeries,
     order: int,
 ) -> TruncatedSeries:
-    """Independent solver for x = a + B(x, x): iterate to stability."""
+    """Independent solver for x = a + B(x, x) by graded Picard passes."""
     return _picard(B, 2, a, order)
 
 
@@ -720,7 +720,7 @@ def fixed_point_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) 
 
 
 def picard_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TruncatedSeries:
-    """Independent solver for x = 1 + F(x, ..., x): iterate to stability."""
+    """Independent solver for x = 1 + F(x, ..., x) by graded Picard passes."""
     return _picard(F, arity + 1, TruncatedSeries.constant(Fraction(1), order), order)
 
 

@@ -3,10 +3,11 @@ import hashlib
 import io
 import json
 import re
+import sys
 
 import pytest
 
-from treecalc import combinat, fqsym, identities
+from treecalc import cli, combinat, fqsym, identities
 from treecalc.cli import main
 from treecalc.series import TruncatedSeries
 
@@ -261,6 +262,21 @@ def test_enumerate_csv_format(capsys):
     )
     assert code == 0
     assert "(***)" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_enumerate_prints_each_item_before_the_next(monkeypatch, fmt):
+    out, seen = io.StringIO(), []
+
+    def family(n, m, unsafe):
+        for item in ("a", "b", "c"):
+            yield item
+            seen.append(out.getvalue())  # what was printed when the next is asked for
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setitem(cli.FAMILIES, "binary-trees", family)
+    assert main(["--format", fmt, "enumerate", "binary-trees", "--n", "3"]) == 0
+    assert seen == ["a\n", "a\nb\n", "a\nb\nc\n"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import add, attrgetter, mul, sub
 
 import pytest
@@ -553,6 +553,113 @@ def test_kernel_matches_dense_reference(case):
     assert_same(x * scalar, TruncatedSeries([c * scalar for c in x.coeffs]))
     assert_same(scalar * x, TruncatedSeries([scalar * c for c in x.coeffs]))
     assert_same(integrate(x), dense_integrate(x))
+
+
+# ---------------------------------------------------------------------------
+# graded Picard passes and one-pass operators against their references
+# ---------------------------------------------------------------------------
+
+
+def full_order_picard(op, arity, a, order):
+    """Picard iteration with every pass at the full order: x = a, then
+    order+1 passes of x = a + op(x, ..., x); the reference for the graded
+    solver."""
+    a = a.with_order(order)
+    x = a
+    for _ in range(order + 1):
+        x = a + op(*[x] * arity)
+    return x
+
+
+def unfolded_postnikov(x, y):
+    xy = x * y
+    return (xy.times_t() + integrate(xy)) * Fraction(1, 2)
+
+
+def unfolded_lagrange(m):
+    c_algebraic = AlphaPoly((-1, m)) / (m + 1)
+    c_integral = AlphaPoly((1, 1)) / (m + 1)
+
+    def operator(*args):
+        product = prod(args[1:], start=args[0])
+        return product.times_t() * c_algebraic + integrate(product) * c_integral
+
+    return operator
+
+
+@pytest.mark.parametrize("case", ["postnikov", "inverse-linear"])
+def test_graded_picard_binary_matches_full_order_reference(case):
+    from treecalc.identities import postnikov_operator
+
+    op = postnikov_operator if case == "postnikov" else inverse_linear
+    for order in range(21):
+        one = TruncatedSeries.constant(Fraction(1), order)
+        want = full_order_picard(op, 2, one, order)
+        assert repr(picard_binary(op, one, order)) == repr(want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_graded_picard_mary_matches_full_order_reference(m):
+    from treecalc.identities import lagrange_operator
+
+    op = lagrange_operator(m)
+    for order in range(9):
+        one = TruncatedSeries.constant(Fraction(1), order)
+        assert repr(picard_mary(op, m, order)) == repr(full_order_picard(op, m + 1, one, order))
+
+
+@pytest.mark.parametrize("solver", ["binary", "mary"])
+def test_picard_pass_k_runs_at_order_k(solver):
+    from treecalc.identities import postnikov_operator
+
+    order, orders = 7, []
+
+    def recorded(x, y):
+        assert x.order == y.order
+        orders.append(x.order)
+        return postnikov_operator(x, y)
+
+    if solver == "binary":
+        picard_binary(recorded, TruncatedSeries.constant(Fraction(1), order), order)
+    else:
+        picard_mary(recorded, 1, order)
+    assert orders == list(range(1, order + 1))
+
+
+# Exact series whose products cancel to a ring's own zero at t^1 (a
+# Fraction(0) and a zero AlphaPoly); both operators leave the int 0 there.
+CANCELLING = [
+    TruncatedSeries([Fraction(1), Fraction(1), Fraction(0), Fraction(1, 3), 0, 2]),
+    TruncatedSeries([Fraction(1), Fraction(-1), Fraction(2), 0, Fraction(0), Fraction(5, 2)]),
+    TruncatedSeries([AlphaPoly((1, 1)), AlphaPoly((1, 1)), AlphaPoly(), 0, Fraction(3), 1]),
+    TruncatedSeries([AlphaPoly((1, 1)), AlphaPoly((-1, -1)), Fraction(1, 2), AlphaPoly((0, 2)), 0, 1]),
+]
+
+
+def test_postnikov_operator_matches_its_unfolded_form():
+    from treecalc.identities import postnikov_operator
+
+    for x in CANCELLING:
+        for y in CANCELLING:
+            assert repr(postnikov_operator(x, y)) == repr(unfolded_postnikov(x, y))
+    for x, y in (CANCELLING[:2], CANCELLING[2:]):
+        assert not (x * y).coeffs[1] and type((x * y).coeffs[1]) is not int
+        assert type(postnikov_operator(x, y).coeffs[2]) is int
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lagrange_operator_matches_its_unfolded_form(m):
+    from treecalc.identities import lagrange_operator
+
+    op, unfolded = lagrange_operator(m), unfolded_lagrange(m)
+    for x in CANCELLING:
+        for y in CANCELLING:
+            for args in ([x] * m + [y], [y, x] + [x] * (m - 1)):
+                assert repr(op(*args)) == repr(unfolded(*args))
+    # the last factor of the product meets y, so its t^1 slot is the zero
+    ones = [TruncatedSeries.constant(Fraction(1), 5)] * (m - 1)
+    for x, y in (CANCELLING[:2], CANCELLING[2:]):
+        assert type(op(*ones, x, y).coeffs[2]) is int
 
 
 # ---------------------------------------------------------------------------
