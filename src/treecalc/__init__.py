@@ -63,18 +63,14 @@ from .series import (
     TreeExpansion,
     TruncatedSeries,
     binomial_series,
-    binomial_to_monomial,
     discrete_sum,
     exp_series,
-    finite_difference,
     fixed_point_binary,
     fixed_point_mary,
     fixed_point_plane,
     integrate,
-    monomial_to_binomial,
     picard_binary,
     picard_mary,
-    q_derivative,
     q_integrate,
     substitute_qt,
 )

@@ -91,9 +91,25 @@ def load_config(args: argparse.Namespace) -> CliConfig:
     return config
 
 
+def _print_json(payload: dict) -> None:
+    """Print json.dumps(payload, indent=2).  The "items" of enumerate, an
+    iterator that comes last, are written one by one as they are yielded."""
+    items = payload.get("items")
+    if items is None:
+        print(json.dumps(payload, indent=2))
+        return
+    head = json.dumps({k: v for k, v in payload.items() if k != "items"}, indent=2)
+    print(head[:-2] + ',\n  "items": [', end="")  # head ends with "\n}"
+    separator = "\n    "
+    for item in items:
+        print(separator + json.dumps(item), end="")
+        separator = ",\n    "
+    print("]\n}" if separator == "\n    " else "\n  ]\n}")
+
+
 def _print_payload(payload: dict, config: CliConfig, text_lines) -> None:
     if config.output_format == "json":
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif config.output_format == "csv":
         import csv  # here, so that the other formats never load it (~0.3 MiB RSS)
 
@@ -285,9 +301,8 @@ def cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
     if args.count_only:
         payload["count"] = sum(1 for _ in stream)
         lines = [str(payload["count"])]
-    else:  # text and CSV print each item as it is yielded; JSON needs the list
-        items = map(str, stream)
-        lines = payload["items"] = list(items) if config.output_format == "json" else items
+    else:  # every format prints each item as it is yielded
+        lines = payload["items"] = map(str, stream)
     _print_payload(payload, config, lines)
     return 0
 

@@ -7,7 +7,7 @@ by the side holding the maximal letter), the derivation that erases the
 maximal letter, the bilinear lift that inserts a new maximal letter
 between the factors (whose tree iterates sum the fibers of the
 decreasing-tree map), a q-shuffle deformation on the F basis, and the
-specializations into one-variable power series.
+q-specialization into q-series in the q-divided-power basis.
 
 The element products apply each value split to bare letter tuples with
 ``itemgetter`` (``elements.bilinear``) and build no key object.
@@ -15,17 +15,15 @@ The element products apply each value split to bare letter tuples with
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 from operator import itemgetter
 
 from .arith import QPoly
 from .combinat import BinaryTree, Permutation
 from .elements import FQSymElement, bilinear, keyed
-from .errors import BasisMismatch, EmptyOperand
-from .series import QDividedSeries, TruncatedSeries
+from .errors import EmptyOperand
+from .series import QDividedSeries
 
 EMPTY_PERM = Permutation(())
 
@@ -40,15 +38,6 @@ def f_basis(perm: Permutation) -> FQSymElement:
 
 def unit(basis: str = "G") -> FQSymElement:
     return FQSymElement({EMPTY_PERM: 1}, basis=basis)
-
-
-def to_basis(x: FQSymElement, basis: str) -> FQSymElement:
-    """Convert between the G and F bases via F_s = G_{s^-1}."""
-    if x.basis == basis:
-        return x
-    return FQSymElement(
-        {key.inverse(): c for key, c in x.terms.items()}, basis=basis
-    )
 
 
 @lru_cache(maxsize=None)
@@ -197,20 +186,6 @@ def tree_term(tree: BinaryTree) -> FQSymElement:
     return terms[tree]
 
 
-def phi(x: FQSymElement, order: int) -> TruncatedSeries:
-    """The exponential specialization G_s -> t^n / n! (an algebra
-    homomorphism into rational power series)."""
-    x.require_basis("G")
-    coeffs = [Fraction(0)] * (order + 1)
-    for w, c in x._words.items():
-        n = len(w)
-        if n <= order:
-            coeffs[n] += c
-    return TruncatedSeries(
-        [coeffs[n] / factorial(n) for n in range(order + 1)]
-    )
-
-
 def phi_q(x: FQSymElement, order: int) -> QDividedSeries:
     """The q-specialization G_s -> q^imaj(s) t^n / [n]_q!, an algebra
     homomorphism into q-series in the q-divided-power basis."""
@@ -251,29 +226,3 @@ def q_shuffle_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
             for gamma, weight in q_shuffle_words(a, b):
                 out[gamma] = out.get(gamma, 0) + weight * c
     return FQSymElement(out, basis="F")
-
-
-def scale_alphabet(x: FQSymElement) -> FQSymElement:
-    """Rescale the alphabet by q: multiply the degree-n component by q^n.
-
-    This is the unique grading-compatible reading of "evaluate at qA":
-    the q-specialization sends degree-n elements to t^n multiples, so
-    substituting qt for t is exactly this scaling.
-    """
-    return x._with({w: QPoly.monomial(len(w)) * c for w, c in x._words.items()})
-
-
-def pairing(x: FQSymElement, y: FQSymElement):
-    """Kronecker pairing <F_s, G_t> = delta_{s,t}, extended bilinearly.
-
-    The two arguments must be in opposite bases (either order).
-    """
-    if x.basis == y.basis:
-        raise BasisMismatch(f"pairing needs opposite bases, got {x.basis} twice")
-    total = 0
-    small, big = (x, y) if len(x) <= len(y) else (y, x)
-    for w, c in small._words.items():
-        other = big._words.get(w)
-        if other is not None:
-            total = total + c * other
-    return total

@@ -45,7 +45,6 @@ from .series import (
     discrete_sum,
     evaluate_plane_tree,
     exp_series,
-    finite_difference,
     fixed_point_binary,
     fixed_point_mary,
     fixed_point_plane,
@@ -53,7 +52,7 @@ from .series import (
     picard_binary,
     picard_mary,
 )
-from .wqsym import graded_word_sum, psi, tree_fiber_element
+from .wqsym import psi, tree_fiber_element
 
 POSTNIKOV_GUARD = 12
 EISENSTEIN_GUARD = 10
@@ -450,22 +449,6 @@ def duliu_check(variant: str, n: int, m: int = 1) -> IdentityReport:
     return _report(f"duliu-{variant}", parameters, start, lhs, rhs, {"closed-form": (lhs, rhs)})
 
 
-def duliu_cross_check(n: int) -> bool:
-    """las2 is las1 after the substitution alpha -> (alpha-1)/(alpha+1)
-    with denominators cleared: each factor (beta + 1/h) times (alpha+1)/2
-    becomes ((h+1)alpha + 1 - h)/(2h).  Verified here at the level of the
-    aggregated polynomials."""
-    las1 = _duliu_tree_sum("las1", 1, n)
-    las2 = _duliu_tree_sum("las2", 1, n)
-    plus = AlphaPoly((1, 1))
-    minus = AlphaPoly((-1, 1))
-    substituted = AlphaPoly.zero()
-    for k, c in enumerate(las1.coeffs):
-        if c:
-            substituted = substituted + (minus**k) * (plus ** (n - k)) * c
-    return substituted / 2**n == las2
-
-
 def lagrange_series(m: int, order: int) -> TruncatedSeries:
     """f(t) = sum_n C((mn+1) alpha, n) t^n / (mn+1): the coefficient of t^n
     is the las3 closed form of the (m+1)-ary trees with n nodes."""
@@ -541,28 +524,3 @@ def plane_q_expansion(order: int) -> TreeExpansion:
     """
     one = BinomialPoly({0: QPoly.one()})
     return fixed_point_plane(plane_q_family, order, one)
-
-
-def _truncate_q(p: BinomialPoly, max_degree: int) -> BinomialPoly:
-    return p.map_coefficients(lambda c: c.truncated(max_degree) if isinstance(c, QPoly) else c)
-
-
-def plane_q_check(order: int) -> IdentityReport:
-    """The image of the word equation under the binomial evaluation:
-    the expansion total must equal the generating sum of C(t, max u) over
-    packed words weighted by q^|u|, and its forward difference must equal
-    sum_{n>=2} q^(n-1) x^n up to q-degree `order`."""
-    start = time.perf_counter()
-    expansion = plane_q_expansion(order)
-    total = expansion.total
-
-    direct = psi(graded_word_sum(order, weight=lambda n: QPoly.monomial(n)))
-    lhs = finite_difference(total)
-    rhs = BinomialPoly()
-    power = total * total
-    for n in range(2, order + 2):
-        rhs = rhs + power * QPoly.monomial(n - 1)
-        power = power * total
-    lhs, rhs = _truncate_q(lhs, order), _truncate_q(rhs, order)
-    paths = {"word-sum": (direct, total), "difference": (lhs, rhs)}
-    return _report("plane-q", {"order": order}, start, lhs, rhs, paths)

@@ -17,11 +17,10 @@ side of an int 0 slot, and * skips zero factors and writes a slot's
 first product as it is rather than adding it to 0.  A negative index or
 order raises ValueError.
 
-A BinomialPoly is a polynomial in the basis C(t, k); sums, products,
-the discrete integral and the forward difference all stay in that basis,
-the product through the integer rule C(t,i) C(t,j) = sum_k C(k,i)
-C(i,k-j) C(t,k) (Graham-Knuth-Patashnik, Concrete Mathematics, ch. 5).
-The monomial-basis conversions are kept as public references.
+A BinomialPoly is a polynomial in the basis C(t, k); sums, products
+and the discrete integral all stay in that basis, the product through
+the integer rule C(t,i) C(t,j) = sum_k C(k,i) C(i,k-j) C(t,k)
+(Graham-Knuth-Patashnik, Concrete Mathematics, ch. 5).
 
 One engine expands a solution of x = a + B(x, x) (or its m-ary and
 plane-tree analogues) as a sum of per-tree terms, checking beforehand on
@@ -244,15 +243,6 @@ class TruncatedSeries(_Series):
         return f"{body} + O(t^{self.order + 1})"
 
 
-def derivative(f: TruncatedSeries) -> TruncatedSeries:
-    """d/dt; the result is one order shorter than the input."""
-    if f.order == 0:
-        return TruncatedSeries._unchecked((0,))
-    return TruncatedSeries._unchecked(
-        [f.coeffs[n] * n for n in range(1, f.order + 1)]
-    )
-
-
 def integrate(f: TruncatedSeries, factors: Sequence | None = None) -> TruncatedSeries:
     """Antiderivative with zero constant term: the coefficient of t^n moves
     to t^(n+1) times factors[n], by default 1/(n+1), so a table of f.order
@@ -350,13 +340,6 @@ def q_integrate(f: QDividedSeries) -> QDividedSeries:
     return f._shifted()
 
 
-def q_derivative(f: QDividedSeries) -> QDividedSeries:
-    """D_q f = (f(qt) - f(t)) / (qt - t): t^n / [n]_q! maps to
-    t^(n-1) / [n-1]_q!, so each numerator moves down one slot; the result
-    is one order shorter than the input."""
-    return QDividedSeries._unchecked(f.coeffs[1:] or (0,))
-
-
 def substitute_qt(f: QDividedSeries) -> QDividedSeries:
     """f(qt): multiply the numerator of t^n by q^n."""
     return QDividedSeries(
@@ -367,27 +350,6 @@ def substitute_qt(f: QDividedSeries) -> QDividedSeries:
 # ---------------------------------------------------------------------------
 # Binomial-basis polynomials and the finite-difference calculus.
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-@lru_cache(maxsize=None)
-def _binomial_basis_monomials(k: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of C(t, k) = t (t-1) ... (t-k+1) / k!."""
-    coeffs = [Fraction(1)]
-    for i in range(k):
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [shifted[j] - (coeffs[j] * i if j < len(coeffs) else 0)
-                  for j in range(len(shifted))]
-        coeffs = [c / (i + 1) for c in coeffs]
-    return tuple(coeffs)
 
 
 @lru_cache(maxsize=256)
@@ -409,9 +371,8 @@ def _product_rule(i: int, j: int) -> tuple[tuple[int, int], ...]:
 class BinomialPoly:
     """Polynomial in t written in the basis of binomial coefficients C(t, k).
 
-    The natural home of the discrete integral (which shifts the basis
-    index up) and the forward difference (which shifts it down).  The
-    product never leaves the basis and divides nothing, so int
+    The natural home of the discrete integral, which shifts the basis
+    index up.  The product never leaves the basis and divides nothing, so int
     coefficients stay int.  Coefficients follow the same generic-ring
     convention as series; a float coefficient raises TypeError.
     """
@@ -522,44 +483,9 @@ class BinomialPoly:
         return f"BinomialPoly({self.coeffs!r})"
 
 
-def monomial_to_binomial(coeffs: Sequence) -> BinomialPoly:
-    """Rewrite sum c_n t^n in the binomial basis via t^n =
-    sum_k S(n, k) k! C(t, k) (Stirling numbers of the second kind)."""
-    out: dict = {}
-    for n, c in enumerate(coeffs):
-        if not c:
-            continue
-        kfact = 1
-        for k in range(n + 1):
-            if k:
-                kfact *= k
-            s = _stirling2(n, k)
-            if s:
-                out[k] = out.get(k, 0) + c * (s * kfact)
-    return BinomialPoly(out)
-
-
-def binomial_to_monomial(p: BinomialPoly) -> list:
-    """Expand into monomial coefficients, lowest degree first; exact."""
-    if not p.coeffs:
-        return []
-    top = max(p.coeffs)
-    out: list = [0] * (top + 1)
-    for k, c in p.coeffs.items():
-        for n, b in enumerate(_binomial_basis_monomials(k)):
-            if b:
-                out[n] = out[n] + c * b
-    return out
-
-
 def discrete_sum(p: BinomialPoly) -> BinomialPoly:
     """The discrete integral: summing C(s, k) for s = 0..t-1 gives C(t, k+1)."""
     return BinomialPoly({k + 1: c for k, c in p.coeffs.items()})
-
-
-def finite_difference(p: BinomialPoly) -> BinomialPoly:
-    """The forward difference f(t+1) - f(t): sends C(t, k) to C(t, k-1)."""
-    return BinomialPoly({k - 1: c for k, c in p.coeffs.items() if k >= 1})
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +503,6 @@ class TreeExpansion:
 
     terms: list = field(default_factory=list)
     total: object = None
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for tree, value in self.terms:
-            dumped = value.to_json() if hasattr(value, "to_json") else str(value)
-            out.append({"tree": tree.text, "term": dumped})
-        return out
 
 
 def _probe_valuations(op, arities: Sequence[int], order: int) -> None:

@@ -237,13 +237,3 @@ def tree_fiber_element(
         if plane_tree_of_word(word.letters) == tree:
             out[word] = 1
     return WQSymElement(out)
-
-
-def graded_word_sum(max_length: int, weight=None) -> WQSymElement:
-    """Sum of all M_u with |u| <= max_length, each scaled by
-    weight(|u|) when a weight function is given."""
-    out: dict = {}
-    for n in range(max_length + 1):
-        for word in packed_words(n):
-            out[word] = weight(n) if weight is not None else 1
-    return WQSymElement(out)

@@ -1,0 +1,224 @@
+"""References that only the tests use: the plain and q-derivatives, the
+monomial-basis conversions and forward difference of the binomial basis,
+the per-tree JSON of a tree expansion, the FQSym basis change,
+specialization, alphabet scaling and pairing, and two checks of the
+source paper that no CLI command runs.
+
+The tests compare the package against these, or state an identity of the
+paper with them; src/treecalc calls none of them.
+"""
+
+import time
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+from typing import Sequence
+
+from treecalc.arith import AlphaPoly, QPoly
+from treecalc.combinat import packed_words
+from treecalc.elements import FQSymElement, WQSymElement
+from treecalc.errors import BasisMismatch
+from treecalc.identities import IdentityReport, _duliu_tree_sum, _report, plane_q_expansion
+from treecalc.series import BinomialPoly, QDividedSeries, TreeExpansion, TruncatedSeries
+from treecalc.wqsym import psi
+
+# ---------------------------------------------------------------------------
+# series
+# ---------------------------------------------------------------------------
+
+
+def derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """d/dt; the result is one order shorter than the input."""
+    if f.order == 0:
+        return TruncatedSeries._unchecked((0,))
+    return TruncatedSeries._unchecked(
+        [f.coeffs[n] * n for n in range(1, f.order + 1)]
+    )
+
+
+def q_derivative(f: QDividedSeries) -> QDividedSeries:
+    """D_q f = (f(qt) - f(t)) / (qt - t): t^n / [n]_q! maps to
+    t^(n-1) / [n-1]_q!, so each numerator moves down one slot; the result
+    is one order shorter than the input."""
+    return QDividedSeries._unchecked(f.coeffs[1:] or (0,))
+
+
+@lru_cache(maxsize=None)
+def _stirling2(n: int, k: int) -> int:
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+@lru_cache(maxsize=None)
+def _binomial_basis_monomials(k: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of C(t, k) = t (t-1) ... (t-k+1) / k!."""
+    coeffs = [Fraction(1)]
+    for i in range(k):
+        shifted = [Fraction(0)] + coeffs
+        coeffs = [shifted[j] - (coeffs[j] * i if j < len(coeffs) else 0)
+                  for j in range(len(shifted))]
+        coeffs = [c / (i + 1) for c in coeffs]
+    return tuple(coeffs)
+
+
+def monomial_to_binomial(coeffs: Sequence) -> BinomialPoly:
+    """Rewrite sum c_n t^n in the binomial basis via t^n =
+    sum_k S(n, k) k! C(t, k) (Stirling numbers of the second kind)."""
+    out: dict = {}
+    for n, c in enumerate(coeffs):
+        if not c:
+            continue
+        kfact = 1
+        for k in range(n + 1):
+            if k:
+                kfact *= k
+            s = _stirling2(n, k)
+            if s:
+                out[k] = out.get(k, 0) + c * (s * kfact)
+    return BinomialPoly(out)
+
+
+def binomial_to_monomial(p: BinomialPoly) -> list:
+    """Expand into monomial coefficients, lowest degree first; exact."""
+    if not p.coeffs:
+        return []
+    top = max(p.coeffs)
+    out: list = [0] * (top + 1)
+    for k, c in p.coeffs.items():
+        for n, b in enumerate(_binomial_basis_monomials(k)):
+            if b:
+                out[n] = out[n] + c * b
+    return out
+
+
+def finite_difference(p: BinomialPoly) -> BinomialPoly:
+    """The forward difference f(t+1) - f(t): sends C(t, k) to C(t, k-1)."""
+    return BinomialPoly({k - 1: c for k, c in p.coeffs.items() if k >= 1})
+
+
+def expansion_to_json(expansion: TreeExpansion) -> list[dict]:
+    """Each (tree, term) of an expansion as {"tree": text, "term": the
+    term's to_json(), or its str}."""
+    out = []
+    for tree, value in expansion.terms:
+        dumped = value.to_json() if hasattr(value, "to_json") else str(value)
+        out.append({"tree": tree.text, "term": dumped})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fqsym
+# ---------------------------------------------------------------------------
+
+
+def to_basis(x: FQSymElement, basis: str) -> FQSymElement:
+    """Convert between the G and F bases via F_s = G_{s^-1}."""
+    if x.basis == basis:
+        return x
+    return FQSymElement(
+        {key.inverse(): c for key, c in x.terms.items()}, basis=basis
+    )
+
+
+def phi(x: FQSymElement, order: int) -> TruncatedSeries:
+    """The exponential specialization G_s -> t^n / n! (an algebra
+    homomorphism into rational power series)."""
+    x.require_basis("G")
+    coeffs = [Fraction(0)] * (order + 1)
+    for w, c in x._words.items():
+        n = len(w)
+        if n <= order:
+            coeffs[n] += c
+    return TruncatedSeries(
+        [coeffs[n] / factorial(n) for n in range(order + 1)]
+    )
+
+
+def scale_alphabet(x: FQSymElement) -> FQSymElement:
+    """Rescale the alphabet by q: multiply the degree-n component by q^n.
+
+    This is the unique grading-compatible reading of "evaluate at qA":
+    the q-specialization sends degree-n elements to t^n multiples, so
+    substituting qt for t is exactly this scaling.
+    """
+    return x._with({w: QPoly.monomial(len(w)) * c for w, c in x._words.items()})
+
+
+def pairing(x: FQSymElement, y: FQSymElement):
+    """Kronecker pairing <F_s, G_t> = delta_{s,t}, extended bilinearly.
+
+    The two arguments must be in opposite bases (either order).
+    """
+    if x.basis == y.basis:
+        raise BasisMismatch(f"pairing needs opposite bases, got {x.basis} twice")
+    total = 0
+    small, big = (x, y) if len(x) <= len(y) else (y, x)
+    for w, c in small._words.items():
+        other = big._words.get(w)
+        if other is not None:
+            total = total + c * other
+    return total
+
+
+# ---------------------------------------------------------------------------
+# wqsym
+# ---------------------------------------------------------------------------
+
+
+def graded_word_sum(max_length: int, weight=None) -> WQSymElement:
+    """Sum of all M_u with |u| <= max_length, each scaled by
+    weight(|u|) when a weight function is given."""
+    out: dict = {}
+    for n in range(max_length + 1):
+        for word in packed_words(n):
+            out[word] = weight(n) if weight is not None else 1
+    return WQSymElement(out)
+
+
+# ---------------------------------------------------------------------------
+# identities
+# ---------------------------------------------------------------------------
+
+
+def duliu_cross_check(n: int) -> bool:
+    """las2 is las1 after the substitution alpha -> (alpha-1)/(alpha+1)
+    with denominators cleared: each factor (beta + 1/h) times (alpha+1)/2
+    becomes ((h+1)alpha + 1 - h)/(2h).  Verified here at the level of the
+    aggregated polynomials."""
+    las1 = _duliu_tree_sum("las1", 1, n)
+    las2 = _duliu_tree_sum("las2", 1, n)
+    plus = AlphaPoly((1, 1))
+    minus = AlphaPoly((-1, 1))
+    substituted = AlphaPoly.zero()
+    for k, c in enumerate(las1.coeffs):
+        if c:
+            substituted = substituted + (minus**k) * (plus ** (n - k)) * c
+    return substituted / 2**n == las2
+
+
+def _truncate_q(p: BinomialPoly, max_degree: int) -> BinomialPoly:
+    return p.map_coefficients(lambda c: c.truncated(max_degree) if isinstance(c, QPoly) else c)
+
+
+def plane_q_check(order: int) -> IdentityReport:
+    """The image of the word equation under the binomial evaluation:
+    the expansion total must equal the generating sum of C(t, max u) over
+    packed words weighted by q^|u|, and its forward difference must equal
+    sum_{n>=2} q^(n-1) x^n up to q-degree `order`."""
+    start = time.perf_counter()
+    expansion = plane_q_expansion(order)
+    total = expansion.total
+
+    direct = psi(graded_word_sum(order, weight=lambda n: QPoly.monomial(n)))
+    lhs = finite_difference(total)
+    rhs = BinomialPoly()
+    power = total * total
+    for n in range(2, order + 2):
+        rhs = rhs + power * QPoly.monomial(n - 1)
+        power = power * total
+    lhs, rhs = _truncate_q(lhs, order), _truncate_q(rhs, order)
+    paths = {"word-sum": (direct, total), "difference": (lhs, rhs)}
+    return _report("plane-q", {"order": order}, start, lhs, rhs, paths)

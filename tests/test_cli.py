@@ -264,19 +264,29 @@ def test_enumerate_csv_format(capsys):
     assert "(***)" in out
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_enumerate_prints_each_item_before_the_next(monkeypatch, fmt):
-    out, seen = io.StringIO(), []
+    for items in (("a", "b", "c"), ()):
+        out, seen = io.StringIO(), []
 
-    def family(n, m, unsafe):
-        for item in ("a", "b", "c"):
-            yield item
-            seen.append(out.getvalue())  # what was printed when the next is asked for
+        def family(n, m, unsafe):
+            for item in items:
+                yield item
+                seen.append(out.getvalue())  # what was printed when the next is asked for
 
-    monkeypatch.setattr(sys, "stdout", out)
-    monkeypatch.setitem(cli.FAMILIES, "binary-trees", family)
-    assert main(["--format", fmt, "enumerate", "binary-trees", "--n", "3"]) == 0
-    assert seen == ["a\n", "a\nb\n", "a\nb\nc\n"]
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setitem(cli.FAMILIES, "binary-trees", family)
+        assert main(["--format", fmt, "enumerate", "binary-trees", "--n", "3"]) == 0
+        if fmt == "json":
+            payload = {"family": "binary-trees", "n": 3, "items": list(items)}
+            assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+            printed = [json.dumps(item) for item in items]
+        else:
+            assert out.getvalue() == "".join(f"{item}\n" for item in items)
+            printed = [f"{item}\n" for item in items]
+        assert len(seen) == len(items)
+        for prefix, item in zip(seen, printed):
+            assert out.getvalue().startswith(prefix) and prefix.endswith(item)
 
 
 # ---------------------------------------------------------------------------

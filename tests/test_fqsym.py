@@ -22,21 +22,19 @@ from treecalc.fqsym import (
     f_basis,
     g_basis,
     half_products,
-    pairing,
-    phi,
     phi_q,
     prec_product,
     product,
     q_shuffle_product,
     q_shuffle_words,
-    scale_alphabet,
     succ_product,
-    to_basis,
     tree_term,
     unit,
 )
 from treecalc.identities import qhook_imaj
 from treecalc.series import TruncatedSeries
+
+from references import pairing, phi, scale_alphabet, to_basis
 
 
 def perm(*letters) -> Permutation:

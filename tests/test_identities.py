@@ -29,7 +29,6 @@ from treecalc.identities import (
     FT_LEAF_GUARD,
     decreasing_tree_fibers,
     duliu_check,
-    duliu_cross_check,
     duliu_rhs,
     eisenstein_check,
     eisenstein_coefficients,
@@ -41,11 +40,13 @@ from treecalc.identities import (
     hook_oracle,
     lagrange_fixed_point_check,
     lagrange_series,
-    plane_q_check,
     postnikov_check,
     qhook_imaj,
     qhook_inv,
 )
+
+import references
+from references import duliu_cross_check, plane_q_check
 
 FOUR_NODE_TREE = BinaryTree.from_text("((_,_),((_,_),_))")
 
@@ -582,7 +583,7 @@ def _closed_form_doubled(per_tree):
 _plus_one = _off_by(lambda value: value + 1)
 _plus_c0 = _off_by(lambda p: p + BinomialPoly({0: QPoly.one()}))  # C(t, 0) = 1
 
-# (check, path) -> (the identities function behind the path, its mutant)
+# (check, path) -> (the function behind the path, its mutant)
 PATH_MUTANTS = {
     ("postnikov", "shape-sum"): ("_postnikov_sum", _plus_one),
     ("postnikov", "per-tree"): ("_per_tree", _closed_form_doubled),
@@ -603,9 +604,11 @@ PATH_MUTANTS = {
 
 
 def _mutate(monkeypatch, check, paths):
+    # plane_q_check is a test reference and reads its paths' functions there
+    module = references if check == "plane-q" else identities
     for path in paths:
         name, mutant = PATH_MUTANTS[check, path]
-        monkeypatch.setattr(identities, name, mutant(getattr(identities, name)))
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
 
 
 @pytest.mark.parametrize("check", list(PATH_CHECKS))

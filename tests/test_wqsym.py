@@ -9,7 +9,6 @@ from treecalc.wqsym import (
     circ_product,
     delta,
     f_k,
-    graded_word_sum,
     m_basis,
     packed_convolve,
     prec_product,
@@ -20,6 +19,8 @@ from treecalc.wqsym import (
     tridendriform_split,
     unit,
 )
+
+from references import graded_word_sum
 
 
 def pw(*letters) -> PackedWord:
