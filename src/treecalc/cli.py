@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode
 from math import factorial
 
 from . import identities
@@ -92,19 +93,27 @@ def load_config(args: argparse.Namespace) -> CliConfig:
 
 
 def _print_json(payload: dict) -> None:
-    """Print json.dumps(payload, indent=2).  The "items" of enumerate, an
-    iterator that comes last, are written one by one as they are yielded."""
-    items = payload.get("items")
-    if items is None:
+    """Print json.dumps(payload, indent=2), a list that comes last (the
+    "items" iterator of enumerate, or "per_tree") row by row as it is read,
+    each row, a string or an object of strings, through the C string
+    encoder, since the indented encoder is pure Python.  The rest goes out
+    with the first row, so a guard raised by the first read prints nothing."""
+    last = next(reversed(payload))
+    if last not in ("items", "per_tree"):
         print(json.dumps(payload, indent=2))
         return
-    head = json.dumps({k: v for k, v in payload.items() if k != "items"}, indent=2)
-    print(head[:-2] + ',\n  "items": [', end="")  # head ends with "\n}"
-    separator = "\n    "
-    for item in items:
-        print(separator + json.dumps(item), end="")
+    head = json.dumps({k: v for k, v in payload.items() if k != last}, indent=2)
+    write = sys.stdout.write
+    separator = f'{head[:-2]},\n  "{last}": [\n    '  # head ends with "\n}"
+    for row in payload[last]:
+        if type(row) is str:
+            row = _encode(row)
+        else:
+            fields = [f"{_encode(key)}: {_encode(value)}" for key, value in row.items()]
+            row = "{\n      " + ",\n      ".join(fields) + "\n    }"
+        write(separator + row)
         separator = ",\n    "
-    print("]\n}" if separator == "\n    " else "\n  ]\n}")
+    write("\n  ]\n}\n" if separator == ",\n    " else separator[:-5] + "]\n}\n")
 
 
 def _print_payload(payload: dict, config: CliConfig, text_lines) -> None:
@@ -263,20 +272,13 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
         # distinct term once: the engine interns them, so trees share objects
         text = config.output_format == "text"
         shown: dict = {}  # id(term) -> its printed form
-
-        def show(term) -> str:
+        rows = lines if text else payload.setdefault("per_tree", [])
+        for tree, term in expansion.terms:
             printed = shown.get(id(term))
             if printed is None:
                 printed = shown[id(term)] = str(term) if text else json.dumps(
                     term.to_json() if hasattr(term, "to_json") else str(term))
-            return printed
-
-        if text:
-            lines += [f"{tree.text}: {show(term)}" for tree, term in expansion.terms]
-        else:
-            payload["per_tree"] = [
-                {"tree": tree.text, "term": show(term)} for tree, term in expansion.terms
-            ]
+            rows.append(f"{tree.text}: {printed}" if text else {"tree": tree.text, "term": printed})
     _print_payload(payload, config, lines)
     return 0
 

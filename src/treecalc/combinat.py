@@ -514,7 +514,8 @@ def plane_tree_of_word(word: Sequence[int]) -> PlaneTree:
 # ---------------------------------------------------------------------------
 # Exhaustive enumerators in a fixed deterministic order.  Permutations and
 # packed words stream; each size of a tree family is built in full once and
-# cached, bounded only by the guards, which refuse larger sizes unless forced.
+# cached, bounded only by the guards, which refuse larger sizes unless forced
+# and which a tree enumerator checks when called, before any shape is built.
 # ---------------------------------------------------------------------------
 
 
@@ -583,42 +584,45 @@ def _compositions(total: int, parts: int, minimum: int = 0) -> Iterator[tuple[in
         yield tuple(b - a - 1 + minimum for a, b in zip((-1, *bars), (*bars, cells)))
 
 
+def _splits(arity: int | None, n: int) -> Iterator[tuple[int, ...]]:
+    """The child sizes of each root of size n (none at size 0, the leaf):
+    binary and m-ary trees (arity = children per node) split the n - 1
+    nodes below the root; plane trees (arity None), sized by leaves less
+    one, split into k >= 2 children of sizes summing to n + 1 - k."""
+    if arity is None:
+        return chain.from_iterable(_compositions(n + 1 - k, k) for k in range(2, n + 2))
+    return _compositions(n - 1, arity)
+
+
 @lru_cache(maxsize=None)
 def _shapes(kind: type, arity: int | None, n: int) -> tuple:
-    """Every shape of one family, sorted by text.
-
-    Binary and m-ary trees (arity = children per node) have n nodes, the
-    n-1 below a root split over its child slots; plane trees (arity None)
-    have n leaves, split over k >= 2 children of at least one leaf each.
-    A node's children run over the smaller shapes of each split, built
-    bottom up first, so no call nests more than one deeper.
-    """
-    for smaller in range(1 if arity is None else 0, n):
+    """Every shape of size n of one family, sorted by text.  A node's
+    children run over the smaller shapes of each of its splits, built
+    bottom up first, so no call nests more than one deeper."""
+    for smaller in range(n):
         _shapes(kind, arity, smaller)
-    if arity is None:
-        if n == 1:
-            return (LEAF,)
-        splits = [s for k in range(2, n + 1) for s in _compositions(n, k, minimum=1)]
-        nodes = partial(map, PlaneTree)
-    elif n == 0:
-        return (EMPTY_BINARY if kind is BinaryTree else MAryTree(arity - 1),)
+    if kind is PlaneTree:
+        leaf, nodes = LEAF, partial(map, PlaneTree)
+    elif kind is BinaryTree:
+        leaf, nodes = EMPTY_BINARY, partial(starmap, BinaryTree)
     else:
-        splits = _compositions(n - 1, arity)
-        if kind is BinaryTree:
-            nodes = partial(starmap, BinaryTree)
-        else:
-            nodes = partial(map, partial(MAryTree, arity - 1))
-    out = []
-    for sizes in splits:
+        leaf, nodes = MAryTree(arity - 1), partial(map, partial(MAryTree, arity - 1))
+    out = [] if n else [leaf]
+    for sizes in _splits(arity, n):
         out.extend(nodes(product(*[_shapes(kind, arity, s) for s in sizes])))
     return tuple(sorted(out, key=attrgetter("text")))
+
+
+def _listed(kind: type, arity: int | None, n: int) -> Iterator:
+    """_shapes(kind, arity, n), built on the first next()."""
+    yield from _shapes(kind, arity, n)
 
 
 def binary_trees(n: int, *, unsafe_large: bool = False) -> Iterator[BinaryTree]:
     """All binary tree shapes with n nodes; Catalan(n) of them, in
     lexicographic order of the canonical encoding."""
     _check_guard("binary_trees", n, BINARY_TREE_GUARD, unsafe_large)
-    yield from _shapes(BinaryTree, 2, n)
+    return _listed(BinaryTree, 2, n)
 
 
 def mary_trees(arity: int, n: int, *, unsafe_large: bool = False) -> Iterator[MAryTree]:
@@ -628,7 +632,7 @@ def mary_trees(arity: int, n: int, *, unsafe_large: bool = False) -> Iterator[MA
     slots = (arity + 1) * comb((arity + 1) * n, n) // (arity * n + 1)
     name = f"mary_trees(m={arity}, n={n}) child slots"
     _check_guard(name, slots, MARY_SLOT_GUARD, unsafe_large)
-    yield from _shapes(MAryTree, arity + 1, n)
+    return _listed(MAryTree, arity + 1, n)
 
 
 def plane_trees(n: int, *, unsafe_large: bool = False) -> Iterator[PlaneTree]:
@@ -638,4 +642,4 @@ def plane_trees(n: int, *, unsafe_large: bool = False) -> Iterator[PlaneTree]:
     by the little Schroeder numbers 1, 1, 3, 11, 45, ...
     """
     _check_guard("plane_trees", n, PLANE_TREE_GUARD, unsafe_large)
-    yield from _shapes(PlaneTree, None, n + 1)
+    return _listed(PlaneTree, None, n)

@@ -25,21 +25,22 @@ the integer rule C(t,i) C(t,j) = sum_k C(k,i) C(i,k-j) C(t,k)
 One engine expands a solution of x = a + B(x, x) (or its m-ary and
 plane-tree analogues) as a sum of per-tree terms, checking beforehand on
 monomial probes that the operator raises valuation by at least one,
-which is what makes the expansion converge order by order.  Every tree
-is listed with its term, but the terms are interned by repr and the
-operator runs once per distinct tuple of child terms (364 for the 6,918
-binary shapes of Postnikov's equation at order 9); the total adds each
-distinct term times its multiplicity.  The independent cross-check is
-graded Picard iteration, a separate code path that calls only the raw
-operator and series +: pass k fixes t^k and runs at order k.
+which is what makes the expansion converge order by order.  It counts
+the trees of each distinct term, listing them only when the per-tree
+terms are read, and runs the operator once per distinct tuple of child
+terms (Postnikov's equation at order 9: 6,918 shapes, 169 terms, 364
+tuples).  The independent cross-check is graded Picard iteration, a
+separate code path that calls only the raw operator and series +: pass
+k fixes t^k and runs at order k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import cached_property, lru_cache
+from itertools import product
+from math import comb, prod
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -53,7 +54,7 @@ from .arith import (
     q_binomial,
     q_factorial,
 )
-from .combinat import PlaneTree, binary_trees, mary_trees, plane_trees
+from .combinat import PlaneTree, _splits, binary_trees, mary_trees, plane_trees
 from .errors import ValuationViolation
 
 
@@ -493,15 +494,39 @@ def discrete_sum(p: BinomialPoly) -> BinomialPoly:
 # ---------------------------------------------------------------------------
 
 
+class _TreeTerms:
+    """The (shape, term) pairs of a tree expansion: len() is the count of
+    shapes, and the first other read lists them by walk() and keeps them."""
+
+    def __init__(self, count: int, walk: Callable[[], list]):
+        self._count, self._walk = count, walk
+
+    @cached_property
+    def _pairs(self) -> list:
+        return self._walk()
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._pairs[index]
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __eq__(self, other) -> bool:
+        return self._pairs == other
+
+    __repr__ = lambda self: repr(self._pairs)
+
+
 @dataclass
 class TreeExpansion:
-    """Per-tree terms of a fixed-point solution plus their aggregated sum.
+    """Per-tree terms of a fixed-point solution, in (node count, canonical
+    encoding) order, plus their sum; the engine's terms list the trees
+    only when read, and their len() lists nothing."""
 
-    Terms are listed in (node count, canonical encoding) order; the
-    aggregated value always equals the sum of the stored terms.
-    """
-
-    terms: list = field(default_factory=list)
+    terms: Sequence = field(default_factory=list)
     total: object = None
 
 
@@ -528,24 +553,20 @@ _children = attrgetter("children")
 def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeExpansion:
     """The one tree engine: the terms of the shapes trees(0..order), in
     enumeration order, and their sum.  A shape without children carries a;
-    any other applies op to its children's terms, smaller shapes cached
-    before it, so no recursion is needed.  Given an arity, the sum is
-    re-checked against x = a + op(x, ..., x).  trees(order) is asked for
-    first, so the family's size guard fires before any shape is built.
+    any other applies op to its children's terms.  Given an arity, the sum
+    is re-checked against x = a + op(x, ..., x).  trees(order) is called
+    first: it checks the family's size guard and builds no shape.
 
-    Many shapes share a term (Postnikov's depends only on the hook
-    multiset), so the terms are hash-consed: each result of op is interned
-    by repr, which keeps apart terms that compare equal but print or add
-    differently (an int 0 and a ring's explicit zero), and op runs once per
-    distinct tuple of its children's interned terms, keyed by their ids.
-    Every interned term stays referenced by the tables until the call
-    returns, so no id is reused meanwhile, and no table outlives the call.
-    Shapes are cached by id too, not by text hash: the enumerators share
-    each shape with the parents holding it as a child, and expansion.terms
-    keeps every shape alive until the call returns.
-    The sum adds count * term once per distinct term, in order of first
-    appearance: the value of the tree-by-tree sum, printed alike in every
-    ring that prints canonically.
+    Shapes are counted, not listed (Flajolet-Sedgewick, Analytic
+    Combinatorics, ch. I): level n maps each term to its number of shapes
+    of size n, each split of n (combinat._splits) and tuple of child terms
+    adding their counts' product to the tuple's term, and the total adds
+    count * term for each.  Terms are interned by repr, which keeps apart
+    terms that compare equal but print or add differently (an int 0 and a
+    ring's zero); op runs once per distinct tuple of interned terms, keyed
+    by their ids.  Reading expansion.terms walks the shapes once, looking
+    each term up by its children's, cached by id of shape (a parent holds
+    the very shapes of the smaller sizes); the walk never calls op.
 
     >>> one = TruncatedSeries.constant(Fraction(1), 3)
     >>> calls = []
@@ -556,39 +577,37 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     >>> len(expansion.terms), len(calls) - 4  # the probes and the residual take 4
     (9, 6)
     """
+    trees(order)
     interned = {repr(a): a}  # repr -> the one term object with that repr
     applied: dict = {}  # ids of the children's terms -> op of them
-    counts: dict = {}  # id(term) -> [term, number of shapes carrying it]
-    cache: dict = {}  # id(shape) -> its interned term
-    expansion = TreeExpansion()
-    next(trees(order))
-    for n in range(order + 1):
-        for tree in trees(n):
-            kids = children(tree)
-            if kids:
-                args = [cache[id(kid)] for kid in kids]
-                key = tuple(map(id, args))
+    levels = [{id(a): [a, 1]}]  # per size: id(term) -> [term, number of shapes]
+    for n in range(1, order + 1):
+        level: dict = {}
+        for sizes in _splits(arity, n):
+            for classes in product(*[levels[s].values() for s in sizes]):
+                key = tuple([id(term) for term, _ in classes])
                 term = applied.get(key)
                 if term is None:
-                    term = op(*args)
+                    term = op(*[term for term, _ in classes])
                     term = applied[key] = interned.setdefault(repr(term), term)
-            else:
-                term = a
-            cache[id(tree)] = term
-            expansion.terms.append((tree, term))
-            seen = counts.get(id(term))
-            if seen is None:
-                counts[id(term)] = [term, 1]
-            else:
-                seen[1] += 1
-    total = None
-    for term, count in counts.values():
-        term = term if count == 1 else term * count
-        total = term if total is None else total + term
-    expansion.total = total
+                level.setdefault(id(term), [term, 0])[1] += prod([c for _, c in classes])
+        levels.append(level)
+    counted = [pair for level in levels[1:] for pair in level.values()]
+    total = sum([term if count == 1 else term * count for term, count in counted], a)
     if arity and total - (a + op(*[total] * arity)):
         raise ArithmeticError(f"{name} expansion does not satisfy its equation")
-    return expansion
+
+    def walk() -> list:
+        cache, pairs = {}, []  # cache: id(shape) -> its interned term
+        for n in range(order + 1):
+            for tree in trees(n):
+                kids = children(tree)
+                term = applied[tuple([id(cache[id(kid)]) for kid in kids])] if kids else a
+                cache[id(tree)] = term
+                pairs.append((tree, term))
+        return pairs
+
+    return TreeExpansion(_TreeTerms(1 + sum(count for _, count in counted), walk), total)
 
 
 def fixed_point_binary(

@@ -1,8 +1,8 @@
 """References that only the tests use: the plain and q-derivatives, the
 monomial-basis conversions and forward difference of the binomial basis,
-the per-tree JSON of a tree expansion, the FQSym basis change,
-specialization, alphabet scaling and pairing, and two checks of the
-source paper that no CLI command runs.
+the tree engine that listed every shape, the per-tree JSON of a tree
+expansion, the FQSym basis change, specialization, alphabet scaling and
+pairing, and two checks of the source paper that no CLI command runs.
 
 The tests compare the package against these, or state an identity of the
 paper with them; src/treecalc calls none of them.
@@ -97,6 +97,53 @@ def binomial_to_monomial(p: BinomialPoly) -> list:
 def finite_difference(p: BinomialPoly) -> BinomialPoly:
     """The forward difference f(t+1) - f(t): sends C(t, k) to C(t, k-1)."""
     return BinomialPoly({k - 1: c for k, c in p.coeffs.items() if k >= 1})
+
+
+def listing_expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeExpansion:
+    """The tree engine as it was before it counted shapes by term class,
+    kept as the listing reference: the terms of the shapes
+    trees(0..order), in enumeration order, and their sum.  A shape without
+    children carries a; any other applies op to its children's terms,
+    smaller shapes cached before it, so no recursion is needed.  Given an
+    arity, the sum is re-checked against x = a + op(x, ..., x).
+
+    Each result of op is interned by repr, and op runs once per distinct
+    tuple of its children's interned terms, keyed by their ids.  Shapes
+    are cached by id.  The sum adds count * term once per distinct term,
+    in order of first appearance."""
+    interned = {repr(a): a}  # repr -> the one term object with that repr
+    applied: dict = {}  # ids of the children's terms -> op of them
+    counts: dict = {}  # id(term) -> [term, number of shapes carrying it]
+    cache: dict = {}  # id(shape) -> its interned term
+    expansion = TreeExpansion()
+    next(trees(order))
+    for n in range(order + 1):
+        for tree in trees(n):
+            kids = children(tree)
+            if kids:
+                args = [cache[id(kid)] for kid in kids]
+                key = tuple(map(id, args))
+                term = applied.get(key)
+                if term is None:
+                    term = op(*args)
+                    term = applied[key] = interned.setdefault(repr(term), term)
+            else:
+                term = a
+            cache[id(tree)] = term
+            expansion.terms.append((tree, term))
+            seen = counts.get(id(term))
+            if seen is None:
+                counts[id(term)] = [term, 1]
+            else:
+                seen[1] += 1
+    total = None
+    for term, count in counts.values():
+        term = term if count == 1 else term * count
+        total = term if total is None else total + term
+    expansion.total = total
+    if arity and total - (a + op(*[total] * arity)):
+        raise ArithmeticError(f"{name} expansion does not satisfy its equation")
+    return expansion
 
 
 def expansion_to_json(expansion: TreeExpansion) -> list[dict]:

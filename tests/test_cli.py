@@ -289,6 +289,59 @@ def test_enumerate_prints_each_item_before_the_next(monkeypatch, fmt):
             assert out.getvalue().startswith(prefix) and prefix.endswith(item)
 
 
+ROW_PAYLOADS = {
+    "empty per_tree": {"equation": "postnikov", "order": 0, "series": ["1"], "per_tree": []},
+    "non-ASCII terms": {
+        "equation": "duliu",
+        "order": 1,
+        "series": ["1", "\u03b1"],
+        "per_tree": [
+            {"tree": "_", "term": '["1", "0"]'},
+            {"tree": "(___)", "term": '["0", "\u03b1"]'},
+            {"tree": "\"\\\n\t\x00", "term": "\u00e9 \u2028 \U0001d6fc"},
+        ],
+    },
+    "identity": {
+        "identity": "postnikov",
+        "parameters": {"n": 2, "series_order": 2},
+        "lhs": "3",
+        "rhs": "3",
+        "equal": True,
+        "elapsed_ms": 0.25,
+        "per_tree": [{"tree": "_", "coefficient": "1"}, {"tree": "(_,_)", "coefficient": "1"}],
+    },
+    "identity without per_tree": {"identity": "ft", "parameters": {}, "lhs": "{}", "equal": False},
+    "enumerate items": {"family": "packed-words", "n": 2, "items": ["11", "12", "\u03b1"]},
+    "enumerate, no items": {"family": "binary-trees", "n": 0, "items": []},
+    "enumerate count": {"family": "permutations", "n": 3, "count": 6},
+}
+
+
+@pytest.mark.parametrize("payload", ROW_PAYLOADS.values(), ids=ROW_PAYLOADS)
+def test_json_rows_are_byte_identical_to_json_dumps(monkeypatch, payload):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    streamed = dict(payload)
+    if "items" in streamed:
+        streamed["items"] = iter(streamed["items"])  # enumerate hands over an iterator
+    cli._print_json(streamed)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "duliu", "--m", "2", "--order", "3", "--per-tree"),
+    ("expand", "plane-q", "--order", "3", "--per-tree"),
+    ("identity", "postnikov", "--n", "6", "--per-tree"),
+    ("identity", "lagrange", "--m", "2", "--order", "3", "--per-tree"),
+    ("enumerate", "plane-trees", "--n", "3"),
+])
+def test_cli_json_is_what_json_dumps_prints(capsys, argv):
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out.isascii()  # an alpha is written \u03b1, as json.dumps writes it
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -887,6 +940,12 @@ def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, env, config, expec
     prefixes = ("parse error: ", "usage: ") if expected == 2 else ("size guard: ",)
     assert captured.err.startswith(prefixes)
     assert combinat._shapes.cache_info().currsize == shapes  # refused before any shape
+
+
+@pytest.mark.parametrize("family, n", [("binary-trees", "15"), ("permutations", "13")])
+def test_a_json_enumerate_guard_prints_nothing(capsys, family, n):
+    code, out = run(capsys, "--format", "json", "enumerate", family, "--n", n)
+    assert (code, out) == (3, "")
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from itertools import product as iter_product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +25,7 @@ from treecalc.combinat import (
     plane_trees,
     standardize,
 )
-from treecalc.combinat import MARY_SLOT_GUARD, _cartesian_tree, _compositions
+from treecalc.combinat import MARY_SLOT_GUARD, _cartesian_tree, _compositions, _shapes, _splits
 from treecalc.errors import ParseError, SizeGuardError
 
 words = st.lists(st.integers(min_value=1, max_value=8), min_size=0, max_size=8)
@@ -397,6 +397,24 @@ def test_compositions_in_lexicographic_order():
                 ]
                 assert list(_compositions(total, parts, minimum)) == brute
     assert next(_compositions(0, 3000)) == (0,) * 3000
+
+
+def test_one_splits_rule_counts_every_tree_family():
+    # the shapes of size n are, for each split, the products of the smaller shapes
+    families = ((2, binary_trees), (3, lambda n: mary_trees(2, n)), (None, plane_trees))
+    for arity, family in families:
+        counts = [1]
+        for n in range(1, 7):
+            counts.append(sum(prod(counts[s] for s in split) for split in _splits(arity, n)))
+        assert counts == [len(list(family(n))) for n in range(7)]
+
+
+def test_tree_enumerators_check_their_guard_when_called():
+    shapes = _shapes.cache_info().currsize
+    for call in (lambda: binary_trees(15), lambda: mary_trees(2, 10), lambda: plane_trees(10)):
+        with pytest.raises(SizeGuardError):
+            call()  # no next() needed
+    assert _shapes.cache_info().currsize == shapes
 
 
 def test_long_packed_words_meet_no_recursion_limit():

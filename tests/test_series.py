@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treecalc.arith import AlphaPoly, QPoly, q_factorial
 from treecalc.combinat import binary_trees, hook_data, mary_trees, plane_trees
 from treecalc.errors import ValuationViolation
+from treecalc.identities import MARY_EXPANSION_ORDER
 from treecalc.series import (
     BinomialPoly,
     QDividedSeries,
@@ -33,6 +34,7 @@ from references import (
     derivative,
     expansion_to_json,
     finite_difference,
+    listing_expand,
     monomial_to_binomial,
     q_derivative,
 )
@@ -848,6 +850,109 @@ def test_memo_keeps_apart_terms_that_print_alike():
         f"{tree.text}: {term}" for tree, term in expansion.terms
     ]
     assert str(expansion.total) == str(total)
+
+
+# ---------------------------------------------------------------------------
+# the engine counts shapes by term class; the listing engine is the reference
+# ---------------------------------------------------------------------------
+
+
+def _engine_case(case, order):
+    """The arguments of series._expand for one family at one order, op
+    counting its calls in calls."""
+    from treecalc.cli import _inverse_linear_operator
+    from treecalc.identities import lagrange_operator, plane_q_family, postnikov_operator
+
+    calls = []
+
+    def counted(op):
+        def call(*xs):
+            calls.append(None)
+            return op(*xs)
+        return call
+
+    one = TruncatedSeries.constant(Fraction(1), order)
+    if case == "plane-q":
+        apply = counted(lambda *xs: plane_q_family(len(xs))(*xs))
+        args = (apply, BinomialPoly({0: QPoly.one()}), order, plane_trees, attrgetter("children"))
+    elif case.startswith("lagrange"):  # expand duliu --m 2 is lagrange m=2
+        m = int(case[-1])
+        op = counted(lagrange_operator(m))
+        args = (op, one, order, lambda n: mary_trees(m, n), attrgetter("children"), m + 1, "m-ary")
+    else:
+        op = postnikov_operator if case == "postnikov" else _inverse_linear_operator
+        args = (counted(op), one, order, binary_trees, binary_children, 2, "binary")
+    return args, calls
+
+
+ENGINE_CASES = (
+    [(case, order) for case in ("postnikov", "inverse-linear") for order in range(11)]
+    + [(f"lagrange m={m}", order) for m in (1, 2, 3)
+       for order in range(MARY_EXPANSION_ORDER[m] + 1)]
+    + [("plane-q", order) for order in range(7)]
+)
+
+
+@pytest.mark.parametrize("case, order", ENGINE_CASES)
+def test_counting_engine_matches_listing_reference(case, order):
+    from treecalc.series import _expand
+
+    args, calls = _engine_case(case, order)
+    want = listing_expand(*args)
+    reference_calls = len(calls)
+    calls.clear()
+    got = _expand(*args)
+    assert len(calls) == reference_calls  # one op call per distinct child-term tuple
+    assert len(got.terms) == len(want.terms)
+    assert repr(got.total) == repr(want.total)
+    calls.clear()
+    listed = [(tree.text, repr(term)) for tree, term in got.terms]
+    assert not calls  # the listing looks every term up and never calls op
+    assert listed == [(tree.text, repr(term)) for tree, term in want.terms]
+
+
+def test_an_expansion_read_only_for_its_total_builds_no_shape():
+    from treecalc import combinat
+    from treecalc.cli import main
+    from treecalc.identities import eisenstein_check, postnikov_operator
+
+    combinat._shapes.cache_clear()
+    one = TruncatedSeries.constant(Fraction(1), 9)
+    expansion = fixed_point_binary(postnikov_operator, one, 9)
+    assert len(expansion.terms) == 6918
+    assert eisenstein_check(9).equal
+    assert main(["expand", "inverse-linear", "--order", "9"]) == 0
+    assert main(["expand", "plane-q", "--order", "5"]) == 0
+    assert main(["expand", "duliu", "--m", "2", "--order", "5"]) == 0
+    assert combinat._shapes.cache_info().currsize == 0
+    assert expansion.terms[0][0].text == "_"  # the first read lists the shapes
+    assert combinat._shapes.cache_info().currsize == 10
+
+
+def test_expansion_terms_are_listed_once():
+    from treecalc.identities import postnikov_operator
+
+    one = TruncatedSeries.constant(Fraction(1), 4)
+    expansion = fixed_point_binary(postnikov_operator, one, 4)
+    pairs = list(expansion.terms)
+    assert len(pairs) == len(expansion.terms) == 1 + 1 + 2 + 5 + 14
+    assert list(expansion.terms) == pairs and pairs == expansion.terms
+    assert all(a is b for a, b in zip(expansion.terms, pairs))  # the cached list
+    assert expansion.terms[-1] is pairs[-1] and expansion.terms[1:3] == pairs[1:3]
+    assert repr(expansion.terms) == repr(pairs)
+
+
+def test_an_expansion_above_the_guard_builds_no_shape():
+    from treecalc import combinat
+    from treecalc.errors import SizeGuardError
+
+    combinat._shapes.cache_clear()
+    one = TruncatedSeries.constant(Fraction(1), 15)
+    with pytest.raises(SizeGuardError, match="binary_trees"):
+        fixed_point_binary(inverse_linear, one, 15)
+    with pytest.raises(SizeGuardError, match="plane_trees"):
+        fixed_point_plane(lambda k: lambda *xs: xs[0].times_t(), 10, one)
+    assert combinat._shapes.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
