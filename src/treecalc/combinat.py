@@ -570,18 +570,17 @@ def packed_words(n: int, *, unsafe_large: bool = False) -> Iterator[PackedWord]:
         pos += 1
 
 
-def _compositions(total: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of `parts` integers >= minimum,
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ways to write total as an ordered sum of `parts` integers >= 0,
     in lexicographic order, with no recursion: stars and bars, the parts - 1
-    bars placed in every way among the spare units and themselves."""
-    spare = total - minimum * parts
-    if parts == 0 or spare < 0:
+    bars placed in every way among the units and themselves."""
+    if parts == 0 or total < 0:
         if parts == total == 0:
             yield ()
         return
-    cells = spare + parts - 1
+    cells = total + parts - 1
     for bars in combinations(range(cells), parts - 1):
-        yield tuple(b - a - 1 + minimum for a, b in zip((-1, *bars), (*bars, cells)))
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, cells)))
 
 
 def _splits(arity: int | None, n: int) -> Iterator[tuple[int, ...]]:

@@ -530,21 +530,20 @@ class TreeExpansion:
     total: object = None
 
 
-def _probe_valuations(op, arities: Sequence[int], order: int) -> None:
+def _probe_valuations(op, arity: int, order: int) -> None:
     """Check on monomial probes that an n-linear operator raises valuation
     by at least one; the expansions do not converge otherwise."""
     probe_order = max(order, 4)
-    for arity in arities:
-        for exponents in ((0,) * arity, (1,) + (0,) * (arity - 1), (1,) * arity):
-            args = [TruncatedSeries.monomial(e, probe_order) for e in exponents]
-            result = op(*args)
-            val = result.valuation()
-            needed = sum(exponents) + 1
-            if val is not None and val < needed:
-                raise ValuationViolation(
-                    f"operator maps valuations {exponents} to {val}; "
-                    f"needs at least {needed}"
-                )
+    for exponents in ((0,) * arity, (1,) + (0,) * (arity - 1), (1,) * arity):
+        args = [TruncatedSeries.monomial(e, probe_order) for e in exponents]
+        result = op(*args)
+        val = result.valuation()
+        needed = sum(exponents) + 1
+        if val is not None and val < needed:
+            raise ValuationViolation(
+                f"operator maps valuations {exponents} to {val}; "
+                f"needs at least {needed}"
+            )
 
 
 _children = attrgetter("children")
@@ -623,7 +622,7 @@ def fixed_point_binary(
     order.  The aggregated sum is re-checked against the equation before
     returning.
     """
-    _probe_valuations(B, (2,), order)
+    _probe_valuations(B, 2, order)
     children = lambda tree: () if tree.is_empty else (tree.left, tree.right)
     return _expand(B, a.with_order(order), order, binary_trees, children, 2, "binary")
 
@@ -651,7 +650,7 @@ def picard_binary(
 def fixed_point_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TreeExpansion:
     """Expand the solution of x = 1 + F(x, ..., x) with an (arity+1)-linear
     operator over (arity+1)-ary tree shapes."""
-    _probe_valuations(F, (arity + 1,), order)
+    _probe_valuations(F, arity + 1, order)
     trees = lambda n: mary_trees(arity, n)
     one = TruncatedSeries.constant(Fraction(1), order)
     return _expand(F, one, order, trees, _children, arity + 1, "m-ary")

@@ -9,9 +9,13 @@ maximal letter between k blocks and lift the k-fold product through it.
 Evaluating M_u at a binomial coefficient C(t, max u) turns all of this
 into the discrete calculus of polynomials in the binomial basis.
 
-Products and delta run on bare letter tuples (``elements.bilinear``) and
-build no key object; one cache holds each pair's packed convolution split
-into the three tridendriform parts, so a part product makes only its own.
+One block join builds them all: the packed words joining blocks that
+pack to given words, with the new maximal letter between blocks for the
+lifts and nothing between them for the product.  Products and delta run
+on bare letter tuples (``elements.bilinear``) and build no key object;
+one cache holds each pair's packed convolution split into the three
+tridendriform parts by the two blocks' maxima, so a part product makes
+only its own.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product as cartesian_product
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinat import PackedWord, PlaneTree, packed_words, plane_tree_of_word
 from .elements import WQSymElement, bilinear, keyed
@@ -37,72 +41,54 @@ def unit() -> WQSymElement:
     return WQSymElement({EMPTY_WORD: 1})
 
 
-def _relabel(letters: tuple[int, ...], values: Sequence[int]) -> tuple[int, ...]:
-    """Send letter i to values[i-1]; values must be increasing."""
-    return tuple(values[c - 1] for c in letters)
+def _joins(blocks: tuple[tuple[int, ...], ...], separated: bool) -> Iterator[tuple]:
+    """Each packed word w_1 s w_2 s ... s w_k with pack(w_i) = blocks[i],
+    s the fresh maximal letter top + 1 if separated and nothing otherwise,
+    with the tops of the supports of w_1 and w_k (0 for an empty block).
 
-
-def _letter_supports(sizes: Sequence[int], top: int):
-    """All ways to choose an increasing support of the given size in
-    {1..top} for each block so that the supports jointly cover {1..top}.
-
-    Built without rejection: the last block is forced to contain every
-    letter not covered so far, and branches that can no longer cover the
-    alphabet are pruned.
+    For each feasible top, every block but the last takes any support in
+    {1..top} and the last the letters still uncovered plus any choice of
+    the covered ones (a head leaving it too few letters is skipped); each
+    block is relabelled onto its support.  The supports are readable off
+    the word, so distinct choices give distinct words.
     """
-    letters = range(1, top + 1)
-    k = len(sizes)
-    tail_capacity = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        tail_capacity[i] = tail_capacity[i + 1] + sizes[i]
-
-    def rec(index: int, covered: frozenset):
-        if index == k - 1:
-            size = sizes[index]
-            missing = tuple(c for c in letters if c not in covered)
-            if len(missing) > size:
-                return
-            for extra in combinations(sorted(covered), size - len(missing)):
-                yield (tuple(sorted(missing + extra)),)
-            return
-        for support in combinations(letters, sizes[index]):
-            now_covered = covered | frozenset(support)
-            if top - len(now_covered) > tail_capacity[index + 1]:
+    *head, last = blocks
+    sizes = [max(block, default=0) for block in blocks]
+    for top in range(max(sizes), sum(sizes) + 1):
+        letters = range(1, top + 1)
+        separator = (top + 1,) if separated else ()
+        for supports in cartesian_product(*(combinations(letters, n) for n in sizes[:-1])):
+            covered = set().union(*supports)
+            # a leading 0 makes support[c] the image of letter c, and 0 the top of none
+            uncovered = (0, *(c for c in letters if c not in covered))
+            free = sizes[-1] + 1 - len(uncovered)
+            if free < 0:
                 continue
-            for rest in rec(index + 1, now_covered):
-                yield (support,) + rest
-
-    yield from rec(0, frozenset())
+            prefix: tuple[int, ...] = ()
+            for block, support in zip(head, supports):
+                prefix += tuple(support[c - 1] for c in block) + separator
+            first = max(supports[0], default=0)
+            for extra in combinations(covered, free):
+                support = sorted(uncovered + extra)
+                yield prefix + tuple(map(support.__getitem__, last)), first, support[-1]
 
 
 @lru_cache(maxsize=None)
 def _packed_convolve_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple, ...]:
     """The packed convolution of two letter tuples as sorted letter
-    tuples: (prec, circ, succ, every).  A block's maximum is the top of
-    its support, so each word is classified as it is built."""
+    tuples: (prec, circ, succ, every), each word classified by its two
+    support tops, which are the block maxima."""
     if not a or not b:
         return (), (), (), (a + b,)
-    p, r = max(a), max(b)
-    out = []
-    for top in range(max(p, r), p + r + 1):
-        for support_a, support_b in _letter_supports((p, r), top):
-            left, right = support_a[-1], support_b[-1]
-            part = (left <= right) + (left < right)
-            out.append((_relabel(a, support_a) + _relabel(b, support_b), part))
-    out.sort()
+    out = sorted((w, (left <= right) + (left < right)) for w, left, right in _joins((a, b), False))
     parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
     return (*parts, tuple(w for w, _ in out))
 
 
 def packed_convolve(a: PackedWord, b: PackedWord) -> list[PackedWord]:
-    """All packed w = u.v with |u| = |a|, pack(u) = a, pack(v) = b.
-
-    Words are built directly: choose the letter supports of the two
-    blocks inside {1..M} for every feasible overall maximum M, then
-    relabel each block onto its support.  Results are sorted
-    lexicographically and duplicate-free (the supports are readable off
-    any result, so distinct choices give distinct words).
-    """
+    """All packed w = u.v with |u| = |a|, pack(u) = a, pack(v) = b, built
+    directly by the block join, sorted lexicographically and
+    duplicate-free."""
     return [PackedWord(w) for w in _packed_convolve_cached(a.letters, b.letters)[3]]
 
 
@@ -185,19 +171,7 @@ def _sandwich_words(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]
     if len(blocks) == 1:
         block = blocks[0]
         return [block + (max(block, default=0) + 1,)]
-    sizes = tuple(max(block, default=0) for block in blocks)
-    out = []
-    for top in range(max(sizes, default=0), sum(sizes) + 1):
-        for supports in _letter_supports(sizes, top):
-            separator = (top + 1,)
-            word: tuple[int, ...] = ()
-            for i, block in enumerate(blocks):
-                if i:
-                    word += separator
-                word += _relabel(block, supports[i])
-            out.append(word)
-    out.sort()
-    return out
+    return sorted(w for w, _, _ in _joins(blocks, True))
 
 
 def f_k(args: Sequence[WQSymElement]) -> WQSymElement:

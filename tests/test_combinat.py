@@ -395,7 +395,11 @@ def test_compositions_in_lexicographic_order():
                     c for c in iter_product(range(minimum, total + 1), repeat=parts)
                     if sum(c) == total
                 ]
-                assert list(_compositions(total, parts, minimum)) == brute
+                raised = [
+                    tuple(part + minimum for part in c)
+                    for c in _compositions(total - minimum * parts, parts)
+                ]
+                assert raised == brute
     assert next(_compositions(0, 3000)) == (0,) * 3000
 
 

@@ -1,11 +1,14 @@
+from itertools import product as iter_product
+
 import pytest
 
 from treecalc.arith import QPoly
-from treecalc.combinat import PackedWord, PlaneTree, pack
+from treecalc.combinat import PackedWord, PlaneTree, pack, packed_words
 from treecalc.elements import WQSymElement
 from treecalc.errors import EmptyOperand
 from treecalc.series import BinomialPoly
 from treecalc.wqsym import (
+    _sandwich_words,
     circ_product,
     delta,
     f_k,
@@ -181,6 +184,27 @@ def test_delta_of_f_k_is_product(packed_by_length):
         for e in elements[1:]:
             expected = product(expected, e)
         assert delta(lifted) == expected
+
+
+def test_sandwich_words_against_filter(packed_by_length):
+    # oracle: every packed word of length <= 7 whose maximum occurs exactly
+    # once or twice, keyed by the packings of the blocks between those slots
+    oracle: dict = {}
+    for n in range(1, 8):
+        for w in packed_by_length[n] if n < 7 else packed_words(7):
+            top = max(w.letters)
+            slots = [i for i, c in enumerate(w.letters) if c == top]
+            if len(slots) <= 2:
+                bounds = zip((-1, *slots), (*slots, n))
+                key = tuple(pack(w.letters[i + 1 : j]) for i, j in bounds)
+                oracle.setdefault(key, []).append(w.letters)
+    for k in (2, 3):
+        for lengths in iter_product(range(9 - k), repeat=k):
+            if sum(lengths) + k - 1 > 7:
+                continue
+            for blocks in iter_product(*(packed_by_length[l] for l in lengths)):
+                expected = sorted(oracle.get(blocks, []))
+                assert _sandwich_words(tuple(b.letters for b in blocks)) == expected
 
 
 def test_f_k_multilinear():
