@@ -126,11 +126,6 @@ class Poly:
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, exponent: int) -> Scalar:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return 0
-
     def truncated(self, max_degree: int) -> "Poly":
         return type(self)(self.coeffs[: _nonnegative(max_degree) + 1])
 

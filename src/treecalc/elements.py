@@ -9,61 +9,22 @@ else.  Zero coefficients are never stored, so canonical form is
 automatic.  Elements are immutable by convention and all operations
 return fresh values.
 
-Products are bilinear lifts of maps on letter tuples, which hash and
-compare at C speed: ``bilinear`` sums coefficients on tuples, and
-``keyed`` checks all the words of a result in one batch pass.  No key
-object is built unless ``terms`` is read.
+Letter tuples hash and compare at C speed.  ``bilinear`` sums every
+G-basis and M-basis product on them, fqsym.derive, wqsym.delta and
+wqsym.f_k sum on them in loops of their own, and ``keyed`` checks each
+such result's words in one batch pass; only the q-shuffle sums on
+Permutation keys.  ``terms`` is a read-only dict of fresh keys per read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Callable, Iterable
 
 from .arith import _check_exact
 from .combinat import PackedWord, Permutation
 from .errors import BasisMismatch
-
-
-class TermsView(Mapping):
-    """The terms as {basis key: coefficient}, read-only.  Each key read is
-    a fresh object of the element's key type, equal to the public key with
-    the same letters; the words are not checked again.
-
-    >>> x = FQSymElement({Permutation((2, 1)): 3, Permutation((1,)): -1})
-    >>> x.terms[Permutation((2, 1))], PackedWord((1,)) in x.terms, x.terms.items()
-    (3, False, [(Permutation((2, 1)), 3), (Permutation((1,)), -1)])
-    >>> x.terms == {Permutation((1,)): -1, Permutation((2, 1)): 3}
-    True
-    """
-
-    __slots__ = ("_words", "_key_type")
-
-    def __init__(self, words: dict, key_type: type):
-        self._words, self._key_type = words, key_type
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __iter__(self):
-        return iter(self._key_type._unchecked(self._words))
-
-    def __contains__(self, key) -> bool:
-        return type(key) is self._key_type and key.letters in self._words
-
-    def __getitem__(self, key):
-        if key in self:
-            return self._words[key.letters]
-        raise KeyError(key)
-
-    def items(self) -> list[tuple]:
-        return list(zip(self, self._words.values()))
-
-    def values(self):
-        return self._words.values()
-
-    def __repr__(self) -> str:
-        return f"TermsView({dict(self.items())!r})"
 
 
 class AlgebraElement:
@@ -85,8 +46,20 @@ class AlgebraElement:
         self._words = {w: c for w, c in words.items() if c}
 
     @property
-    def terms(self) -> TermsView:
-        return TermsView(self._words, self._key_type)
+    def terms(self) -> MappingProxyType:
+        """The terms as a read-only {basis key: coefficient} dict, in the
+        order the words were summed.  Each read builds fresh keys of the
+        element's key type, equal to the public keys with the same
+        letters; the words are not checked again.
+
+        >>> x = FQSymElement({Permutation((2, 1)): 3, Permutation((1,)): -1})
+        >>> x.terms[Permutation((2, 1))], PackedWord((1,)) in x.terms, list(x.terms.items())
+        (3, False, [(Permutation((2, 1)), 3), (Permutation((1,)), -1)])
+        >>> x.terms == {Permutation((1,)): -1, Permutation((2, 1)): 3}
+        True
+        """
+        keys = self._key_type._unchecked(self._words)
+        return MappingProxyType(dict(zip(keys, self._words.values())))
 
     def _like(self, terms) -> "AlgebraElement":
         """Construct a result carrying the same metadata as self."""
@@ -107,7 +80,7 @@ class AlgebraElement:
             )
 
     def coefficient(self, key):
-        return self.terms.get(key, 0)
+        return self._words.get(key.letters, 0) if type(key) is self._key_type else 0
 
     def support(self) -> list:
         return [key for key, _ in self.sorted_terms()]
@@ -115,12 +88,6 @@ class AlgebraElement:
     def sorted_terms(self) -> list[tuple]:
         words = sorted(sorted(self._words), key=len)  # the order of the keys
         return list(zip(self._key_type._unchecked(words), map(self._words.__getitem__, words)))
-
-    def homogeneous(self, degree: int) -> "AlgebraElement":
-        return self._with({w: c for w, c in self._words.items() if len(w) == degree})
-
-    def truncated(self, max_degree: int) -> "AlgebraElement":
-        return self._with({w: c for w, c in self._words.items() if len(w) <= max_degree})
 
     def map_coefficients(self, fn: Callable) -> "AlgebraElement":
         return self._with({w: _check_exact(fn(c)) for w, c in self._words.items()})

@@ -220,8 +220,9 @@ def q_shuffle_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
     x.require_basis("F")
     y.require_basis("F")
     out: dict = {}
+    y_terms = y.terms.items()
     for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
+        for b, cb in y_terms:
             c = ca * cb
             for gamma, weight in q_shuffle_words(a, b):
                 out[gamma] = out.get(gamma, 0) + weight * c

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import treecalc
 from treecalc.combinat import (
+    EMPTY_BINARY,
     BinaryTree,
     MAryTree,
     PackedWord,
@@ -500,6 +501,21 @@ def test_equal_shapes_hash_equal():
         assert len({a, b}) == 1
 
 
+MALFORMED_SHAPE_CALLS = {
+    "binary node with one child": lambda: BinaryTree(EMPTY_BINARY),
+    "m-ary arity 0": lambda: MAryTree(0),
+    "m-ary node with m children": lambda: MAryTree(2, [MAryTree(2)] * 2),
+    "m-ary node of mixed arities": lambda: MAryTree(2, [MAryTree(1)] * 3),
+    "plane node with one child": lambda: PlaneTree([PlaneTree()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SHAPE_CALLS))
+def test_a_malformed_shape_raises(name):
+    with pytest.raises(ValueError):
+        MALFORMED_SHAPE_CALLS[name]()
+
+
 def test_parse_errors():
     for bad in ("", "(", "(_,_", "(_)", "x", "(_,_))"):
         with pytest.raises(ParseError):
@@ -555,6 +571,10 @@ def test_word_text_round_trip():
     assert Permutation.from_text(long_word.to_text()) == long_word
     with pytest.raises(ParseError):
         Permutation.from_text("1x3")
+
+
+def test_the_empty_text_is_the_empty_word():
+    assert Permutation.from_text("") == Permutation(())
 
 
 # ---------------------------------------------------------------------------

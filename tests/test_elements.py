@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from treecalc import fqsym, wqsym
 from treecalc.combinat import PackedWord, Permutation, packed_words, permutations
 from treecalc.elements import FQSymElement, WQSymElement, bilinear, keyed
+from treecalc.errors import BasisMismatch
 
 PERMS = [p for n in range(4) for p in permutations(n)]
 WORDS = [w for n in range(4) for w in packed_words(n)]
@@ -52,6 +53,20 @@ def test_a_permutation_key_in_wqsym_no_longer_passes_for_a_packed_word():
     with pytest.raises(TypeError):
         WQSymElement({perm(2, 1): 1})
     assert WQSymElement({pw(2, 1): 1}) == wqsym.m_basis(pw(2, 1))
+
+
+MISUSED_ELEMENT_CALLS = {
+    "unknown basis": (lambda: FQSymElement({}, basis="H"), ValueError),
+    "G plus F": (lambda: fqsym.g_basis(perm(1)) + fqsym.f_basis(perm(1)), BasisMismatch),
+    "element times element": (lambda: wqsym.m_basis(pw(1)) * wqsym.m_basis(pw(1)), TypeError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISUSED_ELEMENT_CALLS))
+def test_a_misused_element_raises(name):
+    call, error = MISUSED_ELEMENT_CALLS[name]
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from treecalc.identities import (
     FT_LEAF_GUARD,
     decreasing_tree_fibers,
     duliu_check,
+    duliu_node_factor,
     duliu_rhs,
     eisenstein_check,
     eisenstein_coefficients,
@@ -351,6 +352,18 @@ def test_duliu_guards():
         duliu_check("las3", 6, m=2)
     with pytest.raises(SizeGuardError):
         duliu_check("las3", 3, m=4)
+
+
+UNKNOWN_VARIANT_CALLS = {
+    "node factor": lambda: duliu_node_factor("las4", 1, 2),
+    "right-hand side": lambda: duliu_rhs("las4", 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_VARIANT_CALLS))
+def test_an_unknown_duliu_variant_raises(name):
+    with pytest.raises(ValueError, match="unknown Du-Liu variant 'las4'"):
+        UNKNOWN_VARIANT_CALLS[name]()
 
 
 def test_postnikov_is_las1_at_alpha_one():

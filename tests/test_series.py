@@ -7,7 +7,15 @@ from operator import add, attrgetter, mul, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecalc.arith import AlphaPoly, QPoly, q_factorial
+from treecalc.arith import (
+    AlphaPoly,
+    Poly,
+    QPoly,
+    binomial_coefficient,
+    q_binomial,
+    q_factorial,
+    q_integer,
+)
 from treecalc.combinat import binary_trees, hook_data, mary_trees, plane_trees
 from treecalc.errors import ValuationViolation
 from treecalc.identities import MARY_EXPANSION_ORDER
@@ -83,6 +91,15 @@ NEGATIVE_INDEX_CALLS = {
     "q-divided coefficient": lambda: QDividedSeries([1, 2, 3]).coefficient(-1),
     "q-divided with_order": lambda: QDividedSeries([1, 2, 3]).with_order(-2),
     "q-divided constant": lambda: QDividedSeries.constant(1, -1),
+    "negative power": lambda: TruncatedSeries([1, 2, 3]) ** -1,
+    "binomial basis index": lambda: BinomialPoly({-1: 1}),
+    "poly monomial": lambda: Poly.monomial(-1),
+    "poly negative power": lambda: QPoly((1,)) ** -1,
+    "q_integer": lambda: q_integer(-1),
+    "q_factorial": lambda: q_factorial(-1),
+    "q_binomial": lambda: q_binomial(-1, 0),
+    "binomial_coefficient": lambda: binomial_coefficient(2, -1),
+    "binary_trees": lambda: binary_trees(-1),
 }
 
 
@@ -92,6 +109,18 @@ def test_a_negative_index_or_order_raises(name):
     # truncated(-2) an order-1 series
     with pytest.raises(ValueError):
         NEGATIVE_INDEX_CALLS[name]()
+
+
+MALFORMED_SERIES_CALLS = {
+    "no constant term": lambda: TruncatedSeries([]),
+    "truncate upward": lambda: TruncatedSeries([1, 2, 3]).truncated(3),  # known to order 2
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SERIES_CALLS))
+def test_a_malformed_series_call_raises(name):
+    with pytest.raises(ValueError):
+        MALFORMED_SERIES_CALLS[name]()
 
 
 def test_the_two_bases_do_not_mix():

@@ -169,6 +169,11 @@ def test_f_k_unit_cases():
     assert f_k([unit(), unit(), unit()]) == m_basis(pw(1, 1))
 
 
+def test_f_k_needs_an_argument():
+    with pytest.raises(ValueError):
+        f_k([])
+
+
 def test_delta_of_f_k_is_product(packed_by_length):
     cases = [
         [pw(1, 1)],
