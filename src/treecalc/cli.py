@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
 from math import factorial
@@ -37,12 +36,11 @@ DEFAULT_ORDER = 8
 OUTPUT_FORMATS = ("text", "json", "csv")
 
 
-@dataclass
 class CliConfig:
-    max_degree: int = DEFAULT_MAX_DEGREE
-    truncation_order: int = DEFAULT_ORDER
-    output_format: str = "text"
-    unsafe_large: bool = False
+    max_degree = DEFAULT_MAX_DEGREE
+    truncation_order = DEFAULT_ORDER
+    output_format = "text"
+    unsafe_large = False
 
 
 # the JSON type of each config-file value; a JSON true is not an integer here

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, compress, count, product, repeat, starmap
 from itertools import permutations as _itertools_permutations
-from math import comb, inf
+from math import comb, inf, prod
 from operator import attrgetter, eq, gt
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, refuse_large
 
@@ -313,10 +312,14 @@ def _parse(text: str, name: str, leaf: str, make_leaf, make_node, arity=None, se
             return tree
 
 
+_arity, _node_count, _text = attrgetter("arity"), attrgetter("node_count"), attrgetter("text")
+_internal_count, _leaf_count = attrgetter("internal_count"), attrgetter("leaf_count")
+
+
 class BinaryTree(_Shape):
     """Shape of an incomplete binary tree; BinaryTree() is the empty tree."""
 
-    __slots__ = ("left", "right", "node_count", "text")
+    __slots__ = ("left", "right", "node_count", "text", "_hooks")
 
     def __init__(self, left: "BinaryTree | None" = None, right: "BinaryTree | None" = None):
         if (left is None) != (right is None):
@@ -326,9 +329,11 @@ class BinaryTree(_Shape):
         if left is None:
             self.node_count = 0
             self.text = "_"
+            self._hooks = 1
         else:
             self.node_count = 1 + left.node_count + right.node_count
             self.text = f"({left.text},{right.text})"
+            self._hooks = None
 
     @property
     def is_empty(self) -> bool:
@@ -353,7 +358,7 @@ class MAryTree(_Shape):
     children; m travels out-of-band.
     """
 
-    __slots__ = ("arity", "children", "node_count", "text")
+    __slots__ = ("arity", "children", "node_count", "text", "_hooks")
 
     def __init__(self, arity: int, children: Sequence["MAryTree"] | None = None):
         if arity < 1:
@@ -363,15 +368,17 @@ class MAryTree(_Shape):
             self.children = ()
             self.node_count = 0
             self.text = "_"
+            self._hooks = 1
         else:
             children = tuple(children)
             if len(children) != arity + 1:
                 raise ValueError(f"a node needs exactly {arity + 1} children")
-            if any(child.arity != arity for child in children):
+            if any(map(arity.__ne__, map(_arity, children))):
                 raise ValueError("mixed arities in one tree")
             self.children = children
-            self.node_count = 1 + sum(child.node_count for child in children)
-            self.text = "(" + "".join(child.text for child in children) + ")"
+            self.node_count = 1 + sum(map(_node_count, children))
+            self.text = "(" + "".join(map(_text, children)) + ")"
+            self._hooks = None
 
     @property
     def is_empty(self) -> bool:
@@ -412,9 +419,9 @@ class PlaneTree(_Shape):
             if len(children) < 2:
                 raise ValueError("internal plane-tree nodes need >= 2 children")
             self.children = children
-            self.internal_count = 1 + sum(c.internal_count for c in children)
-            self.leaf_count = sum(c.leaf_count for c in children)
-            self.text = "(" + "".join(c.text for c in children) + ")"
+            self.internal_count = 1 + sum(map(_internal_count, children))
+            self.leaf_count = sum(map(_leaf_count, children))
+            self.text = "(" + "".join(map(_text, children)) + ")"
 
     @property
     def is_leaf(self) -> bool:
@@ -431,8 +438,7 @@ class PlaneTree(_Shape):
 LEAF = PlaneTree()
 
 
-@dataclass(frozen=True)
-class HookData:
+class HookData(NamedTuple):
     """Subtree sizes h_v per node, plus right-subtree sizes for binary trees.
 
     Both fields are multisets stored as descending tuples.
@@ -446,8 +452,8 @@ def _internal_nodes(tree: BinaryTree | MAryTree) -> list:
     """The internal nodes of a binary or m-ary tree, unsorted: one
     breadth-first pass over a list that grows while it is read, so a
     deep tree never meets the recursion limit.  The binary pass reads the
-    two child slots directly, with no tuple per node.  Every hook walk of
-    this module is this one."""
+    two child slots directly, with no tuple per node.  Every hook multiset
+    of this module comes from this walk."""
     if not tree.node_count:
         raise ValueError("hook data of the empty tree is undefined")
     nodes = [tree]
@@ -465,6 +471,40 @@ def _internal_nodes(tree: BinaryTree | MAryTree) -> list:
                 if child.node_count:
                     append(child)
     return nodes
+
+
+def _hook_product(tree: BinaryTree | MAryTree) -> int:
+    """The product of the hook lengths of a nonempty binary or m-ary tree,
+    multiplicative over subtrees: |T| times the products of T's children.
+    Each node keeps its product in _hooks once asked (the empty tree holds
+    1, a node None until then), so a binary node whose children hold
+    theirs costs one multiply and one store.  Otherwise the nodes missing
+    one are listed breadth first, as in _internal_nodes, and filled in
+    reverse, children before parents, so a deep tree meets no recursion
+    limit."""
+    if not tree.node_count:
+        raise ValueError("hook data of the empty tree is undefined")
+    nodes = [tree]
+    if isinstance(tree, BinaryTree):
+        left_hooks, right_hooks = tree.left._hooks, tree.right._hooks
+        if left_hooks is not None and right_hooks is not None:
+            tree._hooks = product = tree.node_count * left_hooks * right_hooks
+            return product
+        for node in nodes:
+            if node.left._hooks is None:
+                nodes.append(node.left)
+            if node.right._hooks is None:
+                nodes.append(node.right)
+        for node in reversed(nodes):
+            node._hooks = node.node_count * node.left._hooks * node.right._hooks
+    else:
+        for node in nodes:
+            for child in node.children:
+                if child._hooks is None:
+                    nodes.append(child)
+        for node in reversed(nodes):
+            node._hooks = node.node_count * prod([child._hooks for child in node.children])
+    return tree._hooks
 
 
 def hook_data(tree: BinaryTree | MAryTree) -> HookData:
@@ -609,7 +649,7 @@ def _shapes(kind: type, arity: int | None, n: int) -> tuple:
     out = [] if n else [leaf]
     for sizes in _splits(arity, n):
         out.extend(nodes(product(*[_shapes(kind, arity, s) for s in sizes])))
-    return tuple(sorted(out, key=attrgetter("text")))
+    return tuple(sorted(out, key=_text))
 
 
 def _listed(kind: type, arity: int | None, n: int) -> Iterator:

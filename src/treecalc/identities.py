@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from .arith import (
     AlphaPoly,
@@ -29,7 +29,7 @@ from .combinat import (
     BinaryTree,
     Permutation,
     PlaneTree,
-    _internal_nodes,
+    _hook_product,
     binary_trees,
     decreasing_tree,
     hook_data,
@@ -78,8 +78,7 @@ QHOOK_GUARD = 60
 MARY_EXPANSION_ORDER = {1: 8, 2: 6, 3: 5}
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check, with both sides kept verbatim."""
 
     name: str
@@ -120,13 +119,11 @@ def _report(name, parameters, start, lhs, rhs, paths, per_tree=None) -> Identity
 
 def hook_count(tree: BinaryTree) -> Fraction:
     """n! over the product of the hook lengths: the number of permutations
-    whose decreasing tree has this shape.  The product needs no multiset,
-    so it runs over the one unsorted hook walk, with no sort and no
-    HookData per shape."""
+    whose decreasing tree has this shape.  The product needs no multiset:
+    each node keeps its own (combinat._hook_product), so a shape whose
+    subtrees were asked before costs one multiply."""
     numerator = factorial(tree.node_count)
-    denominator = 1
-    for node in _internal_nodes(tree):
-        denominator *= node.node_count
+    denominator = _hook_product(tree)
     value, remainder = divmod(numerator, denominator)
     if remainder:
         raise NonIntegerResult(

@@ -36,7 +36,6 @@ k fixes t^k and runs at order k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -520,14 +519,14 @@ class _TreeTerms:
     __repr__ = lambda self: repr(self._pairs)
 
 
-@dataclass
 class TreeExpansion:
     """Per-tree terms of a fixed-point solution, in (node count, canonical
     encoding) order, plus their sum; the engine's terms list the trees
     only when read, and their len() lists nothing."""
 
-    terms: Sequence = field(default_factory=list)
-    total: object = None
+    def __init__(self, terms: Sequence | None = None, total: object = None):
+        self.terms = [] if terms is None else terms
+        self.total = total
 
 
 def _probe_valuations(op, arity: int, order: int) -> None:

@@ -2,11 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+import treecalc
 from treecalc import cli, combinat, fqsym, identities
 from treecalc.cli import main
 from treecalc.series import TruncatedSeries
@@ -994,3 +997,19 @@ def test_parser_output_is_golden(capsys, monkeypatch, argv):
     assert (captured.err if help_asked else captured.out) == ""
     printed = captured.out if help_asked else captured.err
     assert hashlib.sha256(printed.encode()).hexdigest() == PARSER_GOLDEN[argv]
+
+
+def test_cli_import_stays_light():
+    # dataclasses brings inspect, ast, dis and tokenize with it, about 10 ms
+    # of every start; the CLI needs none of them
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import treecalc.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    source = os.path.dirname(os.path.dirname(treecalc.__file__))
+    env = {**os.environ, "PYTHONPATH": source}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

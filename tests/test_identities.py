@@ -18,6 +18,7 @@ from treecalc.combinat import (
     BinaryTree,
     MAryTree,
     PlaneTree,
+    _internal_nodes,
     binary_trees,
     hook_data,
     mary_trees,
@@ -202,6 +203,62 @@ def test_hook_count_walk_serves_mary_shapes():
         hook_count(MAryTree(2))
     with pytest.raises(ValueError):
         hook_count(BinaryTree())
+
+
+def _parsed(tree):
+    """The shape parsed again from its text: it shares no node with tree,
+    and none of its nodes holds a hook product yet."""
+    if isinstance(tree, BinaryTree):
+        return BinaryTree.from_text(tree.text)
+    return MAryTree.from_text(tree.arity, tree.text)
+
+
+def test_stored_hook_products_agree_whichever_node_is_asked_first():
+    shapes = [tree for n in range(1, 8) for tree in binary_trees(n)]
+    shapes += [tree for m in (2, 3) for n in range(1, 6) for tree in mary_trees(m, n)]
+    for tree in shapes:
+        # root first fills every subtree; reversed, each subtree comes before its parent
+        for order in (list, reversed):
+            for node in order(_internal_nodes(_parsed(tree))):
+                assert hook_count(node) == _by_hook_data(node), node
+        # the enumerated shape shares its subtrees with other shapes
+        assert hook_count(tree) == hook_count(_parsed(tree)) == _by_hook_data(tree)
+
+
+def test_stored_hook_products_of_shared_nodes():
+    # one object in several child slots counts once in each
+    binary = BinaryTree.from_text("((_,_),_)")
+    binary = BinaryTree(binary, BinaryTree(binary, binary))
+    mary = MAryTree.from_text(2, "(___)")
+    mary = MAryTree(2, (mary, MAryTree(2), MAryTree(2, (mary,) * 3)))
+    for tree in (binary, mary):
+        assert hook_count(tree) == _by_hook_data(tree) == hook_count(_parsed(tree))
+
+
+def test_stored_hook_products_on_deep_combs():
+    empty = BinaryTree()
+    for root_first in (True, False):
+        left_combs, right_combs = [empty], [empty]
+        for _ in range(3000):  # well past the default recursion limit
+            left_combs.append(BinaryTree(left_combs[-1], empty))
+            right_combs.append(BinaryTree(empty, right_combs[-1]))
+        for combs in (left_combs[1:], right_combs[1:]):
+            # a comb of k nodes has the hooks 1..k, so its count is 1
+            if root_first:
+                assert hook_count(combs[-1]) == 1
+                assert hook_count(combs[0]) == hook_count(combs[1499]) == 1
+            else:
+                assert all(hook_count(node) == 1 for node in combs)
+            assert _by_hook_data(combs[-1]) == _by_hook_data(combs[1499]) == 1
+
+
+def test_stored_hook_products_keep_the_empty_tree_undefined():
+    # an empty child holds the product 1, but its own count stays undefined
+    binary, mary = BinaryTree.from_text("(_,_)"), MAryTree.from_text(3, "(____)")
+    assert hook_count(binary) == hook_count(mary) == 1
+    for empty in (binary.left, binary.right, mary.children[0], BinaryTree(), MAryTree(2)):
+        with pytest.raises(ValueError):
+            hook_count(empty)
 
 
 def test_hook_counts_sum_to_factorial():
