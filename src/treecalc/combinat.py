@@ -453,7 +453,8 @@ def _internal_nodes(tree: BinaryTree | MAryTree) -> list:
     breadth-first pass over a list that grows while it is read, so a
     deep tree never meets the recursion limit.  The binary pass reads the
     two child slots directly, with no tuple per node.  Every hook multiset
-    of this module comes from this walk."""
+    of this module comes from this walk; the tree engine's hook classes
+    (series._expand) merge their children's multisets instead."""
     if not tree.node_count:
         raise ValueError("hook data of the empty tree is undefined")
     nodes = [tree]
@@ -510,8 +511,9 @@ def _hook_product(tree: BinaryTree | MAryTree) -> int:
 def hook_data(tree: BinaryTree | MAryTree) -> HookData:
     """Collect the hook multiset (and, for binary trees, the right sizes),
     each sorted from the one unsorted walk ``_internal_nodes``.  A caller
-    that needs only the product of the hooks reads that walk itself and
-    skips the two sorts and the HookData."""
+    that needs only the product of the hooks reads _hook_product instead,
+    and the per-tree checks of the tree expansions read the multisets
+    that the engine's hook classes carry, so neither walks a shape."""
     nodes = _internal_nodes(tree)
     hooks = sorted([node.node_count for node in nodes], reverse=True)
     if not isinstance(tree, BinaryTree):

@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arith import (
     AlphaPoly,
@@ -71,10 +71,13 @@ FT_LEAF_GUARD = 256
 # at 60 nodes); kept, since it decides which hook --q inputs exit 3.
 QHOOK_GUARD = 60
 
-# Tree order of the Lagrange check (Picard carries the full order).  The tree
-# total is cheap, but the per-tree walk visits every shape: at m = 3, 1,137 at
-# order 5 and 482,773 at order 8, which took 4.3 s of the check's 4.5 s with
-# the cap lifted (2-core Xeon, Python 3.11).  The values fix the JSON tree_order.
+# Tree order of the Lagrange check (Picard carries the full order).  The
+# per-tree check reads the engine's hook classes and walks no shape, so the
+# cap no longer saves time: with it lifted, lagrange_fixed_point_check(3, 8)
+# takes 0.17-0.27 s in-process (165 classes for 482,773 shapes; m = 1 and 2:
+# 0.04-0.06 s and 0.09-0.15 s; 2-core Xeon, Python 3.11), against 7.4-8.0 s
+# when the check walked every shape.  The values now only fix the JSON
+# tree_order; lifting them changes printed output and is left for later.
 MARY_EXPANSION_ORDER = {1: 8, 2: 6, 3: 5}
 
 
@@ -86,11 +89,13 @@ class IdentityReport(NamedTuple):
     lhs: str
     rhs: str
     equal: bool
-    per_tree: list | None = None
+    per_tree_rows: Callable[[], list] | None = None  # lists the per-tree rows
     elapsed_ms: float = 0.0
     disagree: tuple[str, ...] = ()  # the paths that differ; not serialized
 
     def to_json(self, *, include_per_tree: bool = False) -> dict:
+        """The report as a JSON object; with include_per_tree, the rows
+        per_tree_rows lists, if the check has any, under "per_tree"."""
         data = {
             "identity": self.name,
             "parameters": self.parameters,
@@ -99,17 +104,17 @@ class IdentityReport(NamedTuple):
             "equal": self.equal,
             "elapsed_ms": self.elapsed_ms,
         }
-        if include_per_tree and self.per_tree is not None:
-            data["per_tree"] = self.per_tree
+        if include_per_tree and self.per_tree_rows is not None:
+            data["per_tree"] = self.per_tree_rows()
         return data
 
 
-def _report(name, parameters, start, lhs, rhs, paths, per_tree=None) -> IdentityReport:
+def _report(name, parameters, start, lhs, rhs, paths, per_tree_rows=None) -> IdentityReport:
     """The report begun at start: equal when no path's value differs from its reference."""
     disagree = tuple(path for path, (value, reference) in paths.items() if value != reference)
     elapsed = (time.perf_counter() - start) * 1000
     sides = str(lhs), str(rhs)
-    return IdentityReport(name, parameters, *sides, not disagree, per_tree, elapsed, disagree)
+    return IdentityReport(name, parameters, *sides, not disagree, per_tree_rows, elapsed, disagree)
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +296,16 @@ def eisenstein_coefficients(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _per_tree(expansion: TreeExpansion, order: int, closed) -> tuple[bool, list]:
-    """Match every per-tree term of an expansion against t^k closed(hooks),
-    k the node count and hooks its hook multiset (empty for the empty
-    shape).  The closed form and its expected monomial are built once per
-    multiset, and a term is compared with it once per distinct (term
-    object, multiset) pair: the engine shares equal terms between trees,
-    so each tree is still checked against its own multiset's form.
-    Returns whether all terms match, and each tree's closed form, printed,
-    in the expansion's order."""
-    forms: dict = {}  # hooks -> (printed closed value, expected term)
-    compared: set = set()  # (id(term), hooks); the expansion keeps every term alive
-    equal, texts = True, []
-    for tree, term in expansion.terms:
-        hooks = hook_data(tree).hooks if tree.node_count else ()
-        form = forms.get(hooks)
-        if form is None:
-            value = closed(hooks)
-            form = forms[hooks] = (str(value), TruncatedSeries.monomial(len(hooks), order, value))
-        pair = (id(term), hooks)
-        if pair not in compared:
-            compared.add(pair)
-            equal &= term == form[1]
-        texts.append(form[0])
-    return equal, texts
+def _hook_classes_check(expansion: TreeExpansion, order: int, closed) -> bool:
+    """Match every (term, hook multiset) class of a binary or m-ary
+    expansion against t^k closed(hooks), k the node count (the empty
+    shape is the class (a, ())).  Every shape lies in exactly one class,
+    so every tree is checked, each class once and with no shape listed."""
+    return all(
+        term == TruncatedSeries.monomial(len(hooks), order, closed(hooks))
+        for level in expansion.terms.hook_classes
+        for term, hooks, _ in level.values()
+    )
 
 
 def _postnikov_paths(order: int) -> tuple[TreeExpansion, TruncatedSeries]:
@@ -331,8 +322,11 @@ def postnikov_check(n: int) -> IdentityReport:
 
     The left side is an integer power; the right side is summed exactly
     over all shapes with n nodes.  The same operator is also run through
-    the series engine (to order min(n, 8)) and every per-tree term is
-    matched against the closed form prod(1+1/h_v) t^k / 2^k.
+    the series engine (to order min(n, 8)), and each (term, hook
+    multiset) class of its trees is matched against the closed form
+    prod(1+1/h_v) t^k / 2^k.  The per-tree rows, each shape with its
+    closed form printed, are listed by a walk over the shapes only when
+    to_json asks for them.
     """
     if not 1 <= n <= POSTNIKOV_GUARD:
         raise SizeGuardError(f"postnikov_check needs 1 <= n <= {POSTNIKOV_GUARD}")
@@ -343,18 +337,28 @@ def postnikov_check(n: int) -> IdentityReport:
     order = min(n, 8)
     expansion, picard = _postnikov_paths(order)
     closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
-    trees_equal, texts = _per_tree(expansion, order, closed)
-    per_tree = [
-        {"tree": tree.text, "coefficient": text} for (tree, _), text in zip(expansion.terms, texts)
-    ]
+
+    def per_tree_rows() -> list:
+        printed: dict = {}  # hooks -> the closed form, printed
+        rows = []
+        for k in range(order + 1):
+            for tree in binary_trees(k):
+                hooks = hook_data(tree).hooks if k else ()
+                text = printed.get(hooks)
+                if text is None:
+                    text = printed[hooks] = str(closed(hooks))
+                rows.append({"tree": tree.text, "coefficient": text})
+        return rows
+
     explicit = eisenstein_coefficients(order)
     paths = {
         "shape-sum": (rhs, lhs),
-        "per-tree": (trees_equal, True),
+        "per-tree": (_hook_classes_check(expansion, order, closed), True),
         "tree-expansion": (expansion.total, explicit),
         "picard": (picard, explicit),
     }
-    return _report("postnikov", {"n": n, "series_order": order}, start, lhs, rhs, paths, per_tree)
+    parameters = {"n": n, "series_order": order}
+    return _report("postnikov", parameters, start, lhs, rhs, paths, per_tree_rows)
 
 
 def eisenstein_check(order: int) -> IdentityReport:
@@ -479,8 +483,9 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
     exactly zero at the full order; (ii) the integro-algebraic fixed
     point is solved independently by Picard iteration at the full order
     and by the (m+1)-ary tree expansion at the order MARY_EXPANSION_ORDER
-    caps, where every per-tree term must match the per-node closed form
-    (a walk that took 4.3 s uncapped at m = 3, order 8).
+    caps, where each (term, hook multiset) class of its trees must match
+    the per-node closed form, so every tree is checked with no shape
+    listed.
     """
     if m > LAGRANGE_ARITY_GUARD or m < 1:
         raise SizeGuardError(f"lagrange check needs 1 <= m <= {LAGRANGE_ARITY_GUARD}")
@@ -498,7 +503,7 @@ def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
         "binomial": (rhs, f),
         "picard": (picard, f),
         "tree-expansion": (expansion.total, f.truncated(tree_order)),
-        "per-tree": (_per_tree(expansion, tree_order, closed)[0], True),
+        "per-tree": (_hook_classes_check(expansion, tree_order, closed), True),
     }
     parameters = {"m": m, "order": order, "tree_order": tree_order}
     return _report("lagrange", parameters, start, f, rhs, paths)

@@ -29,16 +29,19 @@ which is what makes the expansion converge order by order.  It counts
 the trees of each distinct term, listing them only when the per-tree
 terms are read, and runs the operator once per distinct tuple of child
 terms (Postnikov's equation at order 9: 6,918 shapes, 169 terms, 364
-tuples).  The independent cross-check is graded Picard iteration, a
-separate code path that calls only the raw operator and series +: pass
-k fixes t^k and runs at order k.
+tuples).  For binary and m-ary trees it also counts the trees of each
+(term, hook multiset) class, on the first read of that table and with
+no operator call, so a per-tree identity is checked once per class
+(at order 9, 188 classes, the empty one included).  The independent
+cross-check is graded Picard iteration, a separate code path that calls
+only the raw operator and series +: pass k fixes t^k and runs at order k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -495,14 +498,21 @@ def discrete_sum(p: BinomialPoly) -> BinomialPoly:
 
 class _TreeTerms:
     """The (shape, term) pairs of a tree expansion: len() is the count of
-    shapes, and the first other read lists them by walk() and keeps them."""
+    shapes, and the first other read lists them by walk() and keeps them.
+    For binary and m-ary shapes, hook_classes is the table classes()
+    builds on its first read: per size n, (id(term), hook multiset) ->
+    [term, hooks, number of shapes].  Plane trees pass no classes()."""
 
-    def __init__(self, count: int, walk: Callable[[], list]):
-        self._count, self._walk = count, walk
+    def __init__(self, count: int, walk: Callable[[], list], classes: Callable[[], list] | None):
+        self._count, self._walk, self._classes = count, walk, classes
 
     @cached_property
     def _pairs(self) -> list:
         return self._walk()
+
+    @cached_property
+    def hook_classes(self) -> list:
+        return self._classes()
 
     def __len__(self) -> int:
         return self._count
@@ -566,6 +576,15 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     each term up by its children's, cached by id of shape (a parent holds
     the very shapes of the smaller sizes); the walk never calls op.
 
+    Given an arity (binary and m-ary shapes), expansion.terms.hook_classes
+    marks the hook multiset on each class (Flajolet-Sedgewick, ch. III): a
+    table built on its first read, whose level n maps (id(term), hooks) to
+    [term, hooks, number of shapes], the empty shape being the class
+    (a, ()).  It runs over the same splits as the levels, looking each
+    term up in the memo of op's results, so it never calls op, and a
+    split's multiset is its children's merged, plus n, as a descending
+    tuple like combinat.HookData's.  A total-only caller never builds it.
+
     >>> one = TruncatedSeries.constant(Fraction(1), 3)
     >>> calls = []
     >>> def op(x, y):
@@ -605,7 +624,21 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
                 pairs.append((tree, term))
         return pairs
 
-    return TreeExpansion(_TreeTerms(1 + sum(count for _, count in counted), walk), total)
+    def hook_classes() -> list:
+        table = [{(id(a), ()): [a, (), 1]}]  # per size: (id(term), hooks) -> [term, hooks, count]
+        for n in range(1, order + 1):
+            level: dict = {}
+            for sizes in _splits(arity, n):
+                for classes in product(*[table[s].values() for s in sizes]):
+                    term = applied[tuple([id(term) for term, _, _ in classes])]
+                    hooks = (n, *sorted(chain.from_iterable([h for _, h, _ in classes]), reverse=True))
+                    count = prod([c for _, _, c in classes])
+                    level.setdefault((id(term), hooks), [term, hooks, 0])[2] += count
+            table.append(level)
+        return table
+
+    count = 1 + sum(count for _, count in counted)
+    return TreeExpansion(_TreeTerms(count, walk, hook_classes if arity else None), total)
 
 
 def fixed_point_binary(

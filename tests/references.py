@@ -1,8 +1,9 @@
 """References that only the tests use: the plain and q-derivatives, the
 monomial-basis conversions and forward difference of the binomial basis,
-the tree engine that listed every shape, the per-tree JSON of a tree
-expansion, the FQSym basis change, specialization, alphabet scaling and
-pairing, and two checks of the source paper that no CLI command runs.
+the tree engine that listed every shape, the per-tree check that walked
+every shape, the per-tree JSON of a tree expansion, the FQSym basis
+change, specialization, alphabet scaling and pairing, and two checks of
+the source paper that no CLI command runs.
 
 The tests compare the package against these, or state an identity of the
 paper with them; src/treecalc calls none of them.
@@ -15,7 +16,7 @@ from math import factorial
 from typing import Sequence
 
 from treecalc.arith import AlphaPoly, QPoly
-from treecalc.combinat import packed_words
+from treecalc.combinat import hook_data, packed_words
 from treecalc.elements import FQSymElement, WQSymElement
 from treecalc.errors import BasisMismatch
 from treecalc.identities import IdentityReport, _duliu_tree_sum, _report, plane_q_expansion
@@ -144,6 +145,33 @@ def listing_expand(op, a, order: int, trees, children, arity=None, name=None) ->
     if arity and total - (a + op(*[total] * arity)):
         raise ArithmeticError(f"{name} expansion does not satisfy its equation")
     return expansion
+
+
+def per_tree_walk(expansion: TreeExpansion, order: int, closed) -> tuple[bool, list]:
+    """The per-tree check as it was before it ran over hook classes, kept
+    as the shape-walk reference: match every (tree, term) pair of an
+    expansion, which may be a hand-built list, against t^k closed(hooks),
+    k the node count and hooks its hook multiset (empty for the empty
+    shape).  The closed form and its expected monomial are built once per
+    multiset, and a term is compared with it once per distinct (term
+    object, multiset) pair, so each tree is still checked against its own
+    multiset's form.  Returns whether all terms match, and each tree's
+    closed form, printed, in the expansion's order."""
+    forms: dict = {}  # hooks -> (printed closed value, expected term)
+    compared: set = set()  # (id(term), hooks); the expansion keeps every term alive
+    equal, texts = True, []
+    for tree, term in expansion.terms:
+        hooks = hook_data(tree).hooks if tree.node_count else ()
+        form = forms.get(hooks)
+        if form is None:
+            value = closed(hooks)
+            form = forms[hooks] = (str(value), TruncatedSeries.monomial(len(hooks), order, value))
+        pair = (id(term), hooks)
+        if pair not in compared:
+            compared.add(pair)
+            equal &= term == form[1]
+        texts.append(form[0])
+    return equal, texts
 
 
 def expansion_to_json(expansion: TreeExpansion) -> list[dict]:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,7 @@ from treecalc.combinat import (
     plane_trees,
 )
 from treecalc.errors import NonExactDivision, SizeGuardError, VariantArityMismatch
-from treecalc.series import BinomialPoly, TreeExpansion, TruncatedSeries
+from treecalc.series import BinomialPoly, TreeExpansion, TruncatedSeries, fixed_point_mary
 from treecalc.identities import (
     FT_LEAF_GUARD,
     decreasing_tree_fibers,
@@ -566,14 +567,14 @@ def test_report_serialization():
 
 def test_a_broken_closed_form_fails_both_per_tree_checks(monkeypatch):
     assert postnikov_check(4).equal and lagrange_fixed_point_check(2, 4).equal
-    per_tree = identities._per_tree
+    check = identities._hook_classes_check
 
     def mutant(expansion, order, closed):
         # the single-node tree alone gets a wrong closed form
         broken = lambda hooks: closed(hooks) + (1 if hooks == (1,) else 0)
-        return per_tree(expansion, order, broken)
+        return check(expansion, order, broken)
 
-    monkeypatch.setattr(identities, "_per_tree", mutant)
+    monkeypatch.setattr(identities, "_hook_classes_check", mutant)
     postnikov = postnikov_check(4)
     assert not postnikov.equal
     assert postnikov.lhs == postnikov.rhs == "125"  # the tree sum still agrees
@@ -583,16 +584,17 @@ def test_a_broken_closed_form_fails_both_per_tree_checks(monkeypatch):
 PER_TREE_ORDER = 5
 
 
-def _postnikov_per_tree(terms=None):
-    """The per-tree check of the Postnikov expansion, on its own terms or
-    on a replacement list of (tree, term) pairs."""
-    from treecalc.series import TreeExpansion
+def _postnikov_closed(hooks):
+    return Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
 
+
+def _postnikov_per_tree(terms=None):
+    """The shape-walk reference check of the Postnikov expansion, on its
+    own terms or on a replacement list of (tree, term) pairs."""
     expansion, _ = identities._postnikov_paths(PER_TREE_ORDER)
     if terms is not None:
         expansion = TreeExpansion(terms=terms, total=expansion.total)
-    closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
-    return identities._per_tree(expansion, PER_TREE_ORDER, closed), expansion
+    return references.per_tree_walk(expansion, PER_TREE_ORDER, _postnikov_closed), expansion
 
 
 def test_per_tree_fails_on_one_fresh_wrong_term():
@@ -617,6 +619,72 @@ def test_per_tree_fails_on_one_term_shared_across_multisets():
     )
     terms[other] = (terms[other][0], terms[first][1])
     assert not _postnikov_per_tree(terms)[0][0]
+
+
+def _postnikov_classes(edit=None):
+    """The class check of the Postnikov expansion, on its own table or on
+    a copy of it that edit(top level, as a list of [term, hooks, count])
+    changes in place."""
+    expansion, _ = identities._postnikov_paths(PER_TREE_ORDER)
+    if edit is not None:
+        table = [{key: list(value) for key, value in level.items()}
+                 for level in expansion.terms.hook_classes]
+        edit(list(table[PER_TREE_ORDER].values()))
+        expansion = TreeExpansion(terms=SimpleNamespace(hook_classes=table), total=expansion.total)
+    return identities._hook_classes_check(expansion, PER_TREE_ORDER, _postnikov_closed)
+
+
+def test_class_check_fails_on_one_fresh_wrong_term():
+    assert _postnikov_classes()
+
+    def edit(classes):
+        classes[-1][0] = classes[-1][0] + TruncatedSeries.monomial(PER_TREE_ORDER, PER_TREE_ORDER)
+
+    assert not _postnikov_classes(edit)
+
+
+def test_class_check_fails_on_one_term_shared_across_multisets():
+    # a class's term, right for its multiset, handed to a class of another
+    # multiset whose closed form differs
+    def edit(classes):
+        first = classes[0]
+        other = next(c for c in classes[1:] if _postnikov_closed(c[1]) != _postnikov_closed(first[1]))
+        other[0] = first[0]
+
+    assert not _postnikov_classes(edit)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_class_check_agrees_with_the_shape_walk(order):
+    expansion, _ = identities._postnikov_paths(order)
+    assert identities._hook_classes_check(expansion, order, _postnikov_closed)
+    equal, texts = references.per_tree_walk(expansion, order, _postnikov_closed)
+    assert equal
+    if order:
+        rows = postnikov_check(order).to_json(include_per_tree=True)["per_tree"]
+        assert rows == [
+            {"tree": tree.text, "coefficient": text}
+            for (tree, _), text in zip(expansion.terms, texts)
+        ]
+    for m in (1, 2, 3):
+        if order <= identities.MARY_EXPANSION_ORDER[m]:
+            operator = identities.lagrange_operator(m)
+            expansion = fixed_point_mary(operator, m, order)
+            closed = lambda hooks: identities._duliu_product("las3", m, hooks)
+            assert identities._hook_classes_check(expansion, order, closed)
+            assert references.per_tree_walk(expansion, order, closed)[0]
+
+
+def test_postnikov_lists_its_rows_only_when_asked(monkeypatch):
+    calls = []
+    real = identities.hook_data
+    monkeypatch.setattr(identities, "hook_data", lambda tree: calls.append(None) or real(tree))
+    report = postnikov_check(6)
+    assert report.equal and not calls
+    assert "per_tree" not in report.to_json()
+    rows = report.to_json(include_per_tree=True)["per_tree"]
+    assert isinstance(rows, list) and len(rows) == 1 + 1 + 2 + 5 + 14 + 42 + 132
+    assert len(calls) == len(rows) - 1  # one multiset per nonempty shape
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +714,8 @@ def _total_plus_t(expansion):
     return TreeExpansion(terms=expansion.terms, total=_plus_t(expansion.total))
 
 
-def _closed_form_doubled(per_tree):
-    return lambda expansion, order, closed: per_tree(expansion, order, lambda h: closed(h) * 2)
+def _closed_form_doubled(check):
+    return lambda expansion, order, closed: check(expansion, order, lambda h: closed(h) * 2)
 
 
 _plus_one = _off_by(lambda value: value + 1)
@@ -656,7 +724,7 @@ _plus_c0 = _off_by(lambda p: p + BinomialPoly({0: QPoly.one()}))  # C(t, 0) = 1
 # (check, path) -> (the function behind the path, its mutant)
 PATH_MUTANTS = {
     ("postnikov", "shape-sum"): ("_postnikov_sum", _plus_one),
-    ("postnikov", "per-tree"): ("_per_tree", _closed_form_doubled),
+    ("postnikov", "per-tree"): ("_hook_classes_check", _closed_form_doubled),
     ("postnikov", "tree-expansion"): ("fixed_point_binary", _off_by(_total_plus_t)),
     ("postnikov", "picard"): ("picard_binary", _off_by(_plus_t)),
     ("eisenstein", "exp(t g)"): ("exp_series", _off_by(_plus_t)),
@@ -666,7 +734,7 @@ PATH_MUTANTS = {
     ("lagrange", "binomial"): ("binomial_series", _off_by(_plus_t)),
     ("lagrange", "picard"): ("picard_mary", _off_by(_plus_t)),
     ("lagrange", "tree-expansion"): ("fixed_point_mary", _off_by(_total_plus_t)),
-    ("lagrange", "per-tree"): ("_per_tree", _closed_form_doubled),
+    ("lagrange", "per-tree"): ("_hook_classes_check", _closed_form_doubled),
     ("ft", "oracle"): ("ft_brute_force", _off_by(lambda counts: {**counts, 0: 1})),
     ("plane-q", "word-sum"): ("psi", _plus_c0),
     ("plane-q", "difference"): ("finite_difference", _plus_c0),

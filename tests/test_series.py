@@ -940,16 +940,57 @@ def test_counting_engine_matches_listing_reference(case, order):
     assert listed == [(tree.text, repr(term)) for tree, term in want.terms]
 
 
+# ---------------------------------------------------------------------------
+# the engine's hook classes group the listing by (term, hook multiset)
+# ---------------------------------------------------------------------------
+
+HOOK_CLASS_CASES = (
+    [(case, order) for case in ("postnikov", "inverse-linear") for order in range(9)]
+    + [(f"lagrange m={m}", order) for m in (1, 2, 3)
+       for order in range(MARY_EXPANSION_ORDER[m] + 1)]
+)
+
+
+@pytest.mark.parametrize("case, order", HOOK_CLASS_CASES)
+def test_hook_classes_group_the_listing_reference(case, order):
+    from treecalc.series import TreeExpansion, _expand
+
+    args, calls = _engine_case(case, order)
+    want = listing_expand(*args)
+    reference_calls = len(calls)
+    calls.clear()
+    got = _expand(*args)
+    assert len(calls) == reference_calls  # the table adds no op call
+    calls.clear()
+    table = got.terms.hook_classes
+    assert not calls  # reading the table never calls op
+    classes = {}
+    for n, level in enumerate(table):
+        for (term_id, hooks), (term, same_hooks, count) in level.items():
+            assert term_id == id(term) and hooks == same_hooks and len(hooks) == n
+            assert (repr(term), hooks) not in classes
+            classes[repr(term), hooks] = count
+    grouped: dict = {}
+    for tree, term in want.terms:
+        key = repr(term), hook_data(tree).hooks if tree.node_count else ()
+        grouped[key] = grouped.get(key, 0) + 1
+    assert classes == grouped
+    assert sum(classes.values()) == len(got.terms)
+    assert TreeExpansion(terms=got.terms, total=None).terms.hook_classes is table
+
+
 def test_an_expansion_read_only_for_its_total_builds_no_shape():
     from treecalc import combinat
     from treecalc.cli import main
-    from treecalc.identities import eisenstein_check, postnikov_operator
+    from treecalc.identities import eisenstein_check, lagrange_fixed_point_check, postnikov_operator
 
     combinat._shapes.cache_clear()
     one = TruncatedSeries.constant(Fraction(1), 9)
     expansion = fixed_point_binary(postnikov_operator, one, 9)
     assert len(expansion.terms) == 6918
     assert eisenstein_check(9).equal
+    assert lagrange_fixed_point_check(3, 8).equal  # its per-tree check reads the hook classes
+    assert expansion.terms.hook_classes[9]
     assert main(["expand", "inverse-linear", "--order", "9"]) == 0
     assert main(["expand", "plane-q", "--order", "5"]) == 0
     assert main(["expand", "duliu", "--m", "2", "--order", "5"]) == 0
