@@ -14,10 +14,10 @@ accident.
 The kernels keep their results canonical by construction: + copies the
 longer operand and adds in only the nonzero slots of the shorter one,
 normalizing just the slots it touched and stripping zeros from the top,
-and negation, integer monomials and products of q-integers are canonical
-as built, so none of them scans its result again.  The public ``Poly``
-constructor is the one that checks: it brings outside coefficients to
-canonical form and refuses anything else.
+a product reduces each slot once, and negation, exact quotients, integer
+monomials and q-integer products are canonical as built.  None of them
+scans its result again: the public ``Poly`` constructor checks, bringing
+outside coefficients to canonical form and refusing anything else.
 
 ``_EXACT`` states once what is exact: int, Fraction and the polynomials,
 subclasses included.  Anything else, a float of any kind, a Decimal or a
@@ -32,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, repeat
+from math import lcm
 from operator import neg, sub
 from typing import Sequence, Union
 
@@ -76,10 +77,11 @@ class Poly:
     an integer sentinel).  Each coefficient is in the canonical form of
     ``exact_scalar``: an int, or a Fraction whose denominator is not 1.
     Since ints and Fractions of equal value compare and hash equal and
-    print the same, the form changes no result, only its speed.
-    Arithmetic accepts plain ints and Fractions and coerces them to
-    constants; a float coefficient, operand or evaluation point raises
-    TypeError.
+    print the same, the form changes no result, only its speed.  A product
+    is one integer convolution over each side's common denominator,
+    reduced once per slot.  Arithmetic accepts plain ints and Fractions
+    and coerces them to constants; a float coefficient, operand or
+    evaluation point raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -197,17 +199,12 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return type(self)()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for k, b in enumerate(other.coeffs, i):
-                if b:
-                    c = out[k]
-                    out[k] = c + a * b if c else a * b
-        return type(self)(out)
+        # each slot in canonical form; the top one, a product of two leads, is nonzero
+        reduced = lambda s, d: Fraction(s, d) if s % d else s // d
+        return self._canonical(tuple(_convolve(_terms(a), _terms(b), len(a) + len(b) - 1, reduced)))
 
     __rmul__ = __mul__
 
@@ -266,6 +263,31 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+def _terms(coeffs: Sequence) -> list:
+    """The (index, entry) pairs of the nonzero entries of coeffs."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def _convolve(xs: list, ys: list, size: int, slot=Fraction) -> list:
+    """The first size slots of the product of two sequences given by their
+    nonzero (index, int or Fraction) pairs in index order, by Knuth's rule
+    (TAOCP vol. 2, 4.5.1): each side over the lcm of its denominators, one
+    integer convolution, slot(numerator, denominator) where a pair lands."""
+    da, db = lcm(*[c.denominator for _, c in xs]), lcm(*[c.denominator for _, c in ys])
+    ys = [(j, c.numerator * (db // c.denominator)) for j, c in ys]
+    out = [None] * size
+    for i, c in xs:
+        x = c.numerator * (da // c.denominator)
+        for j, y in ys:
+            k = i + j
+            if k >= size:
+                break
+            s = out[k]
+            out[k] = x * y if s is None else s + x * y
+    den = da * db
+    return [0 if s is None else slot(s, den) for s in out]
 
 
 class QPoly(Poly):
@@ -374,22 +396,18 @@ def exact_poly_div(num: Poly, den: Poly):
     dc = den.coeffs
     dd = len(dc) - 1
     lead = dc[-1]
-    if len(rem) - 1 < dd:
-        if any(rem):
-            raise NonExactDivision(f"{num} is not divisible by {den}")
-        return cls.zero()
     quot = [0] * (len(rem) - dd)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if not c:
             continue
         q = c if lead == 1 else Fraction(c, lead)
-        quot[i - dd] = q
+        quot[i - dd] = q = q if type(q) is int else exact_scalar(q)  # a Fraction can be integral
         for j, d in enumerate(dc):
             rem[i - dd + j] -= q * d
     if any(rem):
         raise NonExactDivision(f"{num} is not divisible by {den}")
-    return cls(quot)
+    return cls._canonical(tuple(quot))  # its top entry is num's lead over den's
 
 
 def binomial_coefficient(beta, k: int):

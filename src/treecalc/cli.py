@@ -2,9 +2,9 @@
 exhaustive enumeration, with machine-readable output for scripting.
 
 Exit codes are stable: 0 success (identities equal, oracles matched),
-1 an identity or oracle check failed, 2 parse error, 3 size guard.
-Configuration precedence is flags > TREECALC_* environment variables >
-an optional JSON config file passed with --config.
+1 an identity or oracle check failed, 2 parse error, 3 size guard, 141
+stdout closed early.  Configuration precedence is flags > TREECALC_*
+environment variables > an optional JSON config file passed with --config.
 """
 
 from __future__ import annotations
@@ -385,7 +385,15 @@ def main(argv=None) -> int:
     try:
         check_sizes(args)
         config = load_config(args)
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); 141 = 128 + SIGPIPE, as a shell reports it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,9 @@ Each basis names its ring from arith's exact types (QDividedSeries: int,
 Fraction and QPoly only); any other coefficient or scalar operand raises
 TypeError.  Zero padding uses plain int 0, which every coefficient ring
 absorbs, and the padding costs no ring operation: + hands over the other
-side of an int 0 slot, and * skips zero factors and writes a slot's
-first product as it is rather than adding it to 0.  A negative index or
+side of an int 0 slot, and * skips zero factors, so a slot no pair
+reaches stays the int 0 (Fraction series of two terms or more multiply
+as one integer convolution, arith._convolve).  A negative index or
 order raises ValueError.
 
 A BinomialPoly is a polynomial in the basis C(t, k); sums, products
@@ -50,7 +51,9 @@ from .arith import (
     QPoly,
     _EXACT,
     _check_exact,
+    _convolve,
     _nonnegative,
+    _terms,
     binomial_coefficient,
     exact_scalar,
     q_binomial,
@@ -208,12 +211,13 @@ class TruncatedSeries(_Series):
         if not isinstance(other, TruncatedSeries):
             return self._scaled(other)
         n = min(self.order, other.order)
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
+        xs, ys = _terms(self.coeffs[: n + 1]), _terms(other.coeffs[: n + 1])
+        # a monomial's products share no slot; Poly coefficients multiply by _convolve
+        if len(xs) > 1 < len(ys) and {type(c) for _, c in chain(xs, ys)} == {Fraction}:
+            return TruncatedSeries._unchecked(_convolve(xs, ys, n + 1))
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j, b in nonzero:
+        for i, a in xs:
+            for j, b in ys:
                 k = i + j
                 if k > n:
                     break

@@ -1,4 +1,5 @@
-"""References that only the tests use: the plain and q-derivatives, the
+"""References that only the tests use: the polynomial and series products
+as loops over pairs of coefficients, the plain and q-derivatives, the
 monomial-basis conversions and forward difference of the binomial basis,
 the tree engine that listed every shape, the per-tree check that walked
 every shape, the per-tree JSON of a tree expansion, the FQSym basis
@@ -15,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
-from treecalc.arith import AlphaPoly, QPoly
+from treecalc.arith import AlphaPoly, Poly, QPoly
 from treecalc.combinat import hook_data, packed_words
 from treecalc.elements import FQSymElement, WQSymElement
 from treecalc.errors import BasisMismatch
@@ -24,8 +25,55 @@ from treecalc.series import BinomialPoly, QDividedSeries, TreeExpansion, Truncat
 from treecalc.wqsym import psi
 
 # ---------------------------------------------------------------------------
+# arith
+# ---------------------------------------------------------------------------
+
+
+def poly_mul_loop(self: Poly, other) -> Poly:
+    """Poly.__mul__ as it was before the integer convolution: one Fraction
+    or int product per pair of nonzero coefficients, the result brought to
+    canonical form by the public constructor.  The product's reference."""
+    other = self._coerce(other)
+    if other is None:
+        return NotImplemented
+    if not self.coeffs or not other.coeffs:
+        return type(self)()
+    out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+    for i, a in enumerate(self.coeffs):
+        if not a:
+            continue
+        for k, b in enumerate(other.coeffs, i):
+            if b:
+                c = out[k]
+                out[k] = c + a * b if c else a * b
+    return type(self)(out)
+
+
+# ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
+
+
+def series_mul_loop(self: TruncatedSeries, other) -> TruncatedSeries:
+    """TruncatedSeries.__mul__ as it was before rational operands went
+    through one integer convolution: one ring product per pair of nonzero
+    coefficients, zero factors skipped and a slot's first product written
+    as it is.  The product's reference, slot by slot in value and type."""
+    if not isinstance(other, TruncatedSeries):
+        return self._scaled(other)
+    n = min(self.order, other.order)
+    nonzero = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
+    out = [0] * (n + 1)
+    for i, a in enumerate(self.coeffs[: n + 1]):
+        if not a:
+            continue
+        for j, b in nonzero:
+            k = i + j
+            if k > n:
+                break
+            c = out[k]
+            out[k] = a * b if type(c) is int and not c else c + a * b
+    return TruncatedSeries._unchecked(out)
 
 
 def derivative(f: TruncatedSeries) -> TruncatedSeries:

@@ -18,6 +18,8 @@ from treecalc.combinat import BinaryTree
 from treecalc.errors import NonExactDivision
 from treecalc.identities import hook_count, qhook_imaj
 
+from references import poly_mul_loop
+
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
 )
@@ -377,6 +379,40 @@ def test_poly_kernels_match_a_dense_reference(data):
     total = sum((QPoly.monomial(e, c) for e, c in terms), QPoly.zero())
     assert list(total.coeffs) == _fraction_coeffs(dense)
     assert_canonical(total)
+
+
+@given(kernel_lists, kernel_lists, st.sampled_from([QPoly, AlphaPoly]), kernel_scalars)
+def test_poly_product_matches_the_pairwise_loop(a_values, b_values, cls, scalar):
+    # the integer convolution against the loop it replaced, slot by slot in
+    # value and type: repr tells the int 2 from Fraction(2, 1)
+    a, b = cls(a_values), cls(b_values)
+    for x, y in ((a, b), (b, a), (a, a), (a, cls((scalar,))), (a, cls.one())):
+        got = x * y
+        assert [repr(c) for c in got.coeffs] == [repr(c) for c in poly_mul_loop(x, y).coeffs]
+        assert type(got) is cls
+        assert_canonical(got)
+    assert a * scalar == scalar * a == poly_mul_loop(a, scalar)
+
+
+def test_poly_product_of_fractions_can_be_integral():
+    half = AlphaPoly((Fraction(1, 2), Fraction(1, 2)))
+    product = half * AlphaPoly((2, -2))  # (1 + α)(1 - α)
+    assert product.coeffs == (1, 0, -1)
+    assert_canonical(product)
+    # a product's inner slots can cancel; its top slot never does
+    assert (AlphaPoly((1, 1)) * AlphaPoly((1, -1))).coeffs == (1, 0, -1)
+
+
+def test_a_fraction_quotient_that_is_integral_is_stored_as_an_int():
+    # (1 + 3q/2 + q^2/2)(1 + q): the remainder's q coefficient reaches Fraction(1, 1)
+    num = QPoly((1, Fraction(5, 2), 2, Fraction(1, 2)))
+    quotient = exact_poly_div(num, QPoly((1, 1)))
+    assert [repr(c) for c in quotient.coeffs] == ["1", "Fraction(3, 2)", "Fraction(1, 2)"]
+    assert_canonical(quotient)
+    # a leading coefficient other than 1 divides through Fraction
+    quotient = exact_poly_div(QPoly((2, 4, 6)), QPoly((2,)))
+    assert [repr(c) for c in quotient.coeffs] == ["1", "2", "3"]
+    assert_canonical(quotient)
 
 
 def test_integer_monomials_and_q_integer_products_are_canonical():

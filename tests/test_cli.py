@@ -1013,3 +1013,23 @@ def test_cli_import_stays_light():
     env = {**os.environ, "PYTHONPATH": source}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "json", "expand", "postnikov", "--order", "9", "--per-tree"),
+    ("enumerate", "permutations", "--n", "8"),
+], ids=" ".join)
+def test_a_reader_that_closes_early_ends_the_command_quietly(argv):
+    # like `| head -1`: each command writes far more than a pipe holds, so it
+    # meets the closed pipe; exit 1 would claim a failed identity
+    source = os.path.dirname(os.path.dirname(treecalc.__file__))
+    env = {**os.environ, "PYTHONPATH": source}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "treecalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err, bool(first)) == (141, b"", True)

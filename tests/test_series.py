@@ -45,6 +45,7 @@ from references import (
     listing_expand,
     monomial_to_binomial,
     q_derivative,
+    series_mul_loop,
 )
 
 
@@ -79,6 +80,63 @@ def test_series_arithmetic():
     assert f.valuation() == 0
     assert g.valuation() == 1
     assert series(0, 0).valuation() is None
+
+
+series_scalars = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=8),
+)
+poly_lists = st.lists(series_scalars, max_size=3)
+SERIES_RINGS = {
+    # every nonzero coefficient a Fraction, int 0 padding included: the
+    # integer convolution unless an operand has one term
+    "fractions": series_scalars.map(lambda c: c if type(c) is int and not c else Fraction(c)),
+    "ints and fractions": series_scalars,
+    "QPoly": st.one_of(st.just(0), poly_lists.map(QPoly)),
+    "AlphaPoly": st.one_of(st.just(0), poly_lists.map(AlphaPoly)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_series_product_matches_the_pairwise_loop(data):
+    # the integer convolution against the loop it replaced, slot by slot in
+    # value and type, on operands of two orders (the product truncates to
+    # the smaller): a slot no pair reached stays the int 0 and a slot whose
+    # pairs cancel is Fraction(0), which _expand's interning by repr tells apart
+    ring = SERIES_RINGS[data.draw(st.sampled_from(sorted(SERIES_RINGS)))]
+    operands = []
+    for _ in range(2):
+        order = data.draw(st.integers(min_value=0, max_value=8))
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(ring, min_size=order + 1, max_size=order + 1))
+        else:  # one term or none
+            coeffs = [0] * (order + 1)
+            coeffs[data.draw(st.integers(min_value=0, max_value=order))] = data.draw(ring)
+        operands.append(TruncatedSeries(coeffs))
+    x, y = operands
+    for left, right in ((x, y), (y, x), (x, x)):
+        got, want = left * right, series_mul_loop(left, right)
+        assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+
+
+def test_a_rational_product_keeps_each_slot_type():
+    x = TruncatedSeries([Fraction(1), 0, Fraction(2), 0])
+    y = TruncatedSeries([Fraction(1), Fraction(0), Fraction(-2), Fraction(3), Fraction(5)])
+    # slot 1: no pair; slot 2: 1·(-2) + 2·1 cancels; the top of y is truncated
+    assert (x * y).coeffs == (Fraction(1), 0, Fraction(0), Fraction(3))
+    assert [type(c) for c in (x * y).coeffs] == [Fraction, int, Fraction, Fraction]
+    assert [repr(c) for c in (y * x).coeffs] == [repr(c) for c in (x * y).coeffs]
+
+
+def test_picard_at_order_sixty_is_eisenstein():
+    from treecalc.identities import eisenstein_coefficients, postnikov_operator
+    one = TruncatedSeries.constant(Fraction(1), 60)
+    solution = picard_binary(postnikov_operator, one, 60)
+    assert solution == eisenstein_coefficients(60)
+    assert {type(c) for c in solution.coeffs} == {Fraction}
 
 
 NEGATIVE_INDEX_CALLS = {
