@@ -198,6 +198,13 @@ def _needs(args: argparse.Namespace, flag: str):
     return value
 
 
+def _postnikov_n(args: argparse.Namespace) -> int:
+    n = _needs(args, "n")
+    if n < 1:
+        raise ParseError(f"identity postnikov needs --n >= 1, got {n}")
+    return n
+
+
 def _ft_tree(args: argparse.Namespace) -> PlaneTree:
     tree = PlaneTree.from_text(_needs(args, "tree"))
     if tree.is_leaf:
@@ -209,7 +216,7 @@ def _ft_tree(args: argparse.Namespace) -> PlaneTree:
 # them.  Every entry looks the library up when it is called, never holding a
 # function itself, so a function rebound on its module is the one that runs.
 IDENTITIES = {
-    "postnikov": lambda args, config: identities.postnikov_check(_needs(args, "n")),
+    "postnikov": lambda args, config: identities.postnikov_check(_postnikov_n(args)),
     "eisenstein": lambda args, config: identities.eisenstein_check(config.truncation_order),
     "duliu": lambda args, config: identities.duliu_check(args.variant, _needs(args, "n"), args.m),
     "lagrange": lambda args, config: identities.lagrange_fixed_point_check(

@@ -2,8 +2,11 @@
 
 Provides the classical statistics (maj, imaj, inversions), the
 standardization and packing maps, the decreasing-tree and plane-tree
-constructions (one iterative Cartesian-tree builder: no word-to-tree map
-recurses), hook data, and exhaustive enumerators with size guards.
+constructions (two iterative Cartesian-tree builders, so no word-to-tree
+map recurses: a two-child stack for the distinct letters of a
+permutation and a block-list stack for words; a scan over many words
+passes both one table, ``shared``, so its equal subtrees are one object),
+hook data, and exhaustive enumerators with size guards.
 
 Tree shapes carry a canonical text encoding fixed by the grammar
 
@@ -543,14 +546,53 @@ def _cartesian_tree(word: Sequence[int], leaf, node):
     return stack[0][1][0]
 
 
-def decreasing_tree(perm: Permutation) -> BinaryTree:
-    """Shape of the decreasing tree: the Cartesian tree of the permutation."""
-    return _cartesian_tree(perm.word, EMPTY_BINARY, lambda c: BinaryTree(c[0], c[1]))
+def decreasing_tree(perm: Permutation, shared: dict | None = None) -> BinaryTree:
+    """Shape of the decreasing tree: the Cartesian tree of the permutation.
+
+    The letters are distinct, so each open node holds exactly one finished
+    block, its left subtree: one pass keeps a stack of open nodes (letter,
+    left subtree), letters decreasing upward, and each letter closes the
+    smaller open nodes with the tree of their right block; a sentinel
+    above every letter closes the word.  A caller that builds many trees
+    may pass one dict as ``shared``: every node is then looked up by the
+    ids of its two children before it is built, so equal subtrees built
+    through one table are one object.  The table holds every node whose
+    id is in a key (or the id is EMPTY_BINARY's), so no id is reused
+    while it lives."""
+    stack = [(inf, EMPTY_BINARY)]
+    tree = EMPTY_BINARY  # the tree of the block after the top node's letter
+    for letter in chain(perm.word, (inf,)):
+        while stack[-1][0] < letter:
+            left = stack.pop()[1]
+            if shared is None:
+                tree = BinaryTree(left, tree)
+            else:
+                key = (id(left), id(tree))
+                node = shared.get(key)
+                if node is None:
+                    node = shared[key] = BinaryTree(left, tree)
+                tree = node
+        stack.append((letter, tree))
+        tree = EMPTY_BINARY
+    return stack[-1][1]
 
 
-def plane_tree_of_word(word: Sequence[int]) -> PlaneTree:
-    """Plane tree of a word: the blocks between its maxima under one root, each built alike."""
-    return _cartesian_tree(word, LEAF, PlaneTree)
+def plane_tree_of_word(word: Sequence[int], shared: dict | None = None) -> PlaneTree:
+    """Plane tree of a word: the blocks between its maxima under one root,
+    each built alike.  With a dict as ``shared``, every node is looked up
+    by the ids of its children before it is built, as in decreasing_tree,
+    so equal subtrees built through one table are one object."""
+    if shared is None:
+        return _cartesian_tree(word, LEAF, PlaneTree)
+
+    def node(children: list) -> PlaneTree:
+        key = tuple(map(id, children))
+        tree = shared.get(key)
+        if tree is None:
+            tree = shared[key] = PlaneTree(children)
+        return tree
+
+    return _cartesian_tree(word, LEAF, node)
 
 
 # ---------------------------------------------------------------------------

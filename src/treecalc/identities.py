@@ -157,11 +157,15 @@ def qhook_inv(tree: BinaryTree) -> QPoly:
 
 
 def hook_fiber(tree: BinaryTree, *, unsafe_large: bool = False) -> list[Permutation]:
-    """Brute-force fiber of the decreasing-tree map over a shape."""
+    """Brute-force fiber of the decreasing-tree map over a shape: every
+    permutation of S_n is built into its tree and compared with the shape.
+    The scan passes one table to decreasing_tree as ``shared``, so the
+    permutations build their equal subtrees once."""
+    shared: dict = {}
     return [
         p
         for p in permutations(tree.node_count, unsafe_large=unsafe_large)
-        if decreasing_tree(p) == tree
+        if decreasing_tree(p, shared) == tree
     ]
 
 
@@ -190,10 +194,13 @@ def hook_oracle(tree: BinaryTree, statistic: str, *, unsafe_large: bool = False)
 def decreasing_tree_fibers(
     n: int, *, unsafe_large: bool = False
 ) -> dict[BinaryTree, list[Permutation]]:
-    """All of S_n grouped by the shape of the decreasing tree."""
+    """All of S_n grouped by the shape of the decreasing tree, in the order
+    of permutations(n).  The scan passes one table to decreasing_tree as
+    ``shared``, so equal shapes are one object, built once."""
     fibers: dict[BinaryTree, list[Permutation]] = {}
+    shared: dict = {}
     for p in permutations(n, unsafe_large=unsafe_large):
-        fibers.setdefault(decreasing_tree(p), []).append(p)
+        fibers.setdefault(decreasing_tree(p, shared), []).append(p)
     return fibers
 
 
@@ -326,9 +333,12 @@ def postnikov_check(n: int) -> IdentityReport:
     multiset) class of its trees is matched against the closed form
     prod(1+1/h_v) t^k / 2^k.  The per-tree rows, each shape with its
     closed form printed, are listed by a walk over the shapes only when
-    to_json asks for them.
+    to_json asks for them.  An n below 1 lies outside the identity and
+    raises ValueError; an n above POSTNIKOV_GUARD raises SizeGuardError.
     """
-    if not 1 <= n <= POSTNIKOV_GUARD:
+    if n < 1:  # at n = 0, (n+1)^(n-1) would be the float 1.0
+        raise ValueError(f"postnikov_check needs n >= 1, got {n}")
+    if n > POSTNIKOV_GUARD:
         raise SizeGuardError(f"postnikov_check needs 1 <= n <= {POSTNIKOV_GUARD}")
     start = time.perf_counter()
     lhs = Fraction((n + 1) ** (n - 1))

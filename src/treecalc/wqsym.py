@@ -205,9 +205,12 @@ def tree_fiber_element(
     tree: PlaneTree, n: int, *, unsafe_large: bool = False
 ) -> WQSymElement:
     """Sum of M_u over the packed words u of length n whose plane tree is
-    the given shape."""
+    the given shape, by a scan over all of them.  The scan passes one table
+    to plane_tree_of_word as ``shared``, so the words build their equal
+    subtrees once."""
     out: dict = {}
+    shared: dict = {}
     for word in packed_words(n, unsafe_large=unsafe_large):
-        if plane_tree_of_word(word.letters) == tree:
+        if plane_tree_of_word(word.letters, shared) == tree:
             out[word] = 1
     return WQSymElement(out)

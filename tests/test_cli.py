@@ -898,6 +898,7 @@ EXIT_CODES = [
     (("hook", _left_comb(61), "--q", "imaj"), {}, None, 3),
     (("hook", _left_comb(8), "--oracle"), {}, None, 3),
     (("identity", "postnikov"), {}, None, 2),
+    (("identity", "postnikov", "--n", "0"), {}, None, 2),
     (("identity", "duliu"), {}, None, 2),
     (("identity", "ft"), {}, None, 2),
     (("identity", "ft", "--tree", "(*"), {}, None, 2),

@@ -250,9 +250,10 @@ def test_plane_tree_counts_match_schroeder(packed_by_length):
 
 
 # The recursive definitions of the two word-to-tree maps, kept here only as
-# the reference for the one iterative builder that serves both.  They build
-# the canonical text, which is cheaper than tree objects and equal iff the
-# shapes are.
+# the reference for the iterative builders: the block-list stack that serves
+# both, and decreasing_tree's two-child stack, with and without a shared
+# table.  They build the canonical text, which is cheaper than tree objects
+# and equal iff the shapes are.
 
 
 def _decreasing_tree_reference(word: tuple) -> str:
@@ -324,6 +325,57 @@ def test_plane_tree_of_a_deep_word():
     tree = plane_tree_of_word(range(1, DEEP + 1))
     assert (tree.leaf_count, tree.internal_count) == (DEEP + 1, DEEP)
     assert tree.text == "(" * DEEP + "**" + ")*" * (DEEP - 1) + ")"
+
+
+def test_the_maps_through_one_table_match_the_recursive_references(packed_by_length):
+    # one table serves every permutation of S_0..S_7, another every packed
+    # word of length <= 6; a node found by the wrong key, or built with its
+    # children swapped, prints the wrong text
+    binary, plane = {}, {}
+    for n in range(8):
+        for p in permutations(n):
+            assert decreasing_tree(p, binary).text == _decreasing_tree_reference(p.word)
+    for n in range(7):
+        for word in packed_by_length[n]:
+            letters = word.letters
+            assert plane_tree_of_word(letters, plane).text == _plane_tree_reference(letters)
+    # one node per distinct nonempty shape: Catalan(1..7) and the plane trees
+    # with 1..6 internal nodes
+    assert len(binary) == 1 + 2 + 5 + 14 + 42 + 132 + 429
+    assert len(plane) == len({node.text for node in plane.values()})
+
+
+def test_equal_shapes_built_through_one_table_are_one_object():
+    binary, plane = {}, {}
+    tree = decreasing_tree(Permutation((1, 3, 2)), binary)
+    assert decreasing_tree(Permutation((2, 3, 1)), binary) is tree
+    assert tree.left is tree.right
+    other = decreasing_tree(Permutation((2, 1, 4, 3)), binary)  # (2,1) under 4, then 3
+    assert other.right is tree.left
+    assert decreasing_tree(Permutation((2, 1)), binary) is other.left
+    tree = plane_tree_of_word((2, 4, 3, 4, 1, 1), plane)
+    assert tree.children[0] is tree.children[1]
+    assert plane_tree_of_word((1, 1), plane) is plane_tree_of_word((5, 5), plane) is tree.children[2]
+    # with no table every call builds its own nodes
+    assert decreasing_tree(Permutation((1, 3, 2))) is not decreasing_tree(Permutation((1, 3, 2)))
+    assert plane_tree_of_word((1, 1)) is not plane_tree_of_word((1, 1))
+
+
+@pytest.mark.parametrize(
+    "letters", [range(1, DEEP + 1), range(DEEP, 0, -1)], ids=["increasing", "decreasing"]
+)
+def test_a_deep_permutation_through_a_table(letters):
+    shared: dict = {}
+    tree = decreasing_tree(Permutation(letters), shared)
+    assert tree.text == decreasing_tree(Permutation(letters)).text
+    assert len(shared) == DEEP  # every subtree of a comb has its own size
+
+
+def test_a_deep_word_through_a_table():
+    shared: dict = {}
+    word = range(1, DEEP + 1)
+    assert plane_tree_of_word(word, shared).text == plane_tree_of_word(word).text
+    assert len(shared) == DEEP
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,17 @@ from treecalc.combinat import (
     PlaneTree,
     _internal_nodes,
     binary_trees,
+    decreasing_tree,
     hook_data,
     mary_trees,
+    packed_words,
+    permutations,
+    plane_tree_of_word,
     plane_trees,
 )
 from treecalc.errors import NonExactDivision, SizeGuardError, VariantArityMismatch
 from treecalc.series import BinomialPoly, TreeExpansion, TruncatedSeries, fixed_point_mary
+from treecalc.wqsym import WQSymElement, tree_fiber_element
 from treecalc.identities import (
     FT_LEAF_GUARD,
     decreasing_tree_fibers,
@@ -164,6 +169,36 @@ def test_hook_oracle_agrees_with_the_fibers():
                 for p in fiber:
                     poly = poly + QPoly.monomial(stat(p))
                 assert hook_oracle(tree, statistic) == poly
+
+
+def test_fiber_scans_equal_a_grouping_built_with_no_table():
+    for n in range(7):
+        unshared: dict = {}
+        for p in permutations(n):
+            unshared.setdefault(decreasing_tree(p).text, []).append(p)
+        fibers = decreasing_tree_fibers(n)
+        assert [(tree.text, fiber) for tree, fiber in fibers.items()] == list(unshared.items())
+        if n <= 5:
+            for tree, fiber in fibers.items():
+                assert hook_fiber(tree) == fiber
+    for n in range(1, 5):
+        words = list(packed_words(n))
+        for tree in plane_trees(n):
+            fiber = {w: 1 for w in words if plane_tree_of_word(w.letters).text == tree.text}
+            assert tree_fiber_element(tree, n) == WQSymElement(fiber)
+
+
+def test_hook_count_on_nodes_shared_across_a_scan():
+    # the table of a scan over S_7 holds one node per shape with 1..7 nodes;
+    # each asked in the order built (children first) and in reverse (parents
+    # first, filling the stored products of the children they share)
+    for order in (list, reversed):
+        shared: dict = {}
+        for p in permutations(7):
+            decreasing_tree(p, shared)
+        assert len(shared) == 625
+        for node in order(list(shared.values())):
+            assert hook_count(node) == _by_hook_data(node)
 
 
 def test_hook_oracle_refuses_an_unknown_statistic():
@@ -337,7 +372,8 @@ def test_postnikov_small_values():
 def test_postnikov_guard():
     with pytest.raises(SizeGuardError):
         postnikov_check(13)
-    with pytest.raises(SizeGuardError):
+    # n = 0 lies outside the identity, not above the guard
+    with pytest.raises(ValueError):
         postnikov_check(0)
 
 
