@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode
 from math import factorial
 
@@ -92,7 +93,7 @@ def load_config(args: argparse.Namespace) -> CliConfig:
 
 def _print_json(payload: dict) -> None:
     """Print json.dumps(payload, indent=2), a list that comes last (the
-    "items" iterator of enumerate, or "per_tree") row by row as it is read,
+    "items" or "per_tree" iterator of a command) row by row as it is read,
     each row, a string or an object of strings, through the C string
     encoder, since the indented encoder is pure Python.  The rest goes out
     with the first row, so a guard raised by the first read prints nothing."""
@@ -121,17 +122,15 @@ def _print_payload(payload: dict, config: CliConfig, text_lines) -> None:
         import csv  # here, so that the other formats never load it (~0.3 MiB RSS)
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        rows = payload.get("per_tree") or payload.get("items")
-        if not rows:
-            rows = [
-                {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-            ]
-        if isinstance(rows, list) and isinstance(rows[0], dict):
-            header = list(rows[0])
-            writer.writerow(header)
-            writer.writerows([row[h] for h in header] for row in rows)
-        else:  # enumerated items, one field each, written as they come
-            writer.writerows([row] for row in rows)
+        rows = iter(payload.get("per_tree") or payload.get("items") or [
+            {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
+        ])
+        first = next(rows, None)  # rows are written as they come, after the first
+        if isinstance(first, dict):  # its keys are the header
+            writer.writerow(first)
+            writer.writerows(map(dict.values, chain([first], rows)))
+        elif first is not None:  # enumerated items, one field each: zip makes 1-tuples
+            writer.writerows(zip(chain([first], rows)))
     else:
         for line in text_lines:
             print(line)
@@ -177,9 +176,11 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
         degree = min(config.max_degree, n)
         what = f"element dump of {fiber} permutations"
         refuse_large(what, fiber, factorial(degree), config.unsafe_large, f"{degree}! =")
-        element = tree_term(tree)
-        payload["element"] = element.to_json()
-        lines.append(json.dumps(element.to_json()))
+        # built only for the format that prints it; CSV prints scalar fields only
+        if config.output_format == "json":
+            payload["element"] = tree_term(tree).to_json()
+        elif config.output_format == "text":
+            lines.append(json.dumps(tree_term(tree).to_json()))
 
     _print_payload(payload, config, lines)
     return exit_code
@@ -230,7 +231,9 @@ IDENTITIES = {
 
 def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
     report = IDENTITIES[args.name](args, config)
-    payload = report.to_json(include_per_tree=args.per_tree)
+    payload = report.to_json()
+    if args.per_tree and report.per_tree_rows:
+        payload["per_tree"] = report.per_tree_rows()  # streamed; to_json would list them
     lines = [
         f"identity={report.name} equal={'true' if report.equal else 'false'}",
         f"lhs={report.lhs}",
@@ -266,25 +269,26 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
     equation = args.equation
     expansion = EQUATIONS[equation](args.m, order)
     total = expansion.total
+    text = config.output_format == "text"
+
+    def rows():
+        # each row is built as its format prints it, each distinct term
+        # formatted once: the engine interns them, so trees share objects
+        shown: dict = {}  # id(term) -> its printed form
+        for tree, term in expansion.terms:
+            printed = shown.get(id(term))
+            if printed is None:
+                printed = shown[id(term)] = str(term) if text else json.dumps(term.to_json())
+            yield f"{tree.text}: {printed}" if text else {"tree": tree.text, "term": printed}
+
     payload: dict = {
         "equation": equation,
         "order": order,
         "series": total.to_json(),
     }
-    lines = [str(total)]
-    if args.per_tree:
-        # each format formats only the per-tree terms it prints, and each
-        # distinct term once: the engine interns them, so trees share objects
-        text = config.output_format == "text"
-        shown: dict = {}  # id(term) -> its printed form
-        rows = lines if text else payload.setdefault("per_tree", [])
-        for tree, term in expansion.terms:
-            printed = shown.get(id(term))
-            if printed is None:
-                printed = shown[id(term)] = str(term) if text else json.dumps(
-                    term.to_json() if hasattr(term, "to_json") else str(term))
-            rows.append(f"{tree.text}: {printed}" if text else {"tree": tree.text, "term": printed})
-    _print_payload(payload, config, lines)
+    if args.per_tree and not text:
+        payload["per_tree"] = rows()
+    _print_payload(payload, config, chain([str(total)], rows() if args.per_tree and text else ()))
     return 0
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import (
     AlphaPoly,
@@ -89,13 +89,14 @@ class IdentityReport(NamedTuple):
     lhs: str
     rhs: str
     equal: bool
-    per_tree_rows: Callable[[], list] | None = None  # lists the per-tree rows
+    per_tree_rows: Callable[[], Iterator[dict]] | None = None  # yields the per-tree rows
     elapsed_ms: float = 0.0
     disagree: tuple[str, ...] = ()  # the paths that differ; not serialized
 
     def to_json(self, *, include_per_tree: bool = False) -> dict:
         """The report as a JSON object; with include_per_tree, the rows
-        per_tree_rows lists, if the check has any, under "per_tree"."""
+        per_tree_rows yields, if the check has any, as a list under
+        "per_tree"."""
         data = {
             "identity": self.name,
             "parameters": self.parameters,
@@ -105,7 +106,7 @@ class IdentityReport(NamedTuple):
             "elapsed_ms": self.elapsed_ms,
         }
         if include_per_tree and self.per_tree_rows is not None:
-            data["per_tree"] = self.per_tree_rows()
+            data["per_tree"] = list(self.per_tree_rows())
         return data
 
 
@@ -332,9 +333,10 @@ def postnikov_check(n: int) -> IdentityReport:
     the series engine (to order min(n, 8)), and each (term, hook
     multiset) class of its trees is matched against the closed form
     prod(1+1/h_v) t^k / 2^k.  The per-tree rows, each shape with its
-    closed form printed, are listed by a walk over the shapes only when
-    to_json asks for them.  An n below 1 lies outside the identity and
-    raises ValueError; an n above POSTNIKOV_GUARD raises SizeGuardError.
+    closed form printed, are yielded by a walk over the shapes each time
+    per_tree_rows is called, and kept nowhere.  An n below 1 lies outside
+    the identity and raises ValueError; an n above POSTNIKOV_GUARD raises
+    SizeGuardError.
     """
     if n < 1:  # at n = 0, (n+1)^(n-1) would be the float 1.0
         raise ValueError(f"postnikov_check needs n >= 1, got {n}")
@@ -348,17 +350,15 @@ def postnikov_check(n: int) -> IdentityReport:
     expansion, picard = _postnikov_paths(order)
     closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
 
-    def per_tree_rows() -> list:
+    def per_tree_rows() -> Iterator[dict]:
         printed: dict = {}  # hooks -> the closed form, printed
-        rows = []
         for k in range(order + 1):
             for tree in binary_trees(k):
                 hooks = hook_data(tree).hooks if k else ()
                 text = printed.get(hooks)
                 if text is None:
                     text = printed[hooks] = str(closed(hooks))
-                rows.append({"tree": tree.text, "coefficient": text})
-        return rows
+                yield {"tree": tree.text, "coefficient": text}
 
     explicit = eisenstein_coefficients(order)
     paths = {

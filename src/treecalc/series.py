@@ -27,13 +27,14 @@ One engine expands a solution of x = a + B(x, x) (or its m-ary and
 plane-tree analogues) as a sum of per-tree terms, checking beforehand on
 monomial probes that the operator raises valuation by at least one,
 which is what makes the expansion converge order by order.  It counts
-the trees of each distinct term, listing them only when the per-tree
-terms are read, and runs the operator once per distinct tuple of child
-terms (Postnikov's equation at order 9: 6,918 shapes, 169 terms, 364
-tuples).  For binary and m-ary trees it also counts the trees of each
-(term, hook multiset) class, on the first read of that table and with
-no operator call, so a per-tree identity is checked once per class
-(at order 9, 188 classes, the empty one included).  The independent
+the trees of each distinct term, walking them on each read of the
+per-tree terms and keeping the listing nowhere, and runs the operator
+once per distinct tuple of child terms (Postnikov's equation at order
+9: 6,918 shapes, 169 terms, 364 tuples).  For binary and m-ary trees
+it also counts the trees of each (term, hook multiset) class, on the
+first read of that table and with no operator call, so a per-tree
+identity is checked once per class (at order 9, 188 classes, the empty
+one included).  The independent
 cross-check is graded Picard iteration, a separate code path that calls
 only the raw operator and series +: pass k fixes t^k and runs at order k.
 """
@@ -45,7 +46,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import comb, prod
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arith import (
     QPoly,
@@ -501,18 +502,17 @@ def discrete_sum(p: BinomialPoly) -> BinomialPoly:
 
 
 class _TreeTerms:
-    """The (shape, term) pairs of a tree expansion: len() is the count of
-    shapes, and the first other read lists them by walk() and keeps them.
-    For binary and m-ary shapes, hook_classes is the table classes()
-    builds on its first read: per size n, (id(term), hook multiset) ->
-    [term, hooks, number of shapes].  Plane trees pass no classes()."""
+    """The (shape, term) pairs of a tree expansion, walked by walk() on
+    each iteration and kept nowhere; len() is the count of shapes and
+    lists none.  For binary and m-ary shapes, hook_classes is the table
+    classes() builds on its first read: per size n, (id(term), hook
+    multiset) -> [term, hooks, number of shapes].  Plane trees pass no
+    classes()."""
 
-    def __init__(self, count: int, walk: Callable[[], list], classes: Callable[[], list] | None):
+    def __init__(
+        self, count: int, walk: Callable[[], Iterator], classes: Callable[[], list] | None
+    ):
         self._count, self._walk, self._classes = count, walk, classes
-
-    @cached_property
-    def _pairs(self) -> list:
-        return self._walk()
 
     @cached_property
     def hook_classes(self) -> list:
@@ -521,22 +521,14 @@ class _TreeTerms:
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index):
-        return self._pairs[index]
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __eq__(self, other) -> bool:
-        return self._pairs == other
-
-    __repr__ = lambda self: repr(self._pairs)
+    def __iter__(self) -> Iterator:
+        return self._walk()
 
 
 class TreeExpansion:
     """Per-tree terms of a fixed-point solution, in (node count, canonical
-    encoding) order, plus their sum; the engine's terms list the trees
-    only when read, and their len() lists nothing."""
+    encoding) order, plus their sum; the engine's terms walk the trees on
+    each read and keep none, and their len() lists nothing."""
 
     def __init__(self, terms: Sequence | None = None, total: object = None):
         self.terms = [] if terms is None else terms
@@ -576,9 +568,12 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     count * term for each.  Terms are interned by repr, which keeps apart
     terms that compare equal but print or add differently (an int 0 and a
     ring's zero); op runs once per distinct tuple of interned terms, keyed
-    by their ids.  Reading expansion.terms walks the shapes once, looking
-    each term up by its children's, cached by id of shape (a parent holds
-    the very shapes of the smaller sizes); the walk never calls op.
+    by their ids.  Each read of expansion.terms walks the shapes again,
+    yielding each (shape, term) as it goes and keeping the listing
+    nowhere: a term is looked up by its children's, cached by id of shape
+    for the sizes below the top (a parent holds the very shapes of the
+    smaller sizes, and a top-size shape is no one's child); the walk
+    never calls op.
 
     Given an arity (binary and m-ary shapes), expansion.terms.hook_classes
     marks the hook multiset on each class (Flajolet-Sedgewick, ch. III): a
@@ -618,15 +613,15 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     if arity and total - (a + op(*[total] * arity)):
         raise ArithmeticError(f"{name} expansion does not satisfy its equation")
 
-    def walk() -> list:
-        cache, pairs = {}, []  # cache: id(shape) -> its interned term
+    def walk() -> Iterator:
+        cache = {}  # id(shape) -> its interned term, for the sizes below order
         for n in range(order + 1):
             for tree in trees(n):
                 kids = children(tree)
                 term = applied[tuple([id(cache[id(kid)]) for kid in kids])] if kids else a
-                cache[id(tree)] = term
-                pairs.append((tree, term))
-        return pairs
+                if n < order:
+                    cache[id(tree)] = term
+                yield tree, term
 
     def hook_classes() -> list:
         table = [{(id(a), ()): [a, (), 1]}]  # per size: (id(term), hooks) -> [term, hooks, count]

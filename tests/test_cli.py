@@ -746,6 +746,26 @@ FORMAT_GOLDEN = {
         "9696a9b25fbcc29da23f6db75f3939edcc4a396c3224b9455e601f3dda2132b1",
     ("csv", "identity", "postnikov", "--n", "6", "--per-tree"):
         "dbc05fd0672012187b89d0a4c02cce255cd9ecdc3048c087343e44dadd7a4a91",
+    # recorded while the per-tree rows and the hook dump were still built
+    # as lists before printing
+    ("csv", "expand", "postnikov", "--order", "6", "--per-tree"):
+        "b032f64be18b684353386a15b2d4d8963571f1c17e669b60a0c67dce605d0014",
+    ("text", "expand", "plane-q", "--order", "4", "--per-tree"):
+        "8d83619a036a5fb5de6b6c836dfe613808854f498ffd8de44a506f240397ce1a",
+    ("json", "expand", "plane-q", "--order", "4", "--per-tree"):
+        "9cb2d4c60d7558718668fb7fe064fbcf5c2f65315f63dd1593b214c08ecd56ad",
+    ("csv", "expand", "plane-q", "--order", "4", "--per-tree"):
+        "9768c6335cab31fd19fce06bc23c3f7cb8d49ad81e6e9c8bb2164b090f68b2de",
+    ("text", "expand", "duliu", "--m", "2", "--order", "4", "--per-tree"):
+        "e5dcab263317fa6e622c09f861096a09568bb91009be1bcb9a981e9dbdcb0353",
+    ("json", "expand", "duliu", "--m", "2", "--order", "4", "--per-tree"):
+        "ad4e58cce4a32b2df5894f24dbf752c20635bde8248469ac56c8eaa2959819d4",
+    ("csv", "expand", "duliu", "--m", "2", "--order", "4", "--per-tree"):
+        "10a32d693c5d10e31e859c0e3511162c79bb16f9f72d2028a2d0c42d149ddeb8",
+    ("text", "hook", FOUR_NODES, "--dump"):
+        "9852028b13653eed5880be479ef6ee40f84681305618a7a8a4361f4feec66626",
+    ("csv", "hook", FOUR_NODES, "--dump"):
+        "a09c27f8c43e918831169dc89260bd334b9721960e9e44c1b4dc802660b08bce",
 }
 
 
@@ -1034,3 +1054,29 @@ def test_a_reader_that_closes_early_ends_the_command_quietly(argv):
     err = child.stderr.read()
     child.stderr.close()
     assert (child.wait(timeout=120), err, bool(first)) == (141, b"", True)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: its first write raises."""
+
+    def __init__(self, handle):
+        self.fileno = handle.fileno  # main points it at the null device then
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("fmt", cli.OUTPUT_FORMATS)
+def test_per_tree_rows_stream_in_every_format(monkeypatch, tmp_path, fmt):
+    # a row is written as soon as it is built, so a closed reader stops the
+    # walk at its first size at the latest; trees(9) first is the guard call
+    from treecalc import series
+
+    asked = []
+    real = series.binary_trees
+    monkeypatch.setattr(series, "binary_trees", lambda n: asked.append(n) or real(n))
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle))
+        code = main(["--format", fmt, "expand", "postnikov", "--order", "9", "--per-tree"])
+    assert code == 141
+    assert asked[0] == 9 and asked[1:] in ([], [0])

@@ -790,7 +790,7 @@ def test_tree_engine_terms_are_unchanged(m, order):
     expansion = fixed_point_mary(operator, m, order)
     dump = json.dumps(expansion_to_json(expansion)).encode()
     assert hashlib.sha256(dump).hexdigest() == MARY_TERMS_SHA256[m, order]
-    assert expansion.terms == recursive_terms(operator, m, order)
+    assert list(expansion.terms) == recursive_terms(operator, m, order)
     total = TruncatedSeries.constant(0, order)
     for _, term in expansion.terms:
         total = total + term
@@ -1053,21 +1053,27 @@ def test_an_expansion_read_only_for_its_total_builds_no_shape():
     assert main(["expand", "plane-q", "--order", "5"]) == 0
     assert main(["expand", "duliu", "--m", "2", "--order", "5"]) == 0
     assert combinat._shapes.cache_info().currsize == 0
-    assert expansion.terms[0][0].text == "_"  # the first read lists the shapes
-    assert combinat._shapes.cache_info().currsize == 10
+    assert next(iter(expansion.terms))[0].text == "_"  # a read builds the sizes it reaches
+    assert combinat._shapes.cache_info().currsize == 1
 
 
-def test_expansion_terms_are_listed_once():
+def test_expansion_terms_are_walked_on_each_read(monkeypatch):
+    from treecalc import series
     from treecalc.identities import postnikov_operator
 
+    asked = []
+    real = series.binary_trees
+    monkeypatch.setattr(series, "binary_trees", lambda n: asked.append(n) or real(n))
     one = TruncatedSeries.constant(Fraction(1), 4)
     expansion = fixed_point_binary(postnikov_operator, one, 4)
+    assert asked == [4]  # the guard call
+    assert len(expansion.terms) == 1 + 1 + 2 + 5 + 14 and asked == [4]  # len lists no shape
     pairs = list(expansion.terms)
-    assert len(pairs) == len(expansion.terms) == 1 + 1 + 2 + 5 + 14
-    assert list(expansion.terms) == pairs and pairs == expansion.terms
-    assert all(a is b for a, b in zip(expansion.terms, pairs))  # the cached list
-    assert expansion.terms[-1] is pairs[-1] and expansion.terms[1:3] == pairs[1:3]
-    assert repr(expansion.terms) == repr(pairs)
+    assert len(pairs) == len(expansion.terms) and asked == [4, 0, 1, 2, 3, 4]
+    assert list(expansion.terms) == pairs and asked == [4] + [0, 1, 2, 3, 4] * 2
+    # the same shapes and interned terms on each walk
+    assert all(s is t and x is y for (s, x), (t, y) in zip(expansion.terms, pairs))
+    assert not hasattr(expansion.terms, "__getitem__")  # a walk, not a list
 
 
 def test_an_expansion_above_the_guard_builds_no_shape():
