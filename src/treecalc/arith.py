@@ -78,10 +78,11 @@ class Poly:
     ``exact_scalar``: an int, or a Fraction whose denominator is not 1.
     Since ints and Fractions of equal value compare and hash equal and
     print the same, the form changes no result, only its speed.  A product
-    is one integer convolution over each side's common denominator,
-    reduced once per slot.  Arithmetic accepts plain ints and Fractions
-    and coerces them to constants; a float coefficient, operand or
-    evaluation point raises TypeError.
+    with one side a single term c x^k scales the other side by c and
+    shifts it by k; any other product is one integer convolution over each
+    side's common denominator, reduced once per slot.  Arithmetic accepts
+    plain ints and Fractions and coerces them to constants; a float
+    coefficient, operand or evaluation point raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -202,9 +203,18 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return type(self)()
-        # each slot in canonical form; the top one, a product of two leads, is nonzero
-        reduced = lambda s, d: Fraction(s, d) if s % d else s // d
-        return self._canonical(tuple(_convolve(_terms(a), _terms(b), len(a) + len(b) - 1, reduced)))
+        if any(b[:-1]):
+            if any(a[:-1]):
+                # each slot in canonical form; the top one, a product of two leads, is nonzero
+                reduced = lambda s, d: Fraction(s, d) if s % d else s // d
+                out = _convolve(_terms(a), _terms(b), len(a) + len(b) - 1, reduced)
+                return self._canonical(tuple(out))
+            a, b = b, a
+        # b is one term, c x^k (a scalar when k = 0): a scaled by c and shifted by k
+        c = b[-1]
+        scaled = [x * c for x in a]
+        out = [y if type(y) is int else exact_scalar(y) for y in scaled]
+        return self._canonical((0,) * (len(b) - 1) + tuple(out))
 
     __rmul__ = __mul__
 
@@ -258,7 +268,7 @@ class Poly:
             elif c == -1:
                 parts.append(f"-{power}")
             else:
-                parts.append(f"{c}{power}")
+                parts.append(f"{c!s}{power}")
         return "+".join(parts).replace("+-", "-")
 
     def __repr__(self) -> str:

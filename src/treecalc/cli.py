@@ -239,6 +239,8 @@ def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
         f"lhs={report.lhs}",
         f"rhs={report.rhs}",
     ]
+    if "per_tree" in payload:  # each row as "tree: coefficient", as it is yielded
+        lines = chain(lines, map(": ".join, map(dict.values, payload["per_tree"])))
     _print_payload(payload, config, lines)
     return 0 if report.equal else 1
 

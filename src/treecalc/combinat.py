@@ -22,11 +22,11 @@ bounded only by the size guards.
 
 Permutation and PackedWord share one word core: a tuple of letters with
 its equality, hash, order and text.  Each key type has one exact check
-(the sorted word must be 1..n, or the set of letters {1..m}), run on one
-word by the public constructor and on all the words of a word-algebra
-product in one batch pass (``_Word._check_words``); the products keep
-bare letter tuples and build keys only when they are read.  The
-comparison lists and sets are built per size on first use.
+(the set of letters of w is {1..m}, m = len(w) or, for a packed word,
+len(set(w))), run on one word by the public constructor and on all the
+words of a word-algebra product in one batch pass (``_Word._check_words``);
+the products keep bare letter tuples and build keys only when they are
+read.  The interval sets are built per size on first use.
 """
 
 from __future__ import annotations
@@ -64,27 +64,21 @@ def _word_from_text(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad word string {text!r}") from exc
 
 
-# Comparison values of the key checks, built per size on first use; bounded,
-# since each holds a list or set as long as the word.
+# The one comparison table of the key checks, built per size on first use;
+# bounded, since each holds a set as large as the word.
 @lru_cache(maxsize=64)
-def _ascending(n: int) -> list[int]:
-    """The sorted word of every permutation of 1..n."""
-    return list(range(1, n + 1))
-
-
-@lru_cache(maxsize=64)
-def _interval(m: int) -> set[int]:
-    """The set of letters of every packed word with m distinct letters."""
-    return set(range(1, m + 1))
+def _interval(m: int) -> frozenset[int]:
+    """The letter set of every permutation of 1..m and packed word with m letters."""
+    return frozenset(range(1, m + 1))
 
 
 class _Word:
     """The word core of both basis-key types: one tuple of letters, equal
     only to a key of the same type with the same tuple, hashed by the
     tuple, ordered by (length, letters), and printed without separators
-    while every letter is a digit.  Each key type adds its exact check,
-    as the canonical form ``_canon`` of a word that must equal
-    ``_expected(len(canon))``, and its own statistics."""
+    while every letter is a digit.  Each key type adds its statistics and
+    ``_distinct``, true if its letters are distinct: the letter set must
+    then be 1..len(w) (a permutation), else 1..len(set(w)) (a packed word)."""
 
     __slots__ = ("letters",)
 
@@ -93,8 +87,8 @@ class _Word:
 
     def _store(self, letters: tuple[int, ...]) -> None:
         """The key type's exact check of one word, then the store."""
-        canon = self._canon(letters)
-        if canon != self._expected(len(canon)):
+        found = set(letters)
+        if found != _interval(len(letters if self._distinct else found)):
             raise ValueError(self._error.format(n=len(letters), word=letters))
         self.letters = letters
 
@@ -102,9 +96,14 @@ class _Word:
     def _check_words(cls, words: Collection[tuple[int, ...]]) -> None:
         """The exact check of ``_store`` on every word at once, at C speed;
         a bad word raises the public constructor's error, the first bad
-        word in order."""
-        canons = list(map(cls._canon, words))
-        if not all(map(eq, canons, map(cls._expected, map(len, canons)))):
+        word in order.  Permutations of one length, the batch of every
+        product of homogeneous operands, meet one interval set."""
+        if cls._distinct and len(lengths := set(map(len, words))) == 1:
+            valid = all(map(eq, map(set, words), repeat(_interval(*lengths))))
+        else:
+            sets = list(map(set, words))
+            valid = all(map(eq, sets, map(_interval, map(len, words if cls._distinct else sets))))
+        if not valid:
             new = object.__new__
             for word in words:
                 new(cls)._store(word)
@@ -151,8 +150,7 @@ class Permutation(_Word):
     __slots__ = ()
     word = _Word.letters  # the slot itself: a read costs no property call
 
-    _canon = sorted
-    _expected = staticmethod(_ascending)
+    _distinct = True
     _error = "not a permutation of 1..{n}: {word}"
 
     @classmethod
@@ -212,8 +210,7 @@ class PackedWord(_Word):
 
     __slots__ = ()
 
-    _canon = set  # the m distinct letters must be {1..m}
-    _expected = staticmethod(_interval)
+    _distinct = False
     _error = "not a packed word: {word}"
 
     @classmethod
@@ -316,7 +313,6 @@ def _parse(text: str, name: str, leaf: str, make_leaf, make_node, arity=None, se
 
 
 _arity, _node_count, _text = attrgetter("arity"), attrgetter("node_count"), attrgetter("text")
-_internal_count, _leaf_count = attrgetter("internal_count"), attrgetter("leaf_count")
 
 
 class BinaryTree(_Shape):
@@ -407,28 +403,29 @@ class PlaneTree(_Shape):
 
     PlaneTree() is the single leaf (the tree of the empty word); internal
     nodes are built from an ordered sequence of at least two subtrees.
+    A node stores only its children and its text, and counts its nodes
+    and leaves off the text when asked.
     """
 
-    __slots__ = ("children", "internal_count", "leaf_count", "text")
+    __slots__ = ("children", "text")
 
     def __init__(self, children: Sequence["PlaneTree"] | None = None):
         if children is None:
             self.children = ()
-            self.internal_count = 0
-            self.leaf_count = 1
             self.text = "*"
         else:
             children = tuple(children)
             if len(children) < 2:
                 raise ValueError("internal plane-tree nodes need >= 2 children")
             self.children = children
-            self.internal_count = 1 + sum(map(_internal_count, children))
-            self.leaf_count = sum(map(_leaf_count, children))
-            self.text = "(" + "".join(map(_text, children)) + ")"
+            self.text = f"({''.join(map(_text, children))})"
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    internal_count = property(lambda self: self.text.count("("))
+    leaf_count = property(lambda self: self.text.count("*"))
 
     def __repr__(self) -> str:
         return f"PlaneTree.from_text({self.text!r})"

@@ -245,7 +245,7 @@ class TruncatedSeries(_Series):
         for n, c in enumerate(self.coeffs):
             if not c:
                 continue
-            term = str(c) if n == 0 else f"({c})*t^{n}"
+            term = str(c) if n == 0 else f"({c!s})*t^{n}"
             parts.append(term)
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.order + 1})"
@@ -484,7 +484,7 @@ class BinomialPoly:
         parts = []
         for k, c in sorted(self.coeffs.items()):
             basis = "1" if k == 0 else f"C(t,{k})"
-            parts.append(f"({c})*{basis}" if not (c == 1 and k) else basis)
+            parts.append(f"({c!s})*{basis}" if not (c == 1 and k) else basis)
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -1,4 +1,6 @@
-"""References that only the tests use: the polynomial and series products
+"""References that only the tests use: the key checks of permutations and
+packed words as they were first written, the node and leaf counts that
+plane trees once stored, the polynomial and series products
 as loops over pairs of coefficients, the plain and q-derivatives, the
 monomial-basis conversions and forward difference of the binomial basis,
 the tree engine that listed every shape, the per-tree check that walked
@@ -17,12 +19,47 @@ from math import factorial
 from typing import Sequence
 
 from treecalc.arith import AlphaPoly, Poly, QPoly
-from treecalc.combinat import hook_data, packed_words
+from treecalc.combinat import Permutation, hook_data, packed_words
 from treecalc.elements import FQSymElement, WQSymElement
 from treecalc.errors import BasisMismatch
 from treecalc.identities import IdentityReport, _duliu_tree_sum, _report, plane_q_expansion
 from treecalc.series import BinomialPoly, QDividedSeries, TreeExpansion, TruncatedSeries
 from treecalc.wqsym import psi
+
+# ---------------------------------------------------------------------------
+# combinat
+# ---------------------------------------------------------------------------
+
+
+def word_key_error(key_type: type, word: tuple):
+    """The public constructor's error for a word that is no key of
+    key_type, or None for a key, by the checks as first written: the
+    sorted word of a permutation is 1..n, and the letters of a packed word
+    with m distinct letters are the set {1..m}."""
+    if key_type is Permutation:
+        if sorted(word) != list(range(1, len(word) + 1)):
+            return f"not a permutation of 1..{len(word)}: {word}"
+    elif set(word) != set(range(1, len(set(word)) + 1)):
+        return f"not a packed word: {word}"
+    return None
+
+
+def plane_tree_counts(tree) -> tuple[int, int]:
+    """(internal nodes, leaves) of a plane tree, summed over the children
+    bottom up as the nodes once stored them: one breadth-first list, read
+    in reverse, so a deep tree meets no recursion limit."""
+    nodes = [tree]
+    for node in nodes:
+        nodes.extend(node.children)
+    counts: dict = {}  # id(node) -> its counts; equal subtrees may be one object
+    for node in reversed(nodes):
+        if node.is_leaf:
+            counts[id(node)] = (0, 1)
+        else:
+            below = [counts[id(child)] for child in node.children]
+            counts[id(node)] = (1 + sum(i for i, _ in below), sum(k for _, k in below))
+    return counts[id(tree)]
+
 
 # ---------------------------------------------------------------------------
 # arith

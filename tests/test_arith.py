@@ -394,6 +394,19 @@ def test_poly_product_matches_the_pairwise_loop(a_values, b_values, cls, scalar)
     assert a * scalar == scalar * a == poly_mul_loop(a, scalar)
 
 
+@given(kernel_lists, st.integers(min_value=0, max_value=4), kernel_scalars, st.sampled_from([QPoly, AlphaPoly]))
+def test_a_one_term_product_matches_the_pairwise_loop(values, exponent, scalar, cls):
+    # a monomial c x^k on either side scales and shifts the other operand,
+    # slot by slot in value and type as the loop gives it
+    a, monomial = cls(values), cls.monomial(exponent, scalar)
+    for x, y in ((a, monomial), (monomial, a), (monomial, monomial), (a, scalar), (scalar, a)):
+        got = x * y
+        want = poly_mul_loop(x, y) if isinstance(x, cls) else poly_mul_loop(y, x)
+        assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+        assert type(got) is cls
+        assert_canonical(got)
+
+
 def test_poly_product_of_fractions_can_be_integral():
     half = AlphaPoly((Fraction(1, 2), Fraction(1, 2)))
     product = half * AlphaPoly((2, -2))  # (1 + α)(1 - α)

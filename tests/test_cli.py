@@ -766,6 +766,9 @@ FORMAT_GOLDEN = {
         "9852028b13653eed5880be479ef6ee40f84681305618a7a8a4361f4feec66626",
     ("csv", "hook", FOUR_NODES, "--dump"):
         "a09c27f8c43e918831169dc89260bd334b9721960e9e44c1b4dc802660b08bce",
+    # recorded when the text format began to print the rows of identity --per-tree
+    ("text", "identity", "postnikov", "--n", "6", "--per-tree"):
+        "774b736da4127e07cf799a4aaac5eb8b3c6858d3e4f00be364ccf93adabe7e85",
 }
 
 
@@ -1080,3 +1083,25 @@ def test_per_tree_rows_stream_in_every_format(monkeypatch, tmp_path, fmt):
         code = main(["--format", fmt, "expand", "postnikov", "--order", "9", "--per-tree"])
     assert code == 141
     assert asked[0] == 9 and asked[1:] in ([], [0])
+
+
+def test_identity_per_tree_text_prints_the_json_rows(capsys):
+    code, text = run(capsys, "identity", "postnikov", "--n", "4", "--per-tree")
+    assert code == 0
+    code, out = run(capsys, "--format", "json", "identity", "postnikov", "--n", "4", "--per-tree")
+    rows = json.loads(out)["per_tree"]
+    assert text.splitlines()[:3] == ["identity=postnikov equal=true", "lhs=125", "rhs=125"]
+    assert text.splitlines()[3:] == [f"{row['tree']}: {row['coefficient']}" for row in rows]
+
+
+def test_identity_per_tree_rows_stream_in_text(monkeypatch, tmp_path):
+    # the check walks the shapes of sizes 1..9 for its sum; the rows walk
+    # sizes 0..8 only as they are printed, so a closed reader stops them first
+    asked = []
+    real = identities.binary_trees
+    monkeypatch.setattr(identities, "binary_trees", lambda n: asked.append(n) or real(n))
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle))
+        code = main(["identity", "postnikov", "--n", "9", "--per-tree"])
+    assert code == 141
+    assert asked == list(range(1, 10))

@@ -29,6 +29,8 @@ from treecalc.combinat import (
 from treecalc.combinat import MARY_SLOT_GUARD, _cartesian_tree, _compositions, _shapes, _splits
 from treecalc.errors import ParseError, SizeGuardError
 
+from references import plane_tree_counts
+
 words = st.lists(st.integers(min_value=1, max_value=8), min_size=0, max_size=8)
 
 
@@ -325,6 +327,16 @@ def test_plane_tree_of_a_deep_word():
     tree = plane_tree_of_word(range(1, DEEP + 1))
     assert (tree.leaf_count, tree.internal_count) == (DEEP + 1, DEEP)
     assert tree.text == "(" * DEEP + "**" + ")*" * (DEEP - 1) + ")"
+
+
+def test_plane_tree_counts_read_off_the_text_are_the_sums_once_stored():
+    trees = [tree for n in range(8) for tree in plane_trees(n)]
+    deep = "*"
+    for _ in range(DEEP):
+        deep = f"(*{deep}*)"
+    trees += [plane_tree_of_word(range(1, DEEP + 1)), PlaneTree.from_text(deep)]
+    for tree in trees:
+        assert (tree.internal_count, tree.leaf_count) == plane_tree_counts(tree)
 
 
 def test_the_maps_through_one_table_match_the_recursive_references(packed_by_length):

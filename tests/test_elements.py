@@ -16,6 +16,8 @@ from treecalc.combinat import PackedWord, Permutation, packed_words, permutation
 from treecalc.elements import FQSymElement, WQSymElement, bilinear, keyed
 from treecalc.errors import BasisMismatch
 
+from references import word_key_error
+
 PERMS = [p for n in range(4) for p in permutations(n)]
 WORDS = [w for n in range(4) for w in packed_words(n)]
 
@@ -226,6 +228,101 @@ def test_a_bad_word_reaching_the_kernel_raises_the_public_error(element, key_typ
 def test_the_first_bad_word_is_the_one_reported():
     with pytest.raises(ValueError, match=r"1\.\.2: \(2, 2\)"):
         keyed(fqsym.unit(), {(1, 2): 1, (2, 2): 1, (3, 3, 3): 1})
+
+
+@st.composite
+def flawed_word(draw, n: int) -> tuple:
+    """A permutation or a packed word of length n, as drawn, or with one
+    flaw: a repeated letter, a 0, a negative letter, a letter above the
+    length, or its letters 1 written True or integral Fractions."""
+    if draw(st.booleans()):
+        word = list(draw(st.permutations(range(1, n + 1))))
+    else:
+        letters = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        rank = {c: i for i, c in enumerate(sorted(set(letters)), 1)}
+        word = [rank[c] for c in letters]
+    flaw = draw(st.sampled_from(["none", "repeat", "zero", "negative", "above", "bool", "fraction"]))
+    if word and flaw in ("repeat", "zero", "negative", "above"):
+        spot = draw(st.integers(0, n - 1))
+        word[spot] = {
+            "repeat": word[draw(st.integers(0, n - 1))],
+            "zero": 0,
+            "negative": -draw(st.integers(1, 3)),
+            "above": n + draw(st.integers(1, 2)),
+        }[flaw]
+    elif flaw == "bool":
+        word = [True if c == 1 else c for c in word]
+    elif flaw == "fraction":
+        word = [Fraction(c) if draw(st.booleans()) else c for c in word]
+    return tuple(word)
+
+
+@st.composite
+def word_batches(draw) -> list:
+    """A batch of words of one length, or of mixed lengths."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        return draw(st.lists(flawed_word(n), max_size=10))
+    return draw(st.lists(st.integers(0, 6).flatmap(flawed_word), max_size=10))
+
+
+@given(word_batches())
+@settings(max_examples=300)
+def test_the_batch_and_the_constructor_check_keys_as_the_reference_does(words):
+    for key_type, like in ((Permutation, FQSymElement()), (PackedWord, WQSymElement())):
+        errors = {}  # word -> its reference error, kept as first written: True and 1 are one key
+        for word in words:
+            error = word_key_error(key_type, word)
+            errors.setdefault(word, error)
+            if error is None:
+                assert key_type(word).letters == word
+            else:
+                with pytest.raises(ValueError) as public:
+                    key_type(word)
+                assert str(public.value) == error
+        first = next(filter(None, errors.values()), None)
+        if first is None:
+            assert keyed(like, dict.fromkeys(errors, 1)) == like._like(
+                {key_type(word): 1 for word in errors}
+            )
+        else:
+            with pytest.raises(ValueError) as batch:
+                keyed(like, dict.fromkeys(errors, 1))
+            assert str(batch.value) == first
+
+
+@pytest.mark.parametrize("key_type", [Permutation, PackedWord])
+def test_the_only_bad_word_last_in_a_long_batch_of_one_length_is_reported(key_type):
+    good = permutations(7) if key_type is Permutation else packed_words(7)
+    words = dict.fromkeys([key.letters for key in good], 1)
+    bad = (1, 2, 3, 4, 5, 6, 6) if key_type is Permutation else (1, 2, 3, 4, 5, 6, 8)
+    words[bad] = 1
+    like = FQSymElement() if key_type is Permutation else WQSymElement()
+    assert len(keyed(like, dict(list(words.items())[:-1]))) == len(words) - 1
+    with pytest.raises(ValueError) as batch:
+        keyed(like, words)
+    assert str(batch.value) == word_key_error(key_type, bad)
+
+
+def test_a_repeated_letter_is_a_packed_word_and_no_permutation():
+    # (1, 1) has the letter set {1}: an interval, but not {1, 2}
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
+        Permutation((1, 1))
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
+        keyed(FQSymElement(), {(1, 2): 1, (1, 1): 1})
+    assert PackedWord((1, 1)).letters == (1, 1)
+    assert keyed(WQSymElement(), {(1, 2): 1, (1, 1): 1}) == WQSymElement(
+        {pw(1, 2): 1, pw(1, 1): 1}
+    )
+
+
+@pytest.mark.parametrize("key_type", [Permutation, PackedWord])
+def test_an_unhashable_letter_is_a_type_error(key_type):
+    # a key is checked by its set of letters, and a list is no set member;
+    # no product word holds one, since the words are dict keys
+    for word in (([1],), (1, [2])):
+        with pytest.raises(TypeError, match="unhashable"):
+            key_type(word)
 
 
 @pytest.mark.parametrize(
