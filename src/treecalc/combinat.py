@@ -20,13 +20,13 @@ Every value here is immutable.  The enumerators run in a deterministic
 order; the tree families build each size's full list once and cache it,
 bounded only by the size guards.
 
-Permutation and PackedWord share one word core: a tuple of letters with
-its equality, hash, order and text.  Each key type has one exact check
+Permutation and PackedWord share one word core: a tuple of int letters
+with its equality, hash, order and text.  Each key type has one exact check
 (the set of letters of w is {1..m}, m = len(w) or, for a packed word,
 len(set(w))), run on one word by the public constructor and on all the
 words of a word-algebra product in one batch pass (``_Word._check_words``);
-the products keep bare letter tuples and build keys only when they are
-read.  The interval sets are built per size on first use.
+the products keep words in stored form (``_key``) and build keys only
+when they are read.  The interval sets are built per size on first use.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ MARY_TREE_GUARD = 9
 # largest level the node guard allowed with m <= 3.
 MARY_SLOT_GUARD = 13_449_040
 PLANE_TREE_GUARD = 9
+_LETTERS = tuple(bytes((c,)) for c in range(256))  # the one-letter stored words
+_INT = frozenset((int,))  # the type of every stored letter
 
 
 def _word_from_text(text: str) -> tuple[int, ...]:
@@ -64,6 +66,12 @@ def _word_from_text(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad word string {text!r}") from exc
 
 
+def _key(letters: Sequence[int]) -> bytes | tuple[int, ...]:
+    """The stored form of a word in the word-algebra kernels: bytes below 256
+    letters (a key's letters never exceed its length), its tuple beyond."""
+    return bytes(letters) if len(letters) < 256 else tuple(letters)
+
+
 # The one comparison table of the key checks, built per size on first use;
 # bounded, since each holds a set as large as the word.
 @lru_cache(maxsize=64)
@@ -73,7 +81,7 @@ def _interval(m: int) -> frozenset[int]:
 
 
 class _Word:
-    """The word core of both basis-key types: one tuple of letters, equal
+    """The word core of both basis-key types: one tuple of int letters, equal
     only to a key of the same type with the same tuple, hashed by the
     tuple, ordered by (length, letters), and printed without separators
     while every letter is a digit.  Each key type adds its statistics and
@@ -86,15 +94,15 @@ class _Word:
         self._store(tuple(letters))
 
     def _store(self, letters: tuple[int, ...]) -> None:
-        """The key type's exact check of one word, then the store."""
+        """The key type's exact check of one word, then the store of its letters as ints."""
         found = set(letters)
         if found != _interval(len(letters if self._distinct else found)):
             raise ValueError(self._error.format(n=len(letters), word=letters))
-        self.letters = letters
+        self.letters = letters if _INT.issuperset(map(type, letters)) else tuple(map(int, letters))
 
     @classmethod
-    def _check_words(cls, words: Collection[tuple[int, ...]]) -> None:
-        """The exact check of ``_store`` on every word at once, at C speed;
+    def _check_words(cls, words: Collection[bytes | tuple[int, ...]]) -> None:
+        """The exact check of ``_store`` on every stored word at once, at C speed;
         a bad word raises the public constructor's error, the first bad
         word in order.  Permutations of one length, the batch of every
         product of homogeneous operands, meet one interval set."""
@@ -106,14 +114,14 @@ class _Word:
         if not valid:
             new = object.__new__
             for word in words:
-                new(cls)._store(word)
+                new(cls)._store(tuple(word))
 
     @classmethod
-    def _unchecked(cls, words: Collection[tuple[int, ...]]) -> list:
-        """Fresh keys of cls for words already checked, in order, built
-        with no Python call per key."""
+    def _unchecked(cls, words: Collection[bytes | tuple[int, ...]]) -> list:
+        """Fresh keys of cls for stored words already checked, in order,
+        built with no Python call per key."""
         keys = list(map(object.__new__, repeat(cls, len(words))))
-        deque(map(_Word.letters.__set__, keys, words), 0)
+        deque(map(_Word.letters.__set__, keys, map(tuple, words)), 0)
         return keys
 
     def __len__(self) -> int:

@@ -1,16 +1,17 @@
 """Finitely supported linear combinations of basis words.
 
-One representation serves both algebras: a dict from the letter tuple of
-each basis word to a nonzero coefficient, graded by word length; the
-element class alone fixes the key type the tuples stand for (Permutation
+One representation serves both algebras: a dict from each basis word,
+stored as bytes below 256 letters and as its letter tuple beyond
+(``combinat._key``), to a nonzero coefficient, graded by word length; the
+element class alone fixes the key type the words stand for (Permutation
 or PackedWord).  Coefficients are exact, from arith's allowlist: the
 constructor, scalar * and map_coefficients raise TypeError on anything
 else.  Zero coefficients are never stored, so canonical form is
 automatic.  Elements are immutable by convention and all operations
 return fresh values.
 
-Letter tuples hash and compare at C speed.  ``bilinear`` sums every
-G-basis and M-basis product on them, fqsym.derive, wqsym.delta and
+Stored words hash (bytes once) and compare at C speed.  ``bilinear`` sums
+every G-basis and M-basis product on them, fqsym.derive, wqsym.delta and
 wqsym.f_k sum on them in loops of their own, and ``keyed`` checks each
 such result's words in one batch pass; only the q-shuffle sums on
 Permutation keys.  ``terms`` is a read-only dict of fresh keys per read.
@@ -23,7 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable
 
 from .arith import _check_exact
-from .combinat import PackedWord, Permutation
+from .combinat import PackedWord, Permutation, _key
 from .errors import BasisMismatch
 
 
@@ -41,7 +42,7 @@ class AlgebraElement:
                 name = type(self).__name__
                 raise TypeError(f"{name} keys must be {key_type.__name__}, got {type(key).__name__}")
             _check_exact(coeff)
-            w = key.letters
+            w = _key(key.letters)
             words[w] = words[w] + coeff if w in words else coeff
         self._words = {w: c for w, c in words.items() if c}
 
@@ -66,7 +67,7 @@ class AlgebraElement:
         return type(self)(terms)
 
     def _with(self, words: dict) -> "AlgebraElement":
-        """The element like self on {letter tuple: coefficient}, whose words
+        """The element like self on {stored word: coefficient}, whose words
         are checked already; the dict becomes its own, uncopied unless a
         coefficient is zero."""
         element = self._like(())
@@ -80,13 +81,14 @@ class AlgebraElement:
             )
 
     def coefficient(self, key):
-        return self._words.get(key.letters, 0) if type(key) is self._key_type else 0
+        return self._words.get(_key(key.letters), 0) if type(key) is self._key_type else 0
 
     def support(self) -> list:
         return [key for key, _ in self.sorted_terms()]
 
     def sorted_terms(self) -> list[tuple]:
-        words = sorted(sorted(self._words), key=len)  # the order of the keys
+        # the order of the keys, (length, word): bytes and tuples never compare
+        words = [w for _, w in sorted(zip(map(len, self._words), self._words))]
         return list(zip(self._key_type._unchecked(words), map(self._words.__getitem__, words)))
 
     def map_coefficients(self, fn: Callable) -> "AlgebraElement":
@@ -199,7 +201,7 @@ class WQSymElement(AlgebraElement):
 
 
 def bilinear(x: AlgebraElement, y: AlgebraElement, words: Callable) -> AlgebraElement:
-    """Bilinear lift of a map on pairs of letter tuples: each pair of
+    """Bilinear lift of a map on pairs of stored words: each pair of
     terms (a, ca), (b, cb) adds ca * cb to every word in the sequence
     words(a, b); an empty sequence costs no ring multiplication."""
     sums: dict = {}
@@ -215,7 +217,7 @@ def bilinear(x: AlgebraElement, y: AlgebraElement, words: Callable) -> AlgebraEl
 
 
 def keyed(x: AlgebraElement, sums: dict) -> AlgebraElement:
-    """The element like x with coefficient sums[w] on each letter tuple w
+    """The element like x with coefficient sums[w] on each stored word w
     whose sum is nonzero.  Those words pass the key type's exact check,
     by their sets of letters, in one batch pass, which raises the public
     constructor's error; a word whose sum cancelled is never checked.  The

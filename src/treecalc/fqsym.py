@@ -9,8 +9,9 @@ between the factors (whose tree iterates sum the fibers of the
 decreasing-tree map), a q-shuffle deformation on the F basis, and the
 q-specialization into q-series in the q-divided-power basis.
 
-The element products apply each value split to bare letter tuples with
-``itemgetter`` (``elements.bilinear``) and build no key object.
+The element products apply each value split to stored words as one
+``bytes.translate`` per result word (``itemgetter`` on letter tuples past
+254 letters; ``elements.bilinear``) and build no key object.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .arith import QPoly
-from .combinat import BinaryTree, Permutation
+from .combinat import _LETTERS, BinaryTree, Permutation, _key
 from .elements import FQSymElement, bilinear, keyed
 from .errors import EmptyOperand
 from .series import QDividedSeries
@@ -44,14 +45,16 @@ def unit(basis: str = "G") -> FQSymElement:
 def _split_values(n: int, k: int):
     """The ways to hand k of the values 1..n to the left factor, each as
     the relabelling sigma = (0, left..., right..., n + 1) that sends
-    position i of a.(b shifted by k) to value sigma[i] and fixes n + 1.
+    position i of a.(b shifted by k) to value sigma[i] and fixes n + 1,
+    as a 256-byte ``bytes.translate`` table while n < 255, else a tuple.
     Returned as (prec, succ, every): the splits whose left values hold n,
     the others, and all in lexicographic order of the left values."""
     values = range(1, n + 1)
+    table, fixed = (bytes, range(n + 1, 256)) if n < 255 else (tuple, (n + 1,))
     prec, succ, every = [], [], []
     for chosen in combinations(values, k):
         chosen_set = set(chosen)
-        sigma = (0, *chosen, *(v for v in values if v not in chosen_set), n + 1)
+        sigma = table((0, *chosen, *(v for v in values if v not in chosen_set), *fixed))
         every.append(sigma)
         (prec if n in chosen_set else succ).append(sigma)
     return tuple(prec), tuple(succ), tuple(every)
@@ -89,15 +92,26 @@ def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], li
     return prec, succ
 
 
-def _split_words(a: tuple, b: tuple, part: int, top: bool = False) -> list:
+@lru_cache(maxsize=None)
+def _shift(k: int) -> bytes:
+    return bytes(range(k, 256)) + bytes(k)  # adds k to every letter below 256 - k
+
+
+def _split_words(a, b, part: int, top: bool = False) -> list:
     """Part 0 (prec), 1 (succ) or 2 (every) of the value splits applied
-    to the letter tuples a.(b shifted by |a|), as tuples, with a new
+    to the stored words a.(b shifted by |a|), in stored form, with a new
     maximal letter between the factors if top is set.  Only the half
     products (parts 0 and 1) reject an empty operand."""
-    k, l = len(a), len(b)
-    word = a + ((k + l + 1,) if top else ()) + tuple(v + k for v in b)
-    if k and l:
-        return list(map(itemgetter(*word), _split_values(k + l, k)[part]))
+    k, n = len(a), len(a) + len(b)
+    if n < 255:  # a, b and every result are bytes, every letter in a table
+        word = a + (_LETTERS[n + 1] if top else b"") + b.translate(_shift(k))
+        if a and b:
+            return list(map(word.translate, _split_values(n, k)[part]))
+    else:
+        word = (*a, *((n + 1,) if top else ()), *(v + k for v in b))
+        if a and b:
+            return list(map(_key, map(itemgetter(*word), _split_values(n, k)[part])))
+        word = _key(word)
     if part < 2:
         raise EmptyOperand("half products need nonempty operands")
     return [word]  # the one split is the identity
@@ -135,11 +149,12 @@ def derive(x: FQSymElement) -> FQSymElement:
     """
     x.require_basis("G")
     out: dict = {}
+    get = out.get
     for w, c in x._words.items():
         if w:
-            i = w.index(len(w))
-            shorter = w[:i] + w[i + 1 :]
-            out[shorter] = out.get(shorter, 0) + c
+            n = len(w)
+            rest = w.replace(_LETTERS[n], b"") if n < 256 else _key([v for v in w if v < n])
+            out[rest] = get(rest, 0) + c
     return keyed(x, out)
 
 

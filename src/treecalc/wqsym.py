@@ -12,10 +12,10 @@ into the discrete calculus of polynomials in the binomial basis.
 One block join builds them all: the packed words joining blocks that
 pack to given words, with the new maximal letter between blocks for the
 lifts and nothing between them for the product.  Products and delta run
-on bare letter tuples (``elements.bilinear``) and build no key object;
-one cache holds each pair's packed convolution split into the three
-tridendriform parts by the two blocks' maxima, so a part product makes
-only its own.
+on stored words (``combinat._key``, ``elements.bilinear``) and build no
+key object; one cache holds each pair's packed convolution split into
+the three tridendriform parts by the two blocks' maxima, so a part
+product makes only its own.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import combinations, product as cartesian_product
 from math import prod
 from typing import Iterator, Sequence
 
-from .combinat import PackedWord, PlaneTree, packed_words, plane_tree_of_word
+from .combinat import _LETTERS, PackedWord, PlaneTree, _key, packed_words, plane_tree_of_word
 from .elements import WQSymElement, bilinear, keyed
 from .errors import EmptyOperand
 from .series import BinomialPoly
@@ -74,13 +74,15 @@ def _joins(blocks: tuple[tuple[int, ...], ...], separated: bool) -> Iterator[tup
 
 
 @lru_cache(maxsize=None)
-def _packed_convolve_cached(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The packed convolution of two letter tuples as sorted letter
-    tuples: (prec, circ, succ, every), each word classified by its two
+def _packed_convolve_cached(a, b) -> tuple[tuple, ...]:
+    """The packed convolution of two stored words as sorted stored
+    words: (prec, circ, succ, every), each word classified by its two
     support tops, which are the block maxima."""
     if not a or not b:
-        return (), (), (), (a + b,)
-    out = sorted((w, (left <= right) + (left < right)) for w, left, right in _joins((a, b), False))
+        return (), (), (), (a or b,)
+    stored = bytes if len(a) + len(b) < 256 else tuple  # either sorts as the letters do
+    joins = _joins((a, b), False)
+    out = sorted((stored(w), (left <= right) + (left < right)) for w, left, right in joins)
     parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
     return (*parts, tuple(w for w, _ in out))
 
@@ -89,7 +91,7 @@ def packed_convolve(a: PackedWord, b: PackedWord) -> list[PackedWord]:
     """All packed w = u.v with |u| = |a|, pack(u) = a, pack(v) = b, built
     directly by the block join, sorted lexicographically and
     duplicate-free."""
-    return [PackedWord(w) for w in _packed_convolve_cached(a.letters, b.letters)[3]]
+    return [PackedWord(w) for w in _packed_convolve_cached(_key(a.letters), _key(b.letters))[3]]
 
 
 def product(
@@ -101,7 +103,7 @@ def product(
     powers of the graded generating element affordable.
     """
 
-    def words(a: tuple, b: tuple) -> tuple:
+    def words(a, b) -> tuple:
         if max_length is not None and len(a) + len(b) > max_length:
             return ()
         return _packed_convolve_cached(a, b)[3]
@@ -109,7 +111,7 @@ def product(
     return bilinear(x, y, words)
 
 
-def _split_words(a: tuple, b: tuple, part: int) -> tuple:
+def _split_words(a, b, part: int) -> tuple:
     if not a or not b:
         raise EmptyOperand("tridendriform operations need nonempty operands")
     return _packed_convolve_cached(a, b)[part]
@@ -121,7 +123,7 @@ def tridendriform_split(
     """Partition the packed convolution by comparing block maxima:
     prec has max(prefix) > max(suffix), circ equality, succ the rest."""
     prec, circ, succ = (
-        [PackedWord(w) for w in _split_words(a.letters, b.letters, part)] for part in range(3)
+        list(map(PackedWord, _split_words(_key(a.letters), _key(b.letters), p))) for p in range(3)
     )
     return prec, circ, succ
 
@@ -151,11 +153,12 @@ def delta(x: WQSymElement) -> WQSymElement:
     itself to zero.
     """
     out: dict = {}
-    for letters, c in x._words.items():
-        if letters:
-            m = max(letters)
-            shorter = tuple(letter for letter in letters if letter != m)
-            out[shorter] = out.get(shorter, 0) + c
+    get = out.get
+    for w, c in x._words.items():
+        if w:
+            m = max(w)
+            rest = w.replace(_LETTERS[m], b"") if len(w) < 256 else _key([v for v in w if v < m])
+            out[rest] = get(rest, 0) + c
     return keyed(x, out)
 
 
@@ -186,7 +189,7 @@ def f_k(args: Sequence[WQSymElement]) -> WQSymElement:
     ordered = [sorted(x._words.items(), key=lambda item: (len(item[0]), item[0])) for x in args]
     for terms in cartesian_product(*ordered):
         coeff = prod(c for _, c in terms)
-        for w in _sandwich_words(tuple(w for w, _ in terms)):
+        for w in map(_key, _sandwich_words(tuple(tuple(w) for w, _ in terms))):
             out[w] = out.get(w, 0) + coeff
     return keyed(args[0], out)
 

@@ -5,8 +5,11 @@ as loops over pairs of coefficients, the plain and q-derivatives, the
 monomial-basis conversions and forward difference of the binomial basis,
 the tree engine that listed every shape, the per-tree check that walked
 every shape, the per-tree JSON of a tree expansion, the FQSym basis
-change, specialization, alphabet scaling and pairing, and two checks of
-the source paper that no CLI command runs.
+change, specialization, alphabet scaling and pairing, the word-algebra
+kernels on letter tuples as they ran before words were stored as bytes
+(the ``itemgetter`` value split, the slicing derivation, the erasing
+comprehension of delta, the packed convolution and the sandwich lift),
+and two checks of the source paper that no CLI command runs.
 
 The tests compare the package against these, or state an identity of the
 paper with them; src/treecalc calls none of them.
@@ -15,16 +18,18 @@ paper with them; src/treecalc calls none of them.
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations, product as cartesian_product
+from math import factorial, prod
+from operator import itemgetter
 from typing import Sequence
 
 from treecalc.arith import AlphaPoly, Poly, QPoly
 from treecalc.combinat import Permutation, hook_data, packed_words
-from treecalc.elements import FQSymElement, WQSymElement
+from treecalc.elements import AlgebraElement, FQSymElement, WQSymElement
 from treecalc.errors import BasisMismatch
 from treecalc.identities import IdentityReport, _duliu_tree_sum, _report, plane_q_expansion
 from treecalc.series import BinomialPoly, QDividedSeries, TreeExpansion, TruncatedSeries
-from treecalc.wqsym import psi
+from treecalc.wqsym import _joins, _sandwich_words, psi
 
 # ---------------------------------------------------------------------------
 # combinat
@@ -323,9 +328,96 @@ def pairing(x: FQSymElement, y: FQSymElement):
     return total
 
 
+def tuple_lift(x: AlgebraElement, y: AlgebraElement, words) -> AlgebraElement:
+    """The bilinear lift of a map on pairs of letter tuples, summed over
+    the public terms and built by the public constructor."""
+    sums: dict = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            for w in words(a.letters, b.letters):
+                sums[w] = sums.get(w, 0) + ca * cb
+    return x._like({x._key_type(w): c for w, c in sums.items()})
+
+
+def split_values(n: int, k: int) -> tuple:
+    """(prec, succ, every) value splits as relabelling tuples
+    sigma = (0, left..., right..., n + 1)."""
+    values = range(1, n + 1)
+    prec, succ, every = [], [], []
+    for chosen in combinations(values, k):
+        sigma = (0, *chosen, *(v for v in values if v not in chosen), n + 1)
+        every.append(sigma)
+        (prec if n in chosen else succ).append(sigma)
+    return prec, succ, every
+
+
+def split_words(a: tuple, b: tuple, part: int, top: bool = False) -> list:
+    """Part 0 (prec), 1 (succ) or 2 (every) of the value splits applied
+    to a.(b shifted by |a|) with ``itemgetter``, a new maximal letter
+    between the factors if top is set."""
+    k, l = len(a), len(b)
+    word = a + ((k + l + 1,) if top else ()) + tuple(v + k for v in b)
+    if k and l:
+        return list(map(itemgetter(*word), split_values(k + l, k)[part]))
+    return [word]
+
+
+def g_product_on_tuples(x: FQSymElement, y: FQSymElement, part: int, top: bool = False):
+    return tuple_lift(x, y, lambda a, b: split_words(a, b, part, top))
+
+
+def derive_on_tuples(x: FQSymElement) -> FQSymElement:
+    """Erase the maximal letter of every word by its index and two slices."""
+    out: dict = {}
+    for key, c in x.terms.items():
+        w = key.letters
+        if w:
+            i = w.index(len(w))
+            shorter = w[:i] + w[i + 1 :]
+            out[shorter] = out.get(shorter, 0) + c
+    return x._like({Permutation(w): c for w, c in out.items()})
+
+
 # ---------------------------------------------------------------------------
 # wqsym
 # ---------------------------------------------------------------------------
+
+
+def delta_on_tuples(x: WQSymElement) -> WQSymElement:
+    """Erase every copy of the maximal letter of every word, letter by letter."""
+    out: dict = {}
+    for key, c in x.terms.items():
+        letters = key.letters
+        if letters:
+            m = max(letters)
+            shorter = tuple(letter for letter in letters if letter != m)
+            out[shorter] = out.get(shorter, 0) + c
+    return x._like({x._key_type(w): c for w, c in out.items()})
+
+
+def packed_convolve_on_tuples(a: tuple, b: tuple) -> tuple:
+    """(prec, circ, succ, every) of the packed convolution of two letter
+    tuples, sorted, each word classified by its two block maxima."""
+    if not a or not b:
+        return (), (), (), (a + b,)
+    out = sorted((w, (left <= right) + (left < right)) for w, left, right in _joins((a, b), False))
+    parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
+    return (*parts, tuple(w for w, _ in out))
+
+
+def m_product_on_tuples(x: WQSymElement, y: WQSymElement, part: int) -> WQSymElement:
+    return tuple_lift(x, y, lambda a, b: packed_convolve_on_tuples(a, b)[part])
+
+
+def f_k_on_tuples(args: Sequence[WQSymElement]) -> WQSymElement:
+    """The sandwich lift summed over the public terms."""
+    out: dict = {}
+    for terms in cartesian_product(*(x.terms.items() for x in args)):
+        coeff = prod(c for _, c in terms)
+        for w in _sandwich_words(tuple(key.letters for key, _ in terms)):
+            out[w] = out.get(w, 0) + coeff
+    return args[0]._like({args[0]._key_type(w): c for w, c in out.items()})
+
 
 
 def graded_word_sum(max_length: int, weight=None) -> WQSymElement:

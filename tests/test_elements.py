@@ -1,25 +1,41 @@
-"""Elements keyed by letter tuples: the terms view, the key type each
-element class fixes, and the batch check of the products' words.
+"""Elements keyed by stored words: the terms view, the key type each
+element class fixes, the batch check of the products' words, and the
+kernels on stored words against the same kernels on letter tuples.
 
-The products keep their terms as bare letter tuples and build no key
-object; these tests hold them to the elements the public constructor
-builds from keys.
+The products keep their terms as stored words (``combinat._key``: bytes
+below 256 letters, the letter tuple beyond) and build no key object;
+these tests hold them to the elements the public constructor builds
+from keys, and to the kernels as they ran on letter tuples
+(``references``), on small random elements and on words at the
+255/256-letter boundary of the stored form.  A word reaches the kernel
+here as the products hold it, through ``_key``.
 """
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecalc import fqsym, wqsym
-from treecalc.combinat import PackedWord, Permutation, packed_words, permutations
+from treecalc.combinat import PackedWord, Permutation, _key, packed_words, permutations
 from treecalc.elements import FQSymElement, WQSymElement, bilinear, keyed
 from treecalc.errors import BasisMismatch
 
-from references import word_key_error
+from references import (
+    delta_on_tuples,
+    derive_on_tuples,
+    f_k_on_tuples,
+    g_product_on_tuples,
+    m_product_on_tuples,
+    packed_convolve_on_tuples,
+    word_key_error,
+)
 
 PERMS = [p for n in range(4) for p in permutations(n)]
 WORDS = [w for n in range(4) for w in packed_words(n)]
+SHORT_WORDS = [w for n in range(3) for w in packed_words(n)]  # a third lift block stays small
 
 
 def perm(*letters) -> Permutation:
@@ -151,10 +167,19 @@ def g_element(terms):
     return FQSymElement(terms, basis="G")
 
 
+def stored_form(element) -> bool:
+    """Every word of the element is held as bytes below 256 letters and
+    as an int letter tuple beyond."""
+    return all(
+        type(w) is bytes if len(w) < 256 else type(w) is tuple and all(type(c) is int for c in w)
+        for w in element._words
+    )
+
+
 def agree(kernel, public):
     """kernel and public hold the same terms, and every reading of them
-    agrees; the kernel's element holds bare tuples."""
-    assert all(type(w) is tuple for w in kernel._words)
+    agrees; both hold their words in stored form."""
+    assert stored_form(kernel) and stored_form(public)
     assert kernel == public and public == kernel
     assert not kernel != public
     assert kernel._words == public._words
@@ -213,14 +238,15 @@ def test_equality_compares_the_terms():
 def test_a_bad_word_reaching_the_kernel_raises_the_public_error(element, key_type, bad):
     with pytest.raises(ValueError) as public:
         key_type(bad)
+    one, bad = _key((1,)), _key(bad)
     with pytest.raises(ValueError) as batch:
-        keyed(element, {(1,): 1, bad: 2})
+        keyed(element, {one: 1, bad: 2})
     assert str(batch.value) == str(public.value)
     with pytest.raises(ValueError) as lifted:
-        bilinear(element, element, lambda a, b: [(1,), bad])
+        bilinear(element, element, lambda a, b: [one, bad])
     assert str(lifted.value) == str(public.value)
     # a bad word whose sum cancelled builds nothing and raises nothing
-    assert keyed(element, {(1,): 1, bad: 0}) == element._like({key_type((1,)): 1})
+    assert keyed(element, {one: 1, bad: 0}) == element._like({key_type((1,)): 1})
     cancelling = element + element._like({key_type((1,)): -1})
     assert not bilinear(cancelling, element, lambda a, b: [bad])
 
@@ -270,16 +296,22 @@ def word_batches(draw) -> list:
 @settings(max_examples=300)
 def test_the_batch_and_the_constructor_check_keys_as_the_reference_does(words):
     for key_type, like in ((Permutation, FQSymElement()), (PackedWord, WQSymElement())):
-        errors = {}  # word -> its reference error, kept as first written: True and 1 are one key
+        errors = {}  # stored word -> the reference error of its int letters: True and 1 are one
         for word in words:
             error = word_key_error(key_type, word)
-            errors.setdefault(word, error)
             if error is None:
                 assert key_type(word).letters == word
             else:
                 with pytest.raises(ValueError) as public:
                     key_type(word)
                 assert str(public.value) == error
+            try:
+                stored = _key(word)
+            except (TypeError, ValueError):
+                # no product word has such a letter: the batch never sees one
+                assert any(not isinstance(c, int) or c < 0 for c in word)
+                continue
+            errors.setdefault(stored, word_key_error(key_type, tuple(stored)))
         first = next(filter(None, errors.values()), None)
         if first is None:
             assert keyed(like, dict.fromkeys(errors, 1)) == like._like(
@@ -309,11 +341,43 @@ def test_a_repeated_letter_is_a_packed_word_and_no_permutation():
     with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
         Permutation((1, 1))
     with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
-        keyed(FQSymElement(), {(1, 2): 1, (1, 1): 1})
+        keyed(FQSymElement(), {_key((1, 2)): 1, _key((1, 1)): 1})
     assert PackedWord((1, 1)).letters == (1, 1)
-    assert keyed(WQSymElement(), {(1, 2): 1, (1, 1): 1}) == WQSymElement(
+    assert keyed(WQSymElement(), {_key((1, 2)): 1, _key((1, 1)): 1}) == WQSymElement(
         {pw(1, 2): 1, pw(1, 1): 1}
     )
+
+
+def test_the_stored_form_is_bytes_below_256_letters_and_refuses_what_no_byte_holds():
+    assert _key((2, 1, 3)) == b"\x02\x01\x03" and _key(()) == b""
+    short, long = tuple(range(255, 0, -1)), tuple(range(256, 0, -1))
+    assert type(_key(short)) is bytes and tuple(_key(short)) == short
+    assert type(_key(long)) is tuple and _key(long) == long
+    assert _key(list(long)) == long
+    # a negative letter, a letter above 255 and a non-integer letter fit no byte
+    for word, error in (((1, -1), ValueError), ((256, 1), ValueError), ((Fraction(1),), TypeError)):
+        with pytest.raises(error):
+            _key(word)
+    # the public constructor still reports such a word by its key rule
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, -1\)$"):
+        Permutation((1, -1))
+
+
+@pytest.mark.parametrize("key_type", [Permutation, PackedWord])
+def test_every_letter_is_stored_as_an_int(key_type):
+    for word, ints in (((True, 2), (1, 2)), ((Fraction(2), 1), (2, 1)), ((2, True), (2, 1))):
+        key = key_type(word)
+        assert key.letters == ints and all(type(c) is int for c in key.letters)
+        assert key == key_type(ints) and hash(key) == hash(key_type(ints))
+        text = "".join(map(str, ints))
+        assert str(key) == key.to_text() == text
+        assert repr(key) == f"{key_type.__name__}({ints})"
+        like = FQSymElement() if key_type is Permutation else WQSymElement()
+        element = like._like({key: 1})
+        assert str(element) == f"[{text}]" and element == like._like({key_type(ints): 1})
+    # a word of ints is stored as given
+    letters = (2, 1)
+    assert key_type(letters).letters is letters
 
 
 @pytest.mark.parametrize("key_type", [Permutation, PackedWord])
@@ -342,3 +406,140 @@ def test_an_unhashable_letter_is_a_type_error(key_type):
 def test_a_float_gets_into_no_element(build):
     with pytest.raises(TypeError):
         build()
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the tuple kernels
+# ---------------------------------------------------------------------------
+
+
+def same(kernel, reference):
+    """Equal elements, equal readings, and the kernel's words in stored form."""
+    assert stored_form(kernel)
+    assert kernel == reference
+    assert kernel.to_json() == reference.to_json()
+
+
+G_PRODUCTS = {
+    "product": (fqsym.product, 2, False),
+    "prec": (fqsym.prec_product, 0, False),
+    "succ": (fqsym.succ_product, 1, False),
+    "b_product": (fqsym.b_product, 2, True),
+}
+M_PRODUCTS = {
+    "prec": (wqsym.prec_product, 0),
+    "circ": (wqsym.circ_product, 1),
+    "succ": (wqsym.succ_product, 2),
+    "product": (wqsym.product, 3),
+}
+
+
+def nonempty(x):
+    return x._like({key: c for key, c in x.terms.items() if len(key)})
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    drawn(PERMS, g_element),
+    drawn(PERMS, g_element),
+    drawn(WORDS, WQSymElement),
+    drawn(WORDS, WQSymElement),
+    drawn(SHORT_WORDS, WQSymElement),
+)
+def test_the_kernels_agree_with_the_tuple_kernels(x, y, u, v, w):
+    for kernel, part, top in G_PRODUCTS.values():
+        a, b = (x, y) if part == 2 else (nonempty(x), nonempty(y))
+        same(kernel(a, b), g_product_on_tuples(a, b, part, top))
+    same(fqsym.derive(x), derive_on_tuples(x))
+    same(fqsym.derive(fqsym.b_product(x, y)), derive_on_tuples(fqsym.b_product(x, y)))
+    for kernel, part in M_PRODUCTS.values():
+        a, b = (u, v) if part == 3 else (nonempty(u), nonempty(v))
+        same(kernel(a, b), m_product_on_tuples(a, b, part))
+    same(wqsym.delta(u), delta_on_tuples(u))
+    same(wqsym.delta(wqsym.product(u, v)), delta_on_tuples(wqsym.product(u, v)))
+    for args in ([u], [u, v], [w, u, w]):
+        same(wqsym.f_k(args), f_k_on_tuples(args))
+
+
+# ---------------------------------------------------------------------------
+# the 255/256-letter boundary
+# ---------------------------------------------------------------------------
+
+
+def shuffled(n: int, seed: int) -> tuple:
+    letters = list(range(1, n + 1))
+    random.Random(seed).shuffle(letters)
+    return tuple(letters)
+
+
+def packed(n: int, top: int, seed: int) -> tuple:
+    """A packed word of length n on the letters 1..top, the top one once."""
+    rng = random.Random(seed)
+    letters = list(range(1, top)) + [rng.randint(1, top - 1) for _ in range(n - top)]
+    rng.shuffle(letters)
+    spot = rng.randrange(n)
+    return tuple(letters[:spot]) + (top,) + tuple(letters[spot:])
+
+
+@pytest.mark.parametrize("n", [252, 253, 254, 255, 256])
+def test_g_products_with_a_one_letter_word_cross_the_boundary(n):
+    x = FQSymElement({Permutation(shuffled(n, n)): 2, Permutation(shuffled(n, -n)): -1})
+    one = fqsym.g_basis(Permutation((1,)))
+    for a, b in ((x, one), (one, x)):
+        for kernel, part, top in G_PRODUCTS.values():
+            same(kernel(a, b), g_product_on_tuples(a, b, part, top))
+    # the unit takes the other path: one word, maybe a new top letter
+    for a, b in ((x, fqsym.unit()), (fqsym.unit(), x)):
+        same(fqsym.product(a, b), x)
+        same(fqsym.b_product(a, b), g_product_on_tuples(a, b, 2, True))
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 257])
+def test_derive_and_delta_cross_the_boundary(n):
+    x = FQSymElement({Permutation(shuffled(n, n)): 1, Permutation(shuffled(n, n + 1)): Fraction(1, 2)})
+    same(fqsym.derive(x), derive_on_tuples(x))
+    assert {len(w) for w in fqsym.derive(x)._words} == {n - 1}
+    lifted = fqsym.b_product(x, fqsym.g_basis(Permutation((1,))))
+    same(fqsym.derive(lifted), derive_on_tuples(lifted))
+    # one copy of the top letter, or two, or every letter the top one
+    words = [packed(n, 200, n), packed(n, 200, n) + (201, 201), (1,) * n, packed(n, n, n)]
+    v = WQSymElement({PackedWord(w): i + 1 for i, w in enumerate(words)})
+    same(wqsym.delta(v), delta_on_tuples(v))
+    assert set(map(len, wqsym.delta(v)._words)) == {n - 1, n, 0}
+
+
+@pytest.mark.parametrize("n", [254, 255])
+def test_m_products_and_lifts_cross_the_boundary(n):
+    u = WQSymElement({PackedWord(packed(n, 100, n)): 1})
+    one = wqsym.m_basis(PackedWord((1,)))
+    for a, b in ((u, one), (one, u)):
+        for kernel, part in M_PRODUCTS.values():
+            same(kernel(a, b), m_product_on_tuples(a, b, part))
+    for args in ([u], [u, one], [one, u]):
+        same(wqsym.f_k(args), f_k_on_tuples(args))
+    word = PackedWord(packed(n, 100, n))
+    for a, b in ((word, PackedWord((1,))), (PackedWord((1,)), word)):
+        every = packed_convolve_on_tuples(a.letters, b.letters)[3]
+        assert [w.letters for w in wqsym.packed_convolve(a, b)] == list(every)
+
+
+def test_one_element_with_words_on_both_sides_of_the_boundary():
+    short, long = Permutation(shuffled(255, 1)), Permutation(shuffled(256, 1))
+    x = FQSymElement({long: 2, short: -1, Permutation((1,)): Fraction(1, 3)})
+    assert [type(w) for w in x._words] == [tuple, bytes, bytes]
+    assert x.sorted_terms() == [(Permutation((1,)), Fraction(1, 3)), (short, -1), (long, 2)]
+    assert x.support() == [Permutation((1,)), short, long]
+    assert str(x) == f"1/3*[1] + (-1)*[{short.to_text()}] + 2*[{long.to_text()}]"
+    assert json.loads(json.dumps(x.to_json()))["terms"] == [
+        {"perm": "1", "coeff": "1/3"},
+        {"perm": short.to_text(), "coeff": "-1"},
+        {"perm": long.to_text(), "coeff": "2"},
+    ]
+    assert x.coefficient(short) == -1 and x.coefficient(long) == 2
+    assert x.coefficient(Permutation(shuffled(256, 2))) == 0
+    assert x.terms == {long: 2, short: -1, Permutation((1,)): Fraction(1, 3)}
+    y = FQSymElement({short: 1, long: 1})
+    assert x + y == FQSymElement({long: 3, Permutation((1,)): Fraction(1, 3)})
+    assert x - x == FQSymElement() and not x - x
+    assert x == FQSymElement(dict(reversed(list(x.terms.items()))))
+    assert x != FQSymElement({long: 2, short: -1})
