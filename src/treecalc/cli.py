@@ -191,19 +191,14 @@ def cmd_hook(args: argparse.Namespace, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _needs(args: argparse.Namespace, flag: str):
-    """The value of --flag, without which identity args.name cannot run."""
+def _needs(args: argparse.Namespace, flag: str, least=None):
+    """The value of --flag, which identity args.name needs, no smaller than least if given."""
     value = getattr(args, flag)
     if value is None or value == "":
         raise ParseError(f"identity {args.name} needs --{flag}")
+    if least is not None and value < least:
+        raise ParseError(f"identity {args.name} needs --{flag} >= {least}, got {value}")
     return value
-
-
-def _postnikov_n(args: argparse.Namespace) -> int:
-    n = _needs(args, "n")
-    if n < 1:
-        raise ParseError(f"identity postnikov needs --n >= 1, got {n}")
-    return n
 
 
 def _ft_tree(args: argparse.Namespace) -> PlaneTree:
@@ -216,30 +211,32 @@ def _ft_tree(args: argparse.Namespace) -> PlaneTree:
 # The choice tables below list each choice once, in the order --help shows
 # them.  Every entry looks the library up when it is called, never holding a
 # function itself, so a function rebound on its module is the one that runs.
+# Each identity and equation passes **kw, the --unsafe-large flag, to the library.
 IDENTITIES = {
-    "postnikov": lambda args, config: identities.postnikov_check(_postnikov_n(args)),
-    "eisenstein": lambda args, config: identities.eisenstein_check(config.truncation_order),
-    "duliu": lambda args, config: identities.duliu_check(args.variant, _needs(args, "n"), args.m),
-    "lagrange": lambda args, config: identities.lagrange_fixed_point_check(
-        args.m, config.truncation_order
+    "postnikov": lambda args, order, **kw: identities.postnikov_check(_needs(args, "n", 1), **kw),
+    "eisenstein": lambda args, order, **kw: identities.eisenstein_check(order, **kw),
+    "duliu": lambda args, order, **kw: identities.duliu_check(
+        args.variant, _needs(args, "n"), args.m, **kw
     ),
-    "ft": lambda args, config: identities.ft_check(
-        _ft_tree(args), unsafe_large=config.unsafe_large
+    "lagrange": lambda args, order, **kw: identities.lagrange_fixed_point_check(
+        args.m, order, **kw
     ),
+    "ft": lambda args, order, **kw: identities.ft_check(_ft_tree(args), **kw),
 }
 
 
 def cmd_identity(args: argparse.Namespace, config: CliConfig) -> int:
-    report = IDENTITIES[args.name](args, config)
+    if args.per_tree and args.name != "postnikov":  # the one check with rows
+        raise ParseError(f"identity {args.name} has no per-tree rows")
+    report = IDENTITIES[args.name](args, config.truncation_order, unsafe_large=config.unsafe_large)
     payload = report.to_json()
-    if args.per_tree and report.per_tree_rows:
-        payload["per_tree"] = report.per_tree_rows()  # streamed; to_json would list them
     lines = [
         f"identity={report.name} equal={'true' if report.equal else 'false'}",
         f"lhs={report.lhs}",
         f"rhs={report.rhs}",
     ]
-    if "per_tree" in payload:  # each row as "tree: coefficient", as it is yielded
+    if args.per_tree:  # streamed, as to_json would list them; in text, "tree: coefficient"
+        payload["per_tree"] = report.per_tree_rows()
         lines = chain(lines, map(": ".join, map(dict.values, payload["per_tree"])))
     _print_payload(payload, config, lines)
     return 0 if report.equal else 1
@@ -255,21 +252,23 @@ def _inverse_linear_operator(x: TruncatedSeries, y: TruncatedSeries) -> Truncate
 
 
 EQUATIONS = {
-    "inverse-linear": lambda m, order: fixed_point_binary(
-        _inverse_linear_operator, TruncatedSeries.constant(Fraction(1), order), order
+    "inverse-linear": lambda m, order, **kw: fixed_point_binary(
+        _inverse_linear_operator, TruncatedSeries.constant(Fraction(1), 0), order, **kw
     ),
-    "postnikov": lambda m, order: fixed_point_binary(
-        identities.postnikov_operator, TruncatedSeries.constant(Fraction(1), order), order
+    "postnikov": lambda m, order, **kw: fixed_point_binary(
+        identities.postnikov_operator, TruncatedSeries.constant(Fraction(1), 0), order, **kw
     ),
-    "duliu": lambda m, order: fixed_point_mary(identities.lagrange_operator(m), m, order),
-    "plane-q": lambda m, order: identities.plane_q_expansion(order),
+    "duliu": lambda m, order, **kw: fixed_point_mary(
+        identities.lagrange_operator(m), m, order, **kw
+    ),
+    "plane-q": lambda m, order, **kw: identities.plane_q_expansion(order, **kw),
 }
 
 
 def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
     order = config.truncation_order
     equation = args.equation
-    expansion = EQUATIONS[equation](args.m, order)
+    expansion = EQUATIONS[equation](args.m, order, unsafe_large=config.unsafe_large)
     total = expansion.total
     text = config.output_format == "text"
 

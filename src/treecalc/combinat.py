@@ -713,13 +713,17 @@ def binary_trees(n: int, *, unsafe_large: bool = False) -> Iterator[BinaryTree]:
     return _listed(BinaryTree, 2, n)
 
 
+def child_slots(arity: int, n: int) -> int:
+    """(m+1)*FussCatalan(m, n): the child slots of the (m+1)-ary shapes with n nodes."""
+    return (arity + 1) * comb((arity + 1) * n, n) // (arity * n + 1)
+
+
 def mary_trees(arity: int, n: int, *, unsafe_large: bool = False) -> Iterator[MAryTree]:
     """All (arity+1)-ary tree shapes with n nodes (Fuss-Catalan counts),
-    guarded also by the child slots of the level built, (m+1)*FussCatalan(m, n)."""
+    guarded also by the child slots of the level built."""
     _check_guard(f"mary_trees(m={arity})", n, MARY_TREE_GUARD, unsafe_large)
-    slots = (arity + 1) * comb((arity + 1) * n, n) // (arity * n + 1)
     name = f"mary_trees(m={arity}, n={n}) child slots"
-    _check_guard(name, slots, MARY_SLOT_GUARD, unsafe_large)
+    _check_guard(name, child_slots(arity, n), MARY_SLOT_GUARD, unsafe_large)
     return _listed(MAryTree, arity + 1, n)
 
 

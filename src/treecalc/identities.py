@@ -6,7 +6,8 @@ coefficients versus tree expansion versus Picard iteration), names each
 path, and reports two sides in serialized exact form.  _report alone
 decides equality and names in IdentityReport.disagree each path whose
 value differs from its reference.  All comparisons are exact; nothing is
-tolerance-based.
+tolerance-based.  Each check meets its size guards, all through
+errors.refuse_large, before any path runs; unsafe_large passes them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -31,12 +32,13 @@ from .combinat import (
     PlaneTree,
     _hook_product,
     binary_trees,
+    child_slots,
     decreasing_tree,
     hook_data,
     mary_trees,
     permutations,
 )
-from .errors import NonIntegerResult, SizeGuardError, VariantArityMismatch, refuse_large
+from .errors import NonIntegerResult, VariantArityMismatch, refuse_large
 from .series import (
     BinomialPoly,
     TreeExpansion,
@@ -54,11 +56,18 @@ from .series import (
 )
 from .wqsym import psi, tree_fiber_element
 
+# Nodes n of the Postnikov shape sum: 0.56-0.61 s and 81 MiB at 12, 2.4-2.9 s
+# and 246-252 MiB at 13 (the CLI in a child, 3-6 runs, 2-core Xeon, Python 3.11).
 POSTNIKOV_GUARD = 12
-EISENSTEIN_GUARD = 10
-LAGRANGE_ORDER_GUARD = 8
-LAGRANGE_ARITY_GUARD = 3
-DULIU_GUARDS = {1: 7, 2: 5, 3: 5}
+
+# Arity m of the Lagrange check, whose order the mary_trees guards bound: 0.9-1.5 s
+# and 21 MiB at m = 16, order 5, the dearest allowed; 3.7-4.0 s at m = 40, order 4.
+LAGRANGE_ARITY_GUARD = 16
+
+# Child slots (m+1)*FussCatalan(m, n) of the Du-Liu tree sum: las1 n = 11 takes
+# 0.5-0.7 s and 32 MiB, n = 12 1.6-2.4 s and 76 MiB; las3 m = 3, n = 8 3.9-5.1 s.
+DULIU_SLOT_GUARD = 250_000
+
 # Leaves of an ft_coefficients tree.  The balanced binary plane tree is the
 # costliest shape measured: 0.08 s at 128 leaves and 1.6 s at 256 on a
 # 2-core Xeon host with Python 3.11, growing about 16-fold per doubling.
@@ -70,15 +79,6 @@ FT_LEAF_GUARD = 256
 # 0.04-0.10 s.  Set when dense products made the comb the dear case (0.56 s
 # at 60 nodes); kept, since it decides which hook --q inputs exit 3.
 QHOOK_GUARD = 60
-
-# Tree order of the Lagrange check (Picard carries the full order).  The
-# per-tree check reads the engine's hook classes and walks no shape, so the
-# cap no longer saves time: with it lifted, lagrange_fixed_point_check(3, 8)
-# takes 0.17-0.27 s in-process (165 classes for 482,773 shapes; m = 1 and 2:
-# 0.04-0.06 s and 0.09-0.15 s; 2-core Xeon, Python 3.11), against 7.4-8.0 s
-# when the check walked every shape.  The values now only fix the JSON
-# tree_order; lifting them changes printed output and is left for later.
-MARY_EXPANSION_ORDER = {1: 8, 2: 6, 3: 5}
 
 
 class IdentityReport(NamedTuple):
@@ -271,7 +271,7 @@ def _postnikov_factors(order: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n + 2, 2 * n + 2) for n in range(order))
 
 
-def _postnikov_sum(n: int) -> Fraction:
+def _postnikov_sum(n: int, unsafe_large: bool = False) -> Fraction:
     """Sum over binary shapes with n nodes of prod_v (1 + 1/h_v).
 
     Every shape is visited.  A shape T with k nodes and left subtree L
@@ -286,7 +286,7 @@ def _postnikov_sum(n: int) -> Fraction:
     for k in range(1, n + 1):
         weights = [(k + 1) * comb(k - 1, i) for i in range(k)]  # by |L|
         last, total = k == n, 0
-        for tree in binary_trees(k):
+        for tree in binary_trees(k, unsafe_large=unsafe_large):
             left = tree.left
             c = weights[left.node_count] * table[left.text] * table[tree.right.text]
             if last:
@@ -298,10 +298,8 @@ def _postnikov_sum(n: int) -> Fraction:
 
 def eisenstein_coefficients(order: int) -> TruncatedSeries:
     """The generalized exponential: coefficient of t^n is (n+1)^(n-1)/n!."""
-    coeffs = [Fraction(1)]
-    for n in range(1, order + 1):
-        coeffs.append(Fraction((n + 1) ** (n - 1), factorial(n)))
-    return TruncatedSeries(coeffs)
+    tail = [Fraction((n + 1) ** (n - 1), factorial(n)) for n in range(1, order + 1)]
+    return TruncatedSeries([Fraction(1), *tail])
 
 
 def _hook_classes_check(expansion: TreeExpansion, order: int, closed) -> bool:
@@ -316,16 +314,16 @@ def _hook_classes_check(expansion: TreeExpansion, order: int, closed) -> bool:
     )
 
 
-def _postnikov_paths(order: int) -> tuple[TreeExpansion, TruncatedSeries]:
-    """The binary-tree expansion and the Picard solution of x = 1 + B(x, x)."""
-    one = TruncatedSeries.constant(Fraction(1), order)
+def _postnikov_paths(order: int, unsafe_large=False) -> tuple[TreeExpansion, TruncatedSeries]:
+    """The binary-tree expansion, guard first, and the Picard solution of x = 1 + B(x, x)."""
+    one = TruncatedSeries.constant(Fraction(1), 0)  # both paths pad it to the order
     return (
-        fixed_point_binary(postnikov_operator, one, order),
+        fixed_point_binary(postnikov_operator, one, order, unsafe_large=unsafe_large),
         picard_binary(postnikov_operator, one, order),
     )
 
 
-def postnikov_check(n: int) -> IdentityReport:
+def postnikov_check(n: int, *, unsafe_large: bool = False) -> IdentityReport:
     """(n+1)^(n-1) = n!/2^n * sum over binary shapes of prod (1 + 1/h_v).
 
     The left side is an integer power; the right side is summed exactly
@@ -335,25 +333,26 @@ def postnikov_check(n: int) -> IdentityReport:
     prod(1+1/h_v) t^k / 2^k.  The per-tree rows, each shape with its
     closed form printed, are yielded by a walk over the shapes each time
     per_tree_rows is called, and kept nowhere.  An n below 1 lies outside
-    the identity and raises ValueError; an n above POSTNIKOV_GUARD raises
-    SizeGuardError.
+    the identity and raises ValueError; an n above POSTNIKOV_GUARD is
+    refused unless unsafe_large.
     """
     if n < 1:  # at n = 0, (n+1)^(n-1) would be the float 1.0
         raise ValueError(f"postnikov_check needs n >= 1, got {n}")
-    if n > POSTNIKOV_GUARD:
-        raise SizeGuardError(f"postnikov_check needs 1 <= n <= {POSTNIKOV_GUARD}")
+    refuse_large(f"postnikov_check(n={n})", n, POSTNIKOV_GUARD, unsafe_large)
     start = time.perf_counter()
     lhs = Fraction((n + 1) ** (n - 1))
-    rhs = Fraction(factorial(n), 2**n) * _postnikov_sum(n)
+    rhs = Fraction(factorial(n), 2**n) * _postnikov_sum(n, unsafe_large)
 
+    # A cost cap, not a guard, printed as series_order: at n = 11 the engine
+    # paths take 0.023 s at order 11 and 0.003 s at order 8 (in-process).
     order = min(n, 8)
-    expansion, picard = _postnikov_paths(order)
+    expansion, picard = _postnikov_paths(order, unsafe_large)
     closed = lambda hooks: Fraction(prod(h + 1 for h in hooks), 2 ** len(hooks) * prod(hooks))
 
     def per_tree_rows() -> Iterator[dict]:
         printed: dict = {}  # hooks -> the closed form, printed
         for k in range(order + 1):
-            for tree in binary_trees(k):
+            for tree in binary_trees(k, unsafe_large=unsafe_large):
                 hooks = hook_data(tree).hooks if k else ()
                 text = printed.get(hooks)
                 if text is None:
@@ -371,19 +370,18 @@ def postnikov_check(n: int) -> IdentityReport:
     return _report("postnikov", parameters, start, lhs, rhs, paths, per_tree_rows)
 
 
-def eisenstein_check(order: int) -> IdentityReport:
+def eisenstein_check(order: int, *, unsafe_large: bool = False) -> IdentityReport:
     """Four-way agreement for g(t) = sum (n+1)^(n-1) t^n / n!:
 
     the explicit coefficients, exp(t g) computed from them, and the
     binary-tree expansion and Picard solution of x = 1 + t x^2/2 + (1/2)
-    int x^2 must all coincide to the requested order.
+    int x^2 must all coincide to the requested order.  The one guard is
+    the expansion's binary_trees(order), met before any path runs.
     """
-    if order > EISENSTEIN_GUARD:
-        raise SizeGuardError(f"eisenstein_check needs order <= {EISENSTEIN_GUARD}")
     start = time.perf_counter()
+    expansion, picard = _postnikov_paths(order, unsafe_large)
     explicit = eisenstein_coefficients(order)
     exponential = exp_series(explicit.times_t())
-    expansion, picard = _postnikov_paths(order)
     paths = {
         "exp(t g)": (exponential, explicit),
         "tree-expansion": (expansion.total, explicit),
@@ -405,9 +403,7 @@ def duliu_node_factor(variant: str, m: int, h: int) -> AlphaPoly:
     if variant == "las2":
         return AlphaPoly((Fraction(1 - h, 2 * h), Fraction(h + 1, 2 * h)))
     if variant == "las3":
-        return AlphaPoly(
-            (Fraction(1 - h, (m + 1) * h), Fraction(m * h + 1, (m + 1) * h))
-        )
+        return AlphaPoly((Fraction(1 - h, (m + 1) * h), Fraction(m * h + 1, (m + 1) * h)))
     raise ValueError(f"unknown Du-Liu variant {variant!r}")
 
 
@@ -416,10 +412,13 @@ def _duliu_product(variant: str, m: int, hooks: tuple[int, ...]) -> AlphaPoly:
     return prod((duliu_node_factor(variant, m, h) for h in hooks), start=AlphaPoly.one())
 
 
-def _duliu_tree_sum(variant: str, m: int, n: int) -> AlphaPoly:
+def _duliu_tree_sum(variant: str, m: int, n: int, unsafe_large: bool = False) -> AlphaPoly:
+    trees = (binary_trees if m == 1 else partial(mary_trees, m))(n, unsafe_large=unsafe_large)
+    slots = child_slots(m, n)
+    what = f"duliu_check(m={m}, n={n}) on {slots} child slots"
+    refuse_large(what, slots, DULIU_SLOT_GUARD, unsafe_large)
     if n == 0:
         return AlphaPoly.one()
-    trees = binary_trees(n) if m == 1 else mary_trees(m, n)
     # the summand depends on the hook multiset only: one product per multiset
     multisets = Counter(hook_data(tree).hooks for tree in trees)
     total = AlphaPoly.zero()
@@ -430,9 +429,7 @@ def _duliu_tree_sum(variant: str, m: int, n: int) -> AlphaPoly:
 
 def duliu_rhs(variant: str, m: int, n: int) -> AlphaPoly:
     if variant == "las1":
-        value = AlphaPoly.one()
-        for i in range(n):
-            value = value * AlphaPoly((n + 1 - i, n + 1 + i))
+        value = prod((AlphaPoly((n + 1 - i, n + 1 + i)) for i in range(n)), start=AlphaPoly.one())
         return value / factorial(n + 1)
     if variant == "las2":
         return binomial_coefficient(AlphaPoly((0, n + 1)), n) / (n + 1)
@@ -441,22 +438,21 @@ def duliu_rhs(variant: str, m: int, n: int) -> AlphaPoly:
     raise ValueError(f"unknown Du-Liu variant {variant!r}")
 
 
-def duliu_check(variant: str, n: int, m: int = 1) -> IdentityReport:
+def duliu_check(variant: str, n: int, m: int = 1, *, unsafe_large: bool = False) -> IdentityReport:
     """The hook-parameter identities: sum over trees of the per-node
     factors equals the stated product/binomial closed form, as an exact
     polynomial identity in alpha.
 
     las1 and las2 are statements about binary trees (m = 1); las3 runs
-    over (m+1)-ary trees and degenerates to las2 at m = 1.
+    over (m+1)-ary trees and degenerates to las2 at m = 1.  An m below 1
+    raises ValueError; the tree sum meets its guards before any path runs.
     """
     if variant in ("las1", "las2") and m != 1:
         raise VariantArityMismatch(f"{variant} requires m=1, got m={m}")
-    if m not in DULIU_GUARDS:
-        raise SizeGuardError(f"duliu_check supports m in {sorted(DULIU_GUARDS)}")
-    if n > DULIU_GUARDS[m]:
-        raise SizeGuardError(f"duliu_check(m={m}) needs n <= {DULIU_GUARDS[m]}")
+    if m < 1:
+        raise ValueError(f"duliu_check needs m >= 1, got {m}")
     start = time.perf_counter()
-    lhs = _duliu_tree_sum(variant, m, n)
+    lhs = _duliu_tree_sum(variant, m, n, unsafe_large)
     rhs = duliu_rhs(variant, m, n)
     parameters = {"variant": variant, "n": n, "m": m}
     return _report(f"duliu-{variant}", parameters, start, lhs, rhs, {"closed-form": (lhs, rhs)})
@@ -486,36 +482,34 @@ def _lagrange_factors(m: int, order: int) -> tuple[AlphaPoly, ...]:
     return tuple(AlphaPoly((-n, m * n + m + 1)) / ((m + 1) * (n + 1)) for n in range(order))
 
 
-def lagrange_fixed_point_check(m: int, order: int) -> IdentityReport:
+def lagrange_fixed_point_check(m: int, order: int, *, unsafe_large: bool = False) -> IdentityReport:
     """Two routes to f(t) = sum C((mn+1) alpha, n) t^n/(mn+1):
 
     (i) the binomial fixed point x = (1 + t x^m)^alpha has residual
-    exactly zero at the full order; (ii) the integro-algebraic fixed
-    point is solved independently by Picard iteration at the full order
-    and by the (m+1)-ary tree expansion at the order MARY_EXPANSION_ORDER
-    caps, where each (term, hook multiset) class of its trees must match
-    the per-node closed form, so every tree is checked with no shape
-    listed.
+    exactly zero; (ii) the integro-algebraic fixed point is solved
+    independently by Picard iteration and by the (m+1)-ary tree
+    expansion, where each (term, hook multiset) class of its trees must
+    match the per-node closed form, so every tree is checked with no
+    shape listed, all at the full order (printed also as tree_order).  An
+    m below 1 raises ValueError; the guards are met before any path runs.
     """
-    if m > LAGRANGE_ARITY_GUARD or m < 1:
-        raise SizeGuardError(f"lagrange check needs 1 <= m <= {LAGRANGE_ARITY_GUARD}")
-    if order > LAGRANGE_ORDER_GUARD:
-        raise SizeGuardError(f"lagrange check needs order <= {LAGRANGE_ORDER_GUARD}")
+    if m < 1:
+        raise ValueError(f"lagrange_fixed_point_check needs m >= 1, got {m}")
+    refuse_large(f"lagrange_fixed_point_check(m={m})", m, LAGRANGE_ARITY_GUARD, unsafe_large)
     start = time.perf_counter()
+    operator = lagrange_operator(m)
+    expansion = fixed_point_mary(operator, m, order, unsafe_large=unsafe_large)
     f = lagrange_series(m, order)
     rhs = binomial_series(ALPHA, (f**m).times_t())
-    operator = lagrange_operator(m)
     picard = picard_mary(operator, m, order)
-    tree_order = min(order, MARY_EXPANSION_ORDER[m])
-    expansion = fixed_point_mary(operator, m, tree_order)
     closed = lambda hooks: _duliu_product("las3", m, hooks)
     paths = {
         "binomial": (rhs, f),
         "picard": (picard, f),
-        "tree-expansion": (expansion.total, f.truncated(tree_order)),
-        "per-tree": (_hook_classes_check(expansion, tree_order, closed), True),
+        "tree-expansion": (expansion.total, f),
+        "per-tree": (_hook_classes_check(expansion, order, closed), True),
     }
-    parameters = {"m": m, "order": order, "tree_order": tree_order}
+    parameters = {"m": m, "order": order, "tree_order": order}
     return _report("lagrange", parameters, start, f, rhs, paths)
 
 
@@ -530,12 +524,12 @@ def plane_q_family(k: int):
     return lambda *args: discrete_product(*args) * QPoly.monomial(k - 1)
 
 
-def plane_q_expansion(order: int) -> TreeExpansion:
+def plane_q_expansion(order: int, *, unsafe_large: bool = False) -> TreeExpansion:
     """Expand x = 1 + sum_{n>=2} q^(n-1) F_n(x..x) over plane trees.
 
     A tree with n+1 leaves contributes q^n times its binomial-basis term,
     so the expansion to `order` covers words of length up to `order`
-    exactly.
+    exactly.  unsafe_large passes the plane_trees guard.
     """
     one = BinomialPoly({0: QPoly.one()})
-    return fixed_point_plane(plane_q_family, order, one)
+    return fixed_point_plane(plane_q_family, order, one, unsafe_large=unsafe_large)

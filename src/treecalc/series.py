@@ -23,26 +23,22 @@ and the discrete integral all stay in that basis, the product through
 the integer rule C(t,i) C(t,j) = sum_k C(k,i) C(i,k-j) C(t,k)
 (Graham-Knuth-Patashnik, Concrete Mathematics, ch. 5).
 
-One engine expands a solution of x = a + B(x, x) (or its m-ary and
-plane-tree analogues) as a sum of per-tree terms, checking beforehand on
-monomial probes that the operator raises valuation by at least one,
-which is what makes the expansion converge order by order.  It counts
-the trees of each distinct term, walking them on each read of the
-per-tree terms and keeping the listing nowhere, and runs the operator
-once per distinct tuple of child terms (Postnikov's equation at order
-9: 6,918 shapes, 169 terms, 364 tuples).  For binary and m-ary trees
-it also counts the trees of each (term, hook multiset) class, on the
-first read of that table and with no operator call, so a per-tree
-identity is checked once per class (at order 9, 188 classes, the empty
-one included).  The independent
-cross-check is graded Picard iteration, a separate code path that calls
-only the raw operator and series +: pass k fixes t^k and runs at order k.
+One engine, _expand, expands a solution of x = a + B(x, x) (or its
+m-ary and plane-tree analogues) as a sum of per-tree terms, counting the
+shapes of each term and of each (term, hook multiset) class rather than
+listing them (Postnikov's equation at order 9: 6,918 shapes, 169 terms,
+188 classes).  Its wrappers meet the size guard of the tree family
+first, which unsafe_large passes, then check on monomial probes that the
+operator raises valuation by at least one, which is what makes the
+expansion converge order by order.  The independent cross-check is
+graded Picard iteration, a separate code path that calls only the raw
+operator and series +: pass k fixes t^k and runs at order k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, product
 from math import comb, prod
 from operator import attrgetter
@@ -540,15 +536,11 @@ def _probe_valuations(op, arity: int, order: int) -> None:
     by at least one; the expansions do not converge otherwise."""
     probe_order = max(order, 4)
     for exponents in ((0,) * arity, (1,) + (0,) * (arity - 1), (1,) * arity):
-        args = [TruncatedSeries.monomial(e, probe_order) for e in exponents]
-        result = op(*args)
-        val = result.valuation()
+        val = op(*[TruncatedSeries.monomial(e, probe_order) for e in exponents]).valuation()
         needed = sum(exponents) + 1
         if val is not None and val < needed:
-            raise ValuationViolation(
-                f"operator maps valuations {exponents} to {val}; "
-                f"needs at least {needed}"
-            )
+            message = f"operator maps valuations {exponents} to {val}; needs at least {needed}"
+            raise ValuationViolation(message)
 
 
 _children = attrgetter("children")
@@ -558,8 +550,8 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     """The one tree engine: the terms of the shapes trees(0..order), in
     enumeration order, and their sum.  A shape without children carries a;
     any other applies op to its children's terms.  Given an arity, the sum
-    is re-checked against x = a + op(x, ..., x).  trees(order) is called
-    first: it checks the family's size guard and builds no shape.
+    is re-checked against x = a + op(x, ..., x).  Its callers call
+    trees(order), the family's size guard, before anything of size order.
 
     Shapes are counted, not listed (Flajolet-Sedgewick, Analytic
     Combinatorics, ch. I): level n maps each term to its number of shapes
@@ -593,7 +585,6 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     >>> len(expansion.terms), len(calls) - 4  # the probes and the residual take 4
     (9, 6)
     """
-    trees(order)
     interned = {repr(a): a}  # repr -> the one term object with that repr
     applied: dict = {}  # ids of the children's terms -> op of them
     levels = [{id(a): [a, 1]}]  # per size: id(term) -> [term, number of shapes]
@@ -644,6 +635,8 @@ def fixed_point_binary(
     B: Callable[[TruncatedSeries, TruncatedSeries], TruncatedSeries],
     a: TruncatedSeries,
     order: int,
+    *,
+    unsafe_large: bool = False,
 ) -> TreeExpansion:
     """Expand the solution of x = a + B(x, x) over binary tree shapes.
 
@@ -653,9 +646,11 @@ def fixed_point_binary(
     order.  The aggregated sum is re-checked against the equation before
     returning.
     """
+    trees = partial(binary_trees, unsafe_large=unsafe_large)
+    trees(order)  # the size guard, before the probes and the padding of a
     _probe_valuations(B, 2, order)
     children = lambda tree: () if tree.is_empty else (tree.left, tree.right)
-    return _expand(B, a.with_order(order), order, binary_trees, children, 2, "binary")
+    return _expand(B, a.with_order(order), order, trees, children, 2, "binary")
 
 
 def _picard(op, arity: int, a: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -678,11 +673,14 @@ def picard_binary(
     return _picard(B, 2, a, order)
 
 
-def fixed_point_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TreeExpansion:
+def fixed_point_mary(
+    F: Callable[..., TruncatedSeries], arity: int, order: int, *, unsafe_large: bool = False
+) -> TreeExpansion:
     """Expand the solution of x = 1 + F(x, ..., x) with an (arity+1)-linear
     operator over (arity+1)-ary tree shapes."""
+    trees = lambda n: mary_trees(arity, n, unsafe_large=unsafe_large)
+    trees(order)  # the size guards, before the probes and the series of 1
     _probe_valuations(F, arity + 1, order)
-    trees = lambda n: mary_trees(arity, n)
     one = TruncatedSeries.constant(Fraction(1), order)
     return _expand(F, one, order, trees, _children, arity + 1, "m-ary")
 
@@ -712,7 +710,9 @@ def evaluate_plane_tree(tree: PlaneTree, family: Callable[[int], Callable], a):
     return values[0]
 
 
-def fixed_point_plane(family: Callable[[int], Callable], order: int, a) -> TreeExpansion:
+def fixed_point_plane(
+    family: Callable[[int], Callable], order: int, a, *, unsafe_large: bool = False
+) -> TreeExpansion:
     """Expand the solution of x = a + sum_{n>=2} F_n(x, ..., x) over plane
     trees with internal arity >= 2.
 
@@ -722,10 +722,12 @@ def fixed_point_plane(family: Callable[[int], Callable], order: int, a) -> TreeE
     polynomials; residual checking is left to the caller because the
     notion of truncation depends on the coefficient ring.
     """
+    trees = partial(plane_trees, unsafe_large=unsafe_large)
+    trees(order)  # the size guard, before the probes
     if hasattr(a, "valuation") and a.valuation() == 0:
         for n in (2, 3):
             val = family(n)(*([a] * n)).valuation()
             if val is not None and val < 1:
                 raise ValuationViolation(f"plane family F_{n} does not raise valuation")
     apply = lambda *xs: family(len(xs))(*xs)
-    return _expand(apply, a, order, plane_trees, _children)
+    return _expand(apply, a, order, trees, _children)

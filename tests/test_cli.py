@@ -164,7 +164,7 @@ def test_identity_guard_exit_code(capsys):
 
 def test_identity_failure_exit_code(capsys, monkeypatch):
     # force an unequal report through the dispatch to pin the exit code
-    def fake_check(n):
+    def fake_check(n, *, unsafe_large=False):
         return identities.IdentityReport(
             name="postnikov", parameters={"n": n}, lhs="1", rhs="2", equal=False
         )
@@ -335,7 +335,7 @@ def test_json_rows_are_byte_identical_to_json_dumps(monkeypatch, payload):
     ("expand", "duliu", "--m", "2", "--order", "3", "--per-tree"),
     ("expand", "plane-q", "--order", "3", "--per-tree"),
     ("identity", "postnikov", "--n", "6", "--per-tree"),
-    ("identity", "lagrange", "--m", "2", "--order", "3", "--per-tree"),
+    ("identity", "lagrange", "--m", "2", "--order", "3"),
     ("enumerate", "plane-trees", "--n", "3"),
 ])
 def test_cli_json_is_what_json_dumps_prints(capsys, argv):
@@ -493,7 +493,7 @@ def test_arity_below_one_is_a_parse_error(capsys, argv, m):
 
 
 def test_arity_above_the_guard_is_a_size_guard(capsys):
-    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "4")
+    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "17")
     assert code == 3
 
 
@@ -658,7 +658,7 @@ SERIES_GOLDEN = {
     ),
     ("identity", "lagrange", "--m", "2", "--order", "8"): (
         "44b5695f1d591493dea5b83e2bfdf54ae558b475387310e9c9d18adf3134333a",
-        "e0c012a4d22e9798e339db8523e828d463f78015375f674b20ef6e6d7b6dbf81",
+        "37e2b15d9c4117a4e7fdf32dcff339a2ccc0673c2efdc6bf26d6f9f9e6763f45",
     ),
 }
 
@@ -926,8 +926,8 @@ EXIT_CODES = [
     (("identity", "ft"), {}, None, 2),
     (("identity", "ft", "--tree", "(*"), {}, None, 2),
     (("identity", "duliu", "--variant", "las1", "--m", "2", "--n", "3"), {}, None, 2),
-    (("identity", "eisenstein", "--order", "11"), {}, None, 3),
-    (("identity", "duliu", "--variant", "las3", "--m", "4", "--n", "3"), {}, None, 3),
+    (("identity", "eisenstein", "--order", "15"), {}, None, 3),
+    (("identity", "duliu", "--variant", "las3", "--m", "4", "--n", "7"), {}, None, 3),
     (("identity", "eisenstein"), {"TREECALC_ORDER": "abc"}, None, 2),
     (("expand", "inverse-linear"), {}, "[1]", 2),
     (("expand", "postnikov", "--order", "-1"), {}, None, 2),
@@ -1077,7 +1077,7 @@ def test_per_tree_rows_stream_in_every_format(monkeypatch, tmp_path, fmt):
 
     asked = []
     real = series.binary_trees
-    monkeypatch.setattr(series, "binary_trees", lambda n: asked.append(n) or real(n))
+    monkeypatch.setattr(series, "binary_trees", lambda n, **kw: asked.append(n) or real(n, **kw))
     with open(tmp_path / "stdout", "w") as handle:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle))
         code = main(["--format", fmt, "expand", "postnikov", "--order", "9", "--per-tree"])
@@ -1094,12 +1094,30 @@ def test_identity_per_tree_text_prints_the_json_rows(capsys):
     assert text.splitlines()[3:] == [f"{row['tree']}: {row['coefficient']}" for row in rows]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eisenstein", "--order", "3"),
+        ("duliu", "--n", "3"),
+        ("lagrange", "--m", "2", "--order", "3"),
+        ("ft", "--tree", "(**)"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("fmt", cli.OUTPUT_FORMATS)
+def test_identity_per_tree_without_rows_is_a_parse_error(capsys, argv, fmt):
+    code, err = _run_rejected(capsys, "--format", fmt, "identity", *argv, "--per-tree")
+    assert code == 2
+    assert err == f"parse error: identity {argv[0]} has no per-tree rows\n"
+
+
 def test_identity_per_tree_rows_stream_in_text(monkeypatch, tmp_path):
     # the check walks the shapes of sizes 1..9 for its sum; the rows walk
     # sizes 0..8 only as they are printed, so a closed reader stops them first
     asked = []
     real = identities.binary_trees
-    monkeypatch.setattr(identities, "binary_trees", lambda n: asked.append(n) or real(n))
+    spy = lambda n, **kw: asked.append(n) or real(n, **kw)
+    monkeypatch.setattr(identities, "binary_trees", spy)
     with open(tmp_path / "stdout", "w") as handle:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle))
         code = main(["identity", "postnikov", "--n", "9", "--per-tree"])

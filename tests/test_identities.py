@@ -388,7 +388,7 @@ def test_eisenstein_check():
     report = eisenstein_check(6)
     assert report.equal
     with pytest.raises(SizeGuardError):
-        eisenstein_check(11)
+        eisenstein_check(15)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +441,11 @@ def test_duliu_guards():
     with pytest.raises(VariantArityMismatch):
         duliu_check("las1", 3, m=2)
     with pytest.raises(SizeGuardError):
-        duliu_check("las2", 8)
+        duliu_check("las2", 12)
     with pytest.raises(SizeGuardError):
-        duliu_check("las3", 6, m=2)
+        duliu_check("las3", 9, m=2)
     with pytest.raises(SizeGuardError):
-        duliu_check("las3", 3, m=4)
+        duliu_check("las3", 7, m=4)
 
 
 UNKNOWN_VARIANT_CALLS = {
@@ -571,9 +571,9 @@ def test_lagrange_checks():
     assert lagrange_fixed_point_check(1, 6).equal
     assert lagrange_fixed_point_check(2, 5).equal
     with pytest.raises(SizeGuardError):
-        lagrange_fixed_point_check(4, 4)
+        lagrange_fixed_point_check(17, 4)
     with pytest.raises(SizeGuardError):
-        lagrange_fixed_point_check(2, 9)
+        lagrange_fixed_point_check(2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +703,7 @@ def test_class_check_agrees_with_the_shape_walk(order):
             for (tree, _), text in zip(expansion.terms, texts)
         ]
     for m in (1, 2, 3):
-        if order <= identities.MARY_EXPANSION_ORDER[m]:
+        if order <= {1: 8, 2: 6, 3: 5}[m]:
             operator = identities.lagrange_operator(m)
             expansion = fixed_point_mary(operator, m, order)
             closed = lambda hooks: identities._duliu_product("las3", m, hooks)

@@ -18,7 +18,6 @@ from treecalc.arith import (
 )
 from treecalc.combinat import binary_trees, hook_data, mary_trees, plane_trees
 from treecalc.errors import ValuationViolation
-from treecalc.identities import MARY_EXPANSION_ORDER
 from treecalc.series import (
     BinomialPoly,
     QDividedSeries,
@@ -972,10 +971,13 @@ def _engine_case(case, order):
     return args, calls
 
 
+# The Lagrange tree orders the identity check once capped the expansion at.
+MARY_ORDERS = {1: 8, 2: 6, 3: 5}
+
 ENGINE_CASES = (
     [(case, order) for case in ("postnikov", "inverse-linear") for order in range(11)]
     + [(f"lagrange m={m}", order) for m in (1, 2, 3)
-       for order in range(MARY_EXPANSION_ORDER[m] + 1)]
+       for order in range(MARY_ORDERS[m] + 1)]
     + [("plane-q", order) for order in range(7)]
 )
 
@@ -1005,7 +1007,7 @@ def test_counting_engine_matches_listing_reference(case, order):
 HOOK_CLASS_CASES = (
     [(case, order) for case in ("postnikov", "inverse-linear") for order in range(9)]
     + [(f"lagrange m={m}", order) for m in (1, 2, 3)
-       for order in range(MARY_EXPANSION_ORDER[m] + 1)]
+       for order in range(MARY_ORDERS[m] + 1)]
 )
 
 
@@ -1063,7 +1065,7 @@ def test_expansion_terms_are_walked_on_each_read(monkeypatch):
 
     asked = []
     real = series.binary_trees
-    monkeypatch.setattr(series, "binary_trees", lambda n: asked.append(n) or real(n))
+    monkeypatch.setattr(series, "binary_trees", lambda n, **kw: asked.append(n) or real(n, **kw))
     one = TruncatedSeries.constant(Fraction(1), 4)
     expansion = fixed_point_binary(postnikov_operator, one, 4)
     assert asked == [4]  # the guard call
