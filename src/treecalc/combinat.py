@@ -23,10 +23,10 @@ bounded only by the size guards.
 Permutation and PackedWord share one word core: a tuple of int letters
 with its equality, hash, order and text.  Each key type has one exact check
 (the set of letters of w is {1..m}, m = len(w) or, for a packed word,
-len(set(w))), run on one word by the public constructor and on all the
-words of a word-algebra product in one batch pass (``_Word._check_words``);
-the products keep words in stored form (``_key``) and build keys only
-when they are read.  The interval sets are built per size on first use.
+len(set(w))), run on one word by the public constructor by its letter set
+and on all the words of a product in one batch pass (``_Word._check_words``:
+a ``bytes.translate`` per permutation, a frozenset lookup per packed word);
+the products keep words in stored form (``_key``) and build keys when read.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ MARY_SLOT_GUARD = 13_449_040
 PLANE_TREE_GUARD = 9
 _LETTERS = tuple(bytes((c,)) for c in range(256))  # the one-letter stored words
 _INT = frozenset((int,))  # the type of every stored letter
+_PACKED = frozenset(frozenset(range(1, k + 1)) for k in range(16))  # the sets {1..k}: 9 KB
 
 
 def _word_from_text(text: str) -> tuple[int, ...]:
@@ -72,8 +73,8 @@ def _key(letters: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(letters) if len(letters) < 256 else tuple(letters)
 
 
-# The one comparison table of the key checks, built per size on first use;
-# bounded, since each holds a set as large as the word.
+# The comparison set of ``_store`` and of the batches ``_Word._check_words``
+# has no C check for, built per size on first use; bounded, as each is a word long.
 @lru_cache(maxsize=64)
 def _interval(m: int) -> frozenset[int]:
     """The letter set of every permutation of 1..m and packed word with m letters."""
@@ -102,13 +103,22 @@ class _Word:
 
     @classmethod
     def _check_words(cls, words: Collection[bytes | tuple[int, ...]]) -> None:
-        """The exact check of ``_store`` on every stored word at once, at C speed;
-        a bad word raises the public constructor's error, the first bad
-        word in order.  Permutations of one length, the batch of every
-        product of homogeneous operands, meet one interval set."""
-        if cls._distinct and len(lengths := set(map(len, words))) == 1:
-            valid = all(map(eq, map(set, words), repeat(_interval(*lengths))))
-        else:
+        """The exact check of ``_store`` on all stored words at once, at C speed;
+        a bad word raises the public constructor's error, the first in order.
+        Permutations of one length n < 256 (every G product) take one
+        ``translate`` each: the letters 0..n less those of w are b"\\0" iff w
+        covers 1..n and holds no 0, so is 1..n.  A packed word is a key iff
+        its letter set is some {1..k}, one of ``_PACKED`` for k < 16.  Other
+        batches, and bad words, meet the letter sets of ``_store``."""
+        try:  # two lengths, or a word past 255 letters, raise
+            if cls._distinct:
+                (n,) = set(map(len, words))
+                valid = all(map(_LETTERS[0].__eq__, map(bytes(range(n + 1)).translate, repeat(None), words)))
+            else:
+                valid = _PACKED.issuperset(map(frozenset, words))
+        except (ValueError, TypeError):
+            valid = False
+        if not valid:
             sets = list(map(set, words))
             valid = all(map(eq, sets, map(_interval, map(len, words if cls._distinct else sets))))
         if not valid:

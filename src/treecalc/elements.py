@@ -218,8 +218,8 @@ def bilinear(x: AlgebraElement, y: AlgebraElement, words: Callable) -> AlgebraEl
 
 def keyed(x: AlgebraElement, sums: dict) -> AlgebraElement:
     """The element like x with coefficient sums[w] on each stored word w
-    whose sum is nonzero.  Those words pass the key type's exact check,
-    by their sets of letters, in one batch pass, which raises the public
+    whose sum is nonzero.  Those words pass the key type's exact check
+    (``_Word._check_words``) in one batch pass, which raises the public
     constructor's error; a word whose sum cancelled is never checked.  The
     dict becomes the element's own, uncopied when nothing cancelled."""
     element = x._with(sums)

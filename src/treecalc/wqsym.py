@@ -10,18 +10,18 @@ Evaluating M_u at a binomial coefficient C(t, max u) turns all of this
 into the discrete calculus of polynomials in the binomial basis.
 
 One block join builds them all: the packed words joining blocks that
-pack to given words, with the new maximal letter between blocks for the
-lifts and nothing between them for the product.  Products and delta run
-on stored words (``combinat._key``, ``elements.bilinear``) and build no
-key object; one cache holds each pair's packed convolution split into
-the three tridendriform parts by the two blocks' maxima, so a part
-product makes only its own.
+pack to given words, each block relabelled onto its support by one
+``bytes.translate``, with the new maximal letter between blocks for the
+lifts and nothing between them for the product.  Products, lifts and
+delta run on stored words (``combinat._key``, ``elements.bilinear``) and
+build no key object; one cache holds each pair's packed convolution in
+its three tridendriform parts, so a part product makes only its own.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product as cartesian_product
+from itertools import combinations, filterfalse, product as cartesian_product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -41,7 +41,7 @@ def unit() -> WQSymElement:
     return WQSymElement({EMPTY_WORD: 1})
 
 
-def _joins(blocks: tuple[tuple[int, ...], ...], separated: bool) -> Iterator[tuple]:
+def _joins(blocks: tuple, separated: bool) -> Iterator[tuple]:
     """Each packed word w_1 s w_2 s ... s w_k with pack(w_i) = blocks[i],
     s the fresh maximal letter top + 1 if separated and nothing otherwise,
     with the tops of the supports of w_1 and w_k (0 for an empty block).
@@ -49,40 +49,45 @@ def _joins(blocks: tuple[tuple[int, ...], ...], separated: bool) -> Iterator[tup
     For each feasible top, every block but the last takes any support in
     {1..top} and the last the letters still uncovered plus any choice of
     the covered ones (a head leaving it too few letters is skipped); each
-    block is relabelled onto its support.  The supports are readable off
-    the word, so distinct choices give distinct words.
+    block is relabelled onto its support (letter c to support[c]), by one
+    ``bytes.translate`` through the 256-byte table of the support if the
+    blocks are bytes and the join has under 256 letters (exact: each letter
+    of a block indexes the support), else by index.  The supports are
+    readable off the word, so distinct choices give distinct words.
     """
     *head, last = blocks
     sizes = [max(block, default=0) for block in blocks]
+    if sum(map(len, blocks)) + len(head) * separated < 256 and {*map(type, blocks)} == {bytes}:
+        form, relabel = bytes, lambda w, support: w.translate(bytes(support).ljust(256, b"\0"))
+    else:
+        form, relabel = tuple, lambda w, support: tuple(map(support.__getitem__, w))
     for top in range(max(sizes), sum(sizes) + 1):
         letters = range(1, top + 1)
-        separator = (top + 1,) if separated else ()
+        separator = form((top + 1,) if separated else ())
         for supports in cartesian_product(*(combinations(letters, n) for n in sizes[:-1])):
             covered = set().union(*supports)
             # a leading 0 makes support[c] the image of letter c, and 0 the top of none
-            uncovered = (0, *(c for c in letters if c not in covered))
+            uncovered = (0, *filterfalse(covered.__contains__, letters))
             free = sizes[-1] + 1 - len(uncovered)
             if free < 0:
                 continue
-            prefix: tuple[int, ...] = ()
+            prefix = form()
             for block, support in zip(head, supports):
-                prefix += tuple(support[c - 1] for c in block) + separator
-            first = max(supports[0], default=0)
+                prefix += relabel(block, (0, *support)) + separator
+            first = (0, *supports[0])[-1]  # a support is sorted
             for extra in combinations(covered, free):
                 support = sorted(uncovered + extra)
-                yield prefix + tuple(map(support.__getitem__, last)), first, support[-1]
+                yield prefix + relabel(last, support), first, support[-1]
 
 
 @lru_cache(maxsize=None)
 def _packed_convolve_cached(a, b) -> tuple[tuple, ...]:
-    """The packed convolution of two stored words as sorted stored
-    words: (prec, circ, succ, every), each word classified by its two
-    support tops, which are the block maxima."""
+    """The packed convolution of two stored words as stored words in the
+    order of their letters: (prec, circ, succ, every), each word classified
+    by its two support tops, which are the block maxima."""
     if not a or not b:
         return (), (), (), (a or b,)
-    stored = bytes if len(a) + len(b) < 256 else tuple  # either sorts as the letters do
-    joins = _joins((a, b), False)
-    out = sorted((stored(w), (left <= right) + (left < right)) for w, left, right in joins)
+    out = sorted((w, (left <= right) + (left < right)) for w, left, right in _joins((a, b), False))
     parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
     return (*parts, tuple(w for w, _ in out))
 
@@ -162,18 +167,18 @@ def delta(x: WQSymElement) -> WQSymElement:
     return keyed(x, out)
 
 
-def _sandwich_words(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Letter tuples of the packed words w = w_1 m w_2 m ... m w_k where
-    pack(w_i) matches the given blocks (packed letter tuples) and m is one
-    more than the maximum over all blocks.
+def _sandwich_words(blocks: tuple) -> list:
+    """The packed words w = w_1 m w_2 m ... m w_k where pack(w_i) matches
+    the given blocks (packed words) and m is one more than the maximum
+    over all blocks, sorted: stored words from stored words, as
+    ``_joins`` gives them (letter tuples from k >= 2 letter tuples).
 
     For k = 1 the degenerate sandwich is taken to be w_1 followed by the
     new maximum, which keeps "erase the maximum" a left inverse of the
     construction at every arity.
     """
     if len(blocks) == 1:
-        block = blocks[0]
-        return [block + (max(block, default=0) + 1,)]
+        return [_key((*blocks[0], max(blocks[0], default=0) + 1))]
     return sorted(w for w, _, _ in _joins(blocks, True))
 
 
@@ -189,7 +194,7 @@ def f_k(args: Sequence[WQSymElement]) -> WQSymElement:
     ordered = [sorted(x._words.items(), key=lambda item: (len(item[0]), item[0])) for x in args]
     for terms in cartesian_product(*ordered):
         coeff = prod(c for _, c in terms)
-        for w in map(_key, _sandwich_words(tuple(tuple(w) for w, _ in terms))):
+        for w in _sandwich_words(tuple(w for w, _ in terms)):
             out[w] = out.get(w, 0) + coeff
     return keyed(args[0], out)
 

@@ -8,7 +8,8 @@ every shape, the per-tree JSON of a tree expansion, the FQSym basis
 change, specialization, alphabet scaling and pairing, the word-algebra
 kernels on letter tuples as they ran before words were stored as bytes
 (the ``itemgetter`` value split, the slicing derivation, the erasing
-comprehension of delta, the packed convolution and the sandwich lift),
+comprehension of delta, and the block join that relabels one letter at a
+time, with the packed convolution and the sandwich lift on top of it),
 and two checks of the source paper that no CLI command runs.
 
 The tests compare the package against these, or state an identity of the
@@ -29,7 +30,7 @@ from treecalc.elements import AlgebraElement, FQSymElement, WQSymElement
 from treecalc.errors import BasisMismatch
 from treecalc.identities import IdentityReport, _duliu_tree_sum, _report, plane_q_expansion
 from treecalc.series import BinomialPoly, QDividedSeries, TreeExpansion, TruncatedSeries
-from treecalc.wqsym import _joins, _sandwich_words, psi
+from treecalc.wqsym import psi
 
 # ---------------------------------------------------------------------------
 # combinat
@@ -395,12 +396,49 @@ def delta_on_tuples(x: WQSymElement) -> WQSymElement:
     return x._like({x._key_type(w): c for w, c in out.items()})
 
 
+def joins_on_tuples(blocks: tuple, separated: bool):
+    """Each packed word w_1 s w_2 s ... s w_k with pack(w_i) = blocks[i]
+    (letter tuples, k >= 2), s the fresh maximal letter top + 1 if
+    separated and nothing otherwise, with the tops of the supports of w_1
+    and w_k (0 for an empty block): every block but the last takes any
+    support in {1..top}, the last the letters still uncovered plus any
+    choice of the covered ones, and each block is relabelled onto its
+    support one letter at a time."""
+    *head, last = blocks
+    sizes = [max(block, default=0) for block in blocks]
+    for top in range(max(sizes), sum(sizes) + 1):
+        letters = range(1, top + 1)
+        separator = (top + 1,) if separated else ()
+        for supports in cartesian_product(*(combinations(letters, n) for n in sizes[:-1])):
+            covered = set().union(*supports)
+            uncovered = (0, *(c for c in letters if c not in covered))
+            free = sizes[-1] + 1 - len(uncovered)
+            if free < 0:
+                continue
+            prefix: tuple = ()
+            for block, support in zip(head, supports):
+                prefix += tuple(support[c - 1] for c in block) + separator
+            first = max(supports[0], default=0)
+            for extra in combinations(covered, free):
+                support = sorted(uncovered + extra)
+                yield prefix + tuple(map(support.__getitem__, last)), first, support[-1]
+
+
+def sandwich_words_on_tuples(blocks: tuple) -> list:
+    """The sorted letter tuples of the sandwich lift of the blocks; for one
+    block, the block followed by a new maximal letter."""
+    if len(blocks) == 1:
+        return [blocks[0] + (max(blocks[0], default=0) + 1,)]
+    return sorted(w for w, _, _ in joins_on_tuples(blocks, True))
+
+
 def packed_convolve_on_tuples(a: tuple, b: tuple) -> tuple:
     """(prec, circ, succ, every) of the packed convolution of two letter
     tuples, sorted, each word classified by its two block maxima."""
     if not a or not b:
         return (), (), (), (a + b,)
-    out = sorted((w, (left <= right) + (left < right)) for w, left, right in _joins((a, b), False))
+    joins = joins_on_tuples((a, b), False)
+    out = sorted((w, (left <= right) + (left < right)) for w, left, right in joins)
     parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
     return (*parts, tuple(w for w, _ in out))
 
@@ -414,7 +452,7 @@ def f_k_on_tuples(args: Sequence[WQSymElement]) -> WQSymElement:
     out: dict = {}
     for terms in cartesian_product(*(x.terms.items() for x in args)):
         coeff = prod(c for _, c in terms)
-        for w in _sandwich_words(tuple(key.letters for key, _ in terms)):
+        for w in sandwich_words_on_tuples(tuple(key.letters for key, _ in terms)):
             out[w] = out.get(w, 0) + coeff
     return args[0]._like({args[0]._key_type(w): c for w, c in out.items()})
 

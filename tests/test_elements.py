@@ -1,6 +1,7 @@
 """Elements keyed by stored words: the terms view, the key type each
 element class fixes, the batch check of the products' words, and the
-kernels on stored words against the same kernels on letter tuples.
+kernels on stored words against the same kernels on letter tuples, whose
+block join is checked against brute force.
 
 The products keep their terms as stored words (``combinat._key``: bytes
 below 256 letters, the letter tuple beyond) and build no key object;
@@ -14,12 +15,13 @@ here as the products hold it, through ``_key``.
 import json
 import random
 from fractions import Fraction
+from itertools import product as cartesian_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecalc import fqsym, wqsym
-from treecalc.combinat import PackedWord, Permutation, _key, packed_words, permutations
+from treecalc import combinat, fqsym, wqsym
+from treecalc.combinat import PackedWord, Permutation, _key, pack, packed_words, permutations
 from treecalc.elements import FQSymElement, WQSymElement, bilinear, keyed
 from treecalc.errors import BasisMismatch
 
@@ -28,6 +30,7 @@ from references import (
     derive_on_tuples,
     f_k_on_tuples,
     g_product_on_tuples,
+    joins_on_tuples,
     m_product_on_tuples,
     packed_convolve_on_tuples,
     word_key_error,
@@ -336,6 +339,54 @@ def test_the_only_bad_word_last_in_a_long_batch_of_one_length_is_reported(key_ty
     assert str(batch.value) == word_key_error(key_type, bad)
 
 
+# every word of length 0-5 over the letters 0-6 and 255, in stored form
+SMALL_WORDS = [bytes(w) for n in range(6) for w in cartesian_product((*range(7), 255), repeat=n)]
+
+
+def first_error(key_type, words):
+    return next(filter(None, (word_key_error(key_type, tuple(w)) for w in words)), None)
+
+
+@pytest.mark.parametrize("key_type", [Permutation, PackedWord])
+def test_the_batch_check_of_every_small_word_is_the_reference_check(key_type, monkeypatch):
+    slow = []  # the letter-set comparisons and the per-word checks the batch makes
+    interval, store = combinat._interval, key_type._store
+    monkeypatch.setattr(combinat, "_interval", lambda m: slow.append(m) or interval(m))
+    monkeypatch.setattr(key_type, "_store", lambda key, word: slow.append(word) or store(key, word))
+    # the 256-letter permutation is a key of either type, and as a letter
+    # tuple it sends its batch to the letter sets
+    long = tuple(range(256, 0, -1))
+
+    def batch_error(words):
+        """The text of the error the batch check raises on the words, or
+        None; a batch of keys that the C check takes (bytes permutations of
+        one length, bytes packed words) passes with no slow step."""
+        slow.clear()
+        try:
+            key_type._check_words(words)
+        except ValueError as error:
+            return str(error)
+        one_length = key_type is PackedWord or len(set(map(len, words))) <= 1
+        assert not (slow and one_length and long not in words), "the batch left the C check"
+        return None
+
+    for word in SMALL_WORDS:
+        error = word_key_error(key_type, tuple(word))
+        assert batch_error([word]) == batch_error([long, word]) == error
+    by_length = [[w for w in SMALL_WORDS if len(w) == n] for n in range(6)]
+    mixed = [ws[i % len(ws)] for i in range(512) for ws in by_length]  # the lengths in turn
+    for words in (*by_length, mixed):
+        keys = [w for w in words if word_key_error(key_type, tuple(w)) is None]
+        assert batch_error(keys) is None
+        assert all(batch_error([key, long]) is None for key in keys)
+        for bad in set(words).difference(keys):
+            # the one bad word between keys of its batch
+            assert batch_error(keys[:2] + [bad] + keys[2:4]) == word_key_error(key_type, tuple(bad))
+        for start in range(0, len(words), 7):
+            chunk = words[start : start + 7]
+            assert batch_error(chunk) == batch_error(chunk + [long]) == first_error(key_type, chunk)
+
+
 def test_a_repeated_letter_is_a_packed_word_and_no_permutation():
     # (1, 1) has the letter set {1}: an interval, but not {1, 2}
     with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
@@ -461,6 +512,32 @@ def test_the_kernels_agree_with_the_tuple_kernels(x, y, u, v, w):
         same(wqsym.f_k(args), f_k_on_tuples(args))
 
 
+def test_the_tuple_join_is_every_packed_word_its_blocks_pack_to():
+    # by brute force over the packed words of length <= 6, each with the
+    # tops of its first and last block: cut at one point for a product, and
+    # at every copy of the top letter for a sandwich of two blocks or more
+    def add(joined: dict, w: tuple, blocks: list) -> None:
+        key = tuple(pack(block).letters for block in blocks)
+        joined.setdefault(key, []).append((w, max(blocks[0], default=0), max(blocks[-1], default=0)))
+
+    products, sandwiches = {}, {}
+    words = [[w.letters for w in packed_words(n)] for n in range(7)]
+    for n, ws in enumerate(words):
+        for w in ws:
+            for i in range(n + 1):
+                add(products, w, [w[:i], w[i:]])
+            cuts = [i for i, c in enumerate(w) if c == max(w, default=0)]
+            if cuts:
+                add(sandwiches, w, [w[i + 1 : j] for i, j in zip((-1, *cuts), (*cuts, n))])
+    for separated, k in [(False, 2), *((True, k) for k in range(2, 8))]:
+        joined = products if not separated else sandwiches
+        for lengths in cartesian_product(range(7 - (k - 1) * separated), repeat=k):
+            if sum(lengths) + (k - 1) * separated <= 6:
+                for blocks in cartesian_product(*(words[n] for n in lengths)):
+                    got = sorted(joins_on_tuples(blocks, separated))
+                    assert got == sorted(joined.get(blocks, []))
+
+
 # ---------------------------------------------------------------------------
 # the 255/256-letter boundary
 # ---------------------------------------------------------------------------
@@ -521,6 +598,24 @@ def test_m_products_and_lifts_cross_the_boundary(n):
     for a, b in ((word, PackedWord((1,))), (PackedWord((1,)), word)):
         every = packed_convolve_on_tuples(a.letters, b.letters)[3]
         assert [w.letters for w in wqsym.packed_convolve(a, b)] == list(every)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_m_products_and_lifts_past_the_boundary(n):
+    # a letter tuple joins a one-letter word into letter tuples, relabelled by index
+    u = WQSymElement({PackedWord(packed(n, 100, n)): 1, PackedWord(packed(n, 3, -n)): -2})
+    one = wqsym.m_basis(PackedWord((1,)))
+    for a, b in ((u, one), (one, u)):
+        for kernel, part in M_PRODUCTS.values():
+            same(kernel(a, b), m_product_on_tuples(a, b, part))
+    for args in ([u], [u, one], [one, u]):
+        same(wqsym.f_k(args), f_k_on_tuples(args))
+    word = PackedWord(packed(n, 100, n))
+    for a, b in ((word, PackedWord((1,))), (PackedWord((1,)), word)):
+        expected = packed_convolve_on_tuples(a.letters, b.letters)
+        assert [w.letters for w in wqsym.packed_convolve(a, b)] == list(expected[3])
+        split = wqsym.tridendriform_split(a, b)
+        assert [[w.letters for w in part] for part in split] == list(map(list, expected[:3]))
 
 
 def test_one_element_with_words_on_both_sides_of_the_boundary():
