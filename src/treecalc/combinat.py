@@ -6,7 +6,9 @@ constructions (two iterative Cartesian-tree builders, so no word-to-tree
 map recurses: a two-child stack for the distinct letters of a
 permutation and a block-list stack for words; a scan over many words
 passes both one table, ``shared``, so its equal subtrees are one object),
-hook data, and exhaustive enumerators with size guards.
+hook data, the one bottom-up evaluator of a tree as a term (``_fold``,
+children before parents, with no recursion), and exhaustive enumerators
+with size guards.
 
 Tree shapes carry a canonical text encoding fixed by the grammar
 
@@ -375,7 +377,7 @@ class MAryTree(_Shape):
     children; m travels out-of-band.
     """
 
-    __slots__ = ("arity", "children", "node_count", "text", "_hooks")
+    __slots__ = ("arity", "children", "node_count", "text")
 
     def __init__(self, arity: int, children: Sequence["MAryTree"] | None = None):
         if arity < 1:
@@ -385,7 +387,6 @@ class MAryTree(_Shape):
             self.children = ()
             self.node_count = 0
             self.text = "_"
-            self._hooks = 1
         else:
             children = tuple(children)
             if len(children) != arity + 1:
@@ -395,7 +396,6 @@ class MAryTree(_Shape):
             self.children = children
             self.node_count = 1 + sum(map(_node_count, children))
             self.text = "(" + "".join(map(_text, children)) + ")"
-            self._hooks = None
 
     @property
     def is_empty(self) -> bool:
@@ -456,6 +456,24 @@ class PlaneTree(_Shape):
 LEAF = PlaneTree()
 
 
+def _fold(tree, children, leaf, node):
+    """Evaluate a tree bottom up: leaf(t) on each node t for which
+    children(t) lists no children, node(*values) on the others, values
+    being their children's.  The nodes are listed breadth first, so the
+    children of a node sit side by side after it, and evaluated in
+    reverse, children before parents; depth meets no recursion limit."""
+    nodes, first = [tree], []  # first[i]: the index of node i's first child
+    for t in nodes:
+        first.append(len(nodes))
+        nodes += children(t)
+    first.append(len(nodes))
+    values = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        start, stop = first[i], first[i + 1]
+        values[i] = node(*values[start:stop]) if start < stop else leaf(nodes[i])
+    return values[0]
+
+
 class HookData(NamedTuple):
     """Subtree sizes h_v per node, plus right-subtree sizes for binary trees.
 
@@ -493,36 +511,31 @@ def _internal_nodes(tree: BinaryTree | MAryTree) -> list:
 
 
 def _hook_product(tree: BinaryTree | MAryTree) -> int:
-    """The product of the hook lengths of a nonempty binary or m-ary tree,
-    multiplicative over subtrees: |T| times the products of T's children.
-    Each node keeps its product in _hooks once asked (the empty tree holds
-    1, a node None until then), so a binary node whose children hold
-    theirs costs one multiply and one store.  Otherwise the nodes missing
-    one are listed breadth first, as in _internal_nodes, and filled in
-    reverse, children before parents, so a deep tree meets no recursion
-    limit."""
+    """The product of the hook lengths of a nonempty binary or m-ary tree.
+    A binary tree's is multiplicative over subtrees, |T| times the
+    products of T's children, and each binary node keeps its product in
+    _hooks once asked (the empty tree holds 1, a node None until then),
+    so a node whose children hold theirs costs one multiply and one store.
+    Otherwise the nodes missing one are listed breadth first, as in
+    _internal_nodes, and filled in reverse, children before parents, so a
+    deep tree meets no recursion limit.  An m-ary tree's is the product of
+    the node counts of _internal_nodes."""
     if not tree.node_count:
         raise ValueError("hook data of the empty tree is undefined")
+    if not isinstance(tree, BinaryTree):
+        return prod(map(_node_count, _internal_nodes(tree)))
+    left_hooks, right_hooks = tree.left._hooks, tree.right._hooks
+    if left_hooks is not None and right_hooks is not None:
+        tree._hooks = product = tree.node_count * left_hooks * right_hooks
+        return product
     nodes = [tree]
-    if isinstance(tree, BinaryTree):
-        left_hooks, right_hooks = tree.left._hooks, tree.right._hooks
-        if left_hooks is not None and right_hooks is not None:
-            tree._hooks = product = tree.node_count * left_hooks * right_hooks
-            return product
-        for node in nodes:
-            if node.left._hooks is None:
-                nodes.append(node.left)
-            if node.right._hooks is None:
-                nodes.append(node.right)
-        for node in reversed(nodes):
-            node._hooks = node.node_count * node.left._hooks * node.right._hooks
-    else:
-        for node in nodes:
-            for child in node.children:
-                if child._hooks is None:
-                    nodes.append(child)
-        for node in reversed(nodes):
-            node._hooks = node.node_count * prod([child._hooks for child in node.children])
+    for node in nodes:
+        if node.left._hooks is None:
+            nodes.append(node.left)
+        if node.right._hooks is None:
+            nodes.append(node.right)
+    for node in reversed(nodes):
+        node._hooks = node.node_count * node.left._hooks * node.right._hooks
     return tree._hooks
 
 

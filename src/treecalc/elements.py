@@ -11,10 +11,10 @@ automatic.  Elements are immutable by convention and all operations
 return fresh values.
 
 Stored words hash (bytes once) and compare at C speed.  ``bilinear`` sums
-every G-basis and M-basis product on them, fqsym.derive, wqsym.delta and
-wqsym.f_k sum on them in loops of their own, and ``keyed`` checks each
-such result's words in one batch pass; only the q-shuffle sums on
-Permutation keys.  ``terms`` is a read-only dict of fresh keys per read.
+every G-basis and M-basis product on them, ``erase`` sums fqsym.derive and
+wqsym.delta, wqsym.f_k and the F-basis q-shuffle sum on them in loops of
+their own, and ``keyed`` checks each such result's words in one batch
+pass.  ``terms`` is a read-only dict of fresh keys per read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable
 
 from .arith import _check_exact
-from .combinat import PackedWord, Permutation, _key
+from .combinat import _LETTERS, PackedWord, Permutation, _key
 from .errors import BasisMismatch
 
 
@@ -213,6 +213,20 @@ def bilinear(x: AlgebraElement, y: AlgebraElement, words: Callable) -> AlgebraEl
                 c = ca * cb
                 for w in ws:
                     sums[w] = get(w, 0) + c
+    return keyed(x, sums)
+
+
+def erase(x: AlgebraElement, letter: Callable) -> AlgebraElement:
+    """The element like x with, in every nonempty stored word w, each
+    occurrence of the letter letter(w), which is w's largest, erased:
+    one ``bytes.replace`` per word below 256 letters."""
+    sums: dict = {}
+    get = sums.get
+    for w, c in x._words.items():
+        if w:
+            m = letter(w)
+            rest = w.replace(_LETTERS[m], b"") if len(w) < 256 else _key([v for v in w if v < m])
+            sums[rest] = get(rest, 0) + c
     return keyed(x, sums)
 
 

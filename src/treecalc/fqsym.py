@@ -9,9 +9,11 @@ between the factors (whose tree iterates sum the fibers of the
 decreasing-tree map), a q-shuffle deformation on the F basis, and the
 q-specialization into q-series in the q-divided-power basis.
 
-The element products apply each value split to stored words as one
-``bytes.translate`` per result word (``itemgetter`` on letter tuples past
-254 letters; ``elements.bilinear``) and build no key object.
+One kernel, ``_split_words``, applies the value splits to stored words as
+one ``bytes.translate`` per result word (``itemgetter`` on letter tuples
+past 254 letters), for the element products (``elements.bilinear``) and
+for the per-pair lists of keys alike; the derivation erases through
+``elements.erase``, and the q-shuffle sums on stored words too.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
+from typing import Iterator
 
 from .arith import QPoly
-from .combinat import _LETTERS, BinaryTree, Permutation, _key
-from .elements import FQSymElement, bilinear, keyed
+from .combinat import _LETTERS, BinaryTree, Permutation, _fold, _key
+from .elements import FQSymElement, bilinear, erase, keyed
 from .errors import EmptyOperand
 from .series import QDividedSeries
 
@@ -60,11 +63,12 @@ def _split_values(n: int, k: int):
     return tuple(prec), tuple(succ), tuple(every)
 
 
-def _factors(a: Permutation, b: Permutation):
-    """The factors (u, v) with Std(u) = a and Std(v) = b of every value split."""
-    k = a.size
-    for sigma in _split_values(k + b.size, k)[2]:
-        yield tuple(sigma[i] for i in a.word), tuple(sigma[k + i] for i in b.word)
+def _split_keys(a: Permutation, b: Permutation, part: int, top: bool = False) -> list[Permutation]:
+    """_split_words(a, b, part, top) on two public keys, checked in one
+    batch pass and keyed."""
+    words = _split_words(_key(a.word), _key(b.word), part, top)
+    Permutation._check_words(words)
+    return Permutation._unchecked(words)
 
 
 def convolve(a: Permutation, b: Permutation) -> list[Permutation]:
@@ -74,22 +78,13 @@ def convolve(a: Permutation, b: Permutation) -> list[Permutation]:
     >>> [c.word for c in convolve(Permutation((1,)), Permutation((2, 1)))]
     [(1, 3, 2), (2, 3, 1), (3, 2, 1)]
     """
-    return [Permutation(u + v) for u, v in _factors(a, b)]
+    return _split_keys(a, b, 2)
 
 
 def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], list[Permutation]]:
     """Split the convolution by which factor holds the maximal letter:
     prec gets max(u) > max(v), succ gets max(u) <= max(v)."""
-    if a.size == 0 or b.size == 0:
-        raise EmptyOperand("half products need nonempty operands")
-    k, n = a.size, a.size + b.size
-    prec, succ = [], []
-    for gamma in convolve(a, b):
-        if gamma.word.index(n) < k:
-            prec.append(gamma)
-        else:
-            succ.append(gamma)
-    return prec, succ
+    return _split_keys(a, b, 0), _split_keys(a, b, 1)
 
 
 @lru_cache(maxsize=None)
@@ -148,14 +143,7 @@ def derive(x: FQSymElement) -> FQSymElement:
     is sent to zero.
     """
     x.require_basis("G")
-    out: dict = {}
-    get = out.get
-    for w, c in x._words.items():
-        if w:
-            n = len(w)
-            rest = w.replace(_LETTERS[n], b"") if n < 256 else _key([v for v in w if v < n])
-            out[rest] = get(rest, 0) + c
-    return keyed(x, out)
+    return erase(x, len)
 
 
 def bilinear_B(a: Permutation, b: Permutation) -> list[Permutation]:
@@ -164,8 +152,7 @@ def bilinear_B(a: Permutation, b: Permutation) -> list[Permutation]:
     Erasing the inserted maximum recovers the convolution, so this lifts
     the product through the derivation.
     """
-    top = (a.size + b.size + 1,)
-    return [Permutation(u + top + v) for u, v in _factors(a, b)]
+    return _split_keys(a, b, 2, True)
 
 
 def b_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
@@ -183,22 +170,17 @@ def tree_term(tree: BinaryTree) -> FQSymElement:
     leaves.  The support is exactly the fiber of the decreasing-tree map
     over the shape, each with coefficient 1.
 
-    The terms of shapes with at most _RECURSION_NODES nodes are shared
-    through the cache; a larger shape builds its larger subtrees bottom up
-    on top of those, so depth meets no recursion limit.
+    The terms of shapes with at most _RECURSION_NODES nodes recurse and
+    are shared through the cache; a larger shape folds its larger
+    subtrees bottom up on top of those (combinat._fold), so depth meets no
+    recursion limit.
     """
     if tree.is_empty:
         return unit("G")
     if tree.node_count <= _RECURSION_NODES:
         return b_product(tree_term(tree.left), tree_term(tree.right))
-    large = [tree]  # parents before children
-    for node in large:
-        large += [c for c in (node.left, node.right) if c.node_count > _RECURSION_NODES]
-    terms: dict = {}
-    for node in reversed(large):
-        left, right = (terms[c] if c in terms else tree_term(c) for c in (node.left, node.right))
-        terms[node] = b_product(left, right)
-    return terms[tree]
+    large = lambda t: (t.left, t.right) if t.node_count > _RECURSION_NODES else ()
+    return _fold(tree, large, tree_term, b_product)
 
 
 def phi_q(x: FQSymElement, order: int) -> QDividedSeries:
@@ -213,32 +195,34 @@ def phi_q(x: FQSymElement, order: int) -> QDividedSeries:
     return QDividedSeries(numerators)
 
 
+def _q_shuffles(a, b) -> Iterator[tuple]:
+    """Each interleaving of the stored words a and b + |a|, in stored form,
+    with its weight: q to the inversions the shuffle creates, inv(c) -
+    inv(a) - inv(b); as b-letters exceed a-letters, the b-letters before
+    each a-letter, p_j - j before the one at position p_j, j >= 0."""
+    k, shifted = len(a), [v + len(a) for v in b]
+    for positions in combinations(range(k + len(b)), k):
+        word = shifted[:]
+        for p, v in zip(positions, a):
+            word.insert(p, v)
+        yield _key(word), QPoly.monomial(sum(positions) - k * (k - 1) // 2)
+
+
 def q_shuffle_words(a: Permutation, b: Permutation) -> list[tuple[Permutation, QPoly]]:
-    """The q-shuffle of a with the shifted b: each interleaving c is
-    weighted by q to the number of inversions created by the shuffle,
-    inv(c) - inv(a) - inv(b): as b-letters exceed a-letters, the b-letters
-    before each a-letter, p_j - j before the one at position p_j, j >= 0."""
-    k, l = a.size, b.size
-    shifted = tuple(v + k for v in b.word)
-    out = []
-    for positions in combinations(range(k + l), k):
-        pos_set = set(positions)
-        ai, bi = iter(a.word), iter(shifted)
-        word = tuple(next(ai) if i in pos_set else next(bi) for i in range(k + l))
-        out.append((Permutation(word), QPoly.monomial(sum(positions) - k * (k - 1) // 2)))
-    return out
+    """The q-shuffle of a with the shifted b, as (word, weight) pairs."""
+    words, weights = zip(*_q_shuffles(_key(a.word), _key(b.word)))
+    Permutation._check_words(words)
+    return list(zip(Permutation._unchecked(words), weights))
 
 
 def q_shuffle_product(x: FQSymElement, y: FQSymElement) -> FQSymElement:
-    """Product of the q-deformed algebra on the F basis; at q = 1 it
-    degenerates to the ordinary product."""
+    """The F-basis product of the q-deformed algebra; at q = 1 the ordinary one."""
     x.require_basis("F")
     y.require_basis("F")
     out: dict = {}
-    y_terms = y.terms.items()
-    for a, ca in x.terms.items():
-        for b, cb in y_terms:
+    for a, ca in x._words.items():
+        for b, cb in y._words.items():
             c = ca * cb
-            for gamma, weight in q_shuffle_words(a, b):
-                out[gamma] = out.get(gamma, 0) + weight * c
-    return FQSymElement(out, basis="F")
+            for w, weight in _q_shuffles(a, b):
+                out[w] = out.get(w, 0) + weight * c
+    return keyed(x, out)

@@ -126,8 +126,8 @@ def _report(name, parameters, start, lhs, rhs, paths, per_tree_rows=None) -> Ide
 def hook_count(tree: BinaryTree) -> Fraction:
     """n! over the product of the hook lengths: the number of permutations
     whose decreasing tree has this shape.  The product needs no multiset:
-    each node keeps its own (combinat._hook_product), so a shape whose
-    subtrees were asked before costs one multiply."""
+    each binary node keeps its own (combinat._hook_product), so a binary
+    shape whose subtrees were asked before costs one multiply."""
     numerator = factorial(tree.node_count)
     denominator = _hook_product(tree)
     value, remainder = divmod(numerator, denominator)

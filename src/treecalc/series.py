@@ -56,7 +56,7 @@ from .arith import (
     q_binomial,
     q_factorial,
 )
-from .combinat import PlaneTree, _splits, binary_trees, mary_trees, plane_trees
+from .combinat import PlaneTree, _fold, _splits, binary_trees, mary_trees, plane_trees
 from .errors import ValuationViolation
 
 
@@ -692,22 +692,9 @@ def picard_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> Tr
 
 def evaluate_plane_tree(tree: PlaneTree, family: Callable[[int], Callable], a):
     """Evaluate one plane-tree term: leaves carry a, an internal node with
-    k children applies the k-linear operation family(k).
-
-    The nodes are listed breadth first, so the children of a node sit side
-    by side after it, and evaluated in reverse; depth meets no recursion
-    limit.
-    """
-    nodes, first = [tree], []  # first[i]: the index of node i's first child
-    for node in nodes:
-        first.append(len(nodes))
-        nodes.extend(node.children)
-    values = [a] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        k = len(nodes[i].children)
-        if k:
-            values[i] = family(k)(*values[first[i] : first[i] + k])
-    return values[0]
+    k children applies the k-linear operation family(k), children before
+    parents through combinat._fold, so depth meets no recursion limit."""
+    return _fold(tree, _children, lambda leaf: a, lambda *xs: family(len(xs))(*xs))
 
 
 def fixed_point_plane(

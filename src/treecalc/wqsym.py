@@ -13,8 +13,8 @@ One block join builds them all: the packed words joining blocks that
 pack to given words, each block relabelled onto its support by one
 ``bytes.translate``, with the new maximal letter between blocks for the
 lifts and nothing between them for the product.  Products, lifts and
-delta run on stored words (``combinat._key``, ``elements.bilinear``) and
-build no key object; one cache holds each pair's packed convolution in
+delta run on stored words (``combinat._key``, ``elements.bilinear``,
+``elements.erase``) and build no key object; one cache holds each pair's packed convolution in
 its three tridendriform parts, so a part product makes only its own.
 """
 
@@ -25,8 +25,8 @@ from itertools import combinations, filterfalse, product as cartesian_product
 from math import prod
 from typing import Iterator, Sequence
 
-from .combinat import _LETTERS, PackedWord, PlaneTree, _key, packed_words, plane_tree_of_word
-from .elements import WQSymElement, bilinear, keyed
+from .combinat import PackedWord, PlaneTree, _key, packed_words, plane_tree_of_word
+from .elements import WQSymElement, bilinear, erase, keyed
 from .errors import EmptyOperand
 from .series import BinomialPoly
 
@@ -157,14 +157,7 @@ def delta(x: WQSymElement) -> WQSymElement:
     grading; the constant word 1...1 maps to the unit and the unit
     itself to zero.
     """
-    out: dict = {}
-    get = out.get
-    for w, c in x._words.items():
-        if w:
-            m = max(w)
-            rest = w.replace(_LETTERS[m], b"") if len(w) < 256 else _key([v for v in w if v < m])
-            out[rest] = get(rest, 0) + c
-    return keyed(x, out)
+    return erase(x, max)
 
 
 def _sandwich_words(blocks: tuple) -> list:

@@ -49,9 +49,11 @@ EXEMPT = {
     # constructor: the tests state the paper's identities with them.
     "structure": {
         "fqsym.bilinear_B",
+        "fqsym.convolve",
         "fqsym.derive",
         "fqsym.f_basis",
         "fqsym.g_basis",
+        "fqsym.q_shuffle_words",
         "wqsym.m_basis",
         "wqsym.packed_convolve",
         "wqsym.unit",
