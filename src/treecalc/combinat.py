@@ -59,12 +59,8 @@ _PACKED = frozenset(frozenset(range(1, k + 1)) for k in range(16))  # the sets {
 
 def _word_from_text(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
     try:
-        if "," in text:
-            return tuple(int(part) for part in text.split(","))
-        return tuple(int(ch) for ch in text)
+        return tuple(map(int, text.split(",") if "," in text else text))
     except ValueError as exc:
         raise ParseError(f"bad word string {text!r}") from exc
 
@@ -73,6 +69,11 @@ def _key(letters: Sequence[int]) -> bytes | tuple[int, ...]:
     """The stored form of a word in the word-algebra kernels: bytes below 256
     letters (a key's letters never exceed its length), its tuple beyond."""
     return bytes(letters) if len(letters) < 256 else tuple(letters)
+
+
+@lru_cache(maxsize=None)
+def _shift(k: int) -> bytes:
+    return bytes(range(k, 256)) + bytes(k)  # adds k to every letter below 256 - k
 
 
 # The comparison set of ``_store`` and of the batches ``_Word._check_words``
@@ -285,9 +286,10 @@ class _Shape:
         return self.text
 
 
-def _parse(text: str, name: str, leaf: str, make_leaf, make_node, arity=None, sep=""):
+def _parse(text: str, name: str, leaf: str, leaf_tree, make_node, arity=None, sep=""):
     """Parse one tree of the grammar  leaf | "(" child ... ")"  with an
-    explicit stack, so depth meets no recursion limit.
+    explicit stack, so depth meets no recursion limit; every leaf is the
+    one immutable leaf_tree.
 
     With an arity a node holds exactly that many children, joined by sep;
     without one (plane trees) it closes at its ")" and needs >= 2.
@@ -306,7 +308,7 @@ def _parse(text: str, name: str, leaf: str, make_leaf, make_node, arity=None, se
             stack.append([])
             continue
         if char == leaf:
-            tree = make_leaf()
+            tree = leaf_tree
         elif char == ")" and stack and arity is None:
             children = stack.pop()
             if len(children) < 2:
@@ -363,7 +365,8 @@ class BinaryTree(_Shape):
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryTree":
-        return _parse(text, "binary tree", "_", cls, lambda c: cls(*c), arity=2, sep=",")
+        leaf = EMPTY_BINARY if cls is BinaryTree else cls()
+        return _parse(text, "binary tree", "_", leaf, lambda c: cls(*c), arity=2, sep=",")
 
 
 EMPTY_BINARY = BinaryTree()
@@ -411,9 +414,7 @@ class MAryTree(_Shape):
 
     @classmethod
     def from_text(cls, arity: int, text: str) -> "MAryTree":
-        return _parse(
-            text, "m-ary tree", "_", lambda: cls(arity), lambda c: cls(arity, c), arity=arity + 1
-        )
+        return _parse(text, "m-ary tree", "_", cls(arity), lambda c: cls(arity, c), arity=arity + 1)
 
 
 class PlaneTree(_Shape):
@@ -450,7 +451,7 @@ class PlaneTree(_Shape):
 
     @classmethod
     def from_text(cls, text: str) -> "PlaneTree":
-        return _parse(text, "plane tree", "*", cls, cls)
+        return _parse(text, "plane tree", "*", LEAF if cls is PlaneTree else cls(), cls)
 
 
 LEAF = PlaneTree()

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .arith import QPoly
-from .combinat import _LETTERS, BinaryTree, Permutation, _fold, _key
+from .combinat import _LETTERS, BinaryTree, Permutation, _fold, _key, _shift
 from .elements import FQSymElement, bilinear, erase, keyed
 from .errors import EmptyOperand
 from .series import QDividedSeries
@@ -85,11 +85,6 @@ def half_products(a: Permutation, b: Permutation) -> tuple[list[Permutation], li
     """Split the convolution by which factor holds the maximal letter:
     prec gets max(u) > max(v), succ gets max(u) <= max(v)."""
     return _split_keys(a, b, 0), _split_keys(a, b, 1)
-
-
-@lru_cache(maxsize=None)
-def _shift(k: int) -> bytes:
-    return bytes(range(k, 256)) + bytes(k)  # adds k to every letter below 256 - k
 
 
 def _split_words(a, b, part: int, top: bool = False) -> list:

@@ -10,22 +10,25 @@ Evaluating M_u at a binomial coefficient C(t, max u) turns all of this
 into the discrete calculus of polynomials in the binomial basis.
 
 One block join builds them all: the packed words joining blocks that
-pack to given words, each block relabelled onto its support by one
-``bytes.translate``, with the new maximal letter between blocks for the
-lifts and nothing between them for the product.  Products, lifts and
-delta run on stored words (``combinat._key``, ``elements.bilinear``,
-``elements.erase``) and build no key object; one cache holds each pair's packed convolution in
-its three tridendriform parts, so a part product makes only its own.
+pack to given words, with the new maximal letter between blocks for the
+lifts and nothing between them for the product.  Its relabelling tables
+are cached by the block maxima, as FQSym caches its value splits, so a
+join concatenates the blocks once and makes each word by one
+``bytes.translate``.  Products, lifts and delta run on stored words
+(``combinat._key``, ``elements.bilinear``, ``elements.erase``) and build
+no key object; one cache holds each pair's packed convolution in its
+three tridendriform parts, so a part product makes only its own.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, filterfalse, product as cartesian_product
+from itertools import accumulate, chain, combinations, product as cartesian_product, repeat
 from math import prod
-from typing import Iterator, Sequence
+from operator import add, le, lt
+from typing import Sequence
 
-from .combinat import PackedWord, PlaneTree, _key, packed_words, plane_tree_of_word
+from .combinat import _LETTERS, PackedWord, PlaneTree, _key, _shift, packed_words, plane_tree_of_word
 from .elements import WQSymElement, bilinear, erase, keyed
 from .errors import EmptyOperand
 from .series import BinomialPoly
@@ -41,53 +44,66 @@ def unit() -> WQSymElement:
     return WQSymElement({EMPTY_WORD: 1})
 
 
-def _joins(blocks: tuple, separated: bool) -> Iterator[tuple]:
-    """Each packed word w_1 s w_2 s ... s w_k with pack(w_i) = blocks[i],
-    s the fresh maximal letter top + 1 if separated and nothing otherwise,
-    with the tops of the supports of w_1 and w_k (0 for an empty block).
-
-    For each feasible top, every block but the last takes any support in
-    {1..top} and the last the letters still uncovered plus any choice of
-    the covered ones (a head leaving it too few letters is skipped); each
-    block is relabelled onto its support (letter c to support[c]), by one
-    ``bytes.translate`` through the 256-byte table of the support if the
-    blocks are bytes and the join has under 256 letters (exact: each letter
-    of a block indexes the support), else by index.  The supports are
-    readable off the word, so distinct choices give distinct words.
-    """
-    *head, last = blocks
-    sizes = [max(block, default=0) for block in blocks]
-    if sum(map(len, blocks)) + len(head) * separated < 256 and {*map(type, blocks)} == {bytes}:
-        form, relabel = bytes, lambda w, support: w.translate(bytes(support).ljust(256, b"\0"))
-    else:
-        form, relabel = tuple, lambda w, support: tuple(map(support.__getitem__, w))
+@lru_cache(maxsize=256)
+def _join_tables(sizes: tuple, separated: bool) -> tuple[tuple, tuple, tuple]:
+    """(tables, firsts, lasts): one relabelling table per join of blocks
+    with these maxima, with the tops of its first and last supports (0 for
+    an empty block).  For each feasible top, every block but the last takes
+    any support in {1..top}, the last the letters still uncovered plus any
+    choice of the covered ones.  A table sends 0 to 0, letter c of block i
+    shifted past the maxima before it to support_i[c], and if separated the
+    placeholder sum(sizes) + 1 to top + 1: a 256-byte ``bytes.translate`` table
+    while every letter it reads is below 256, else a tuple.  The supports
+    are readable off the word, so distinct tables give distinct words."""
+    tables, firsts, lasts = [], [], []
     for top in range(max(sizes), sum(sizes) + 1):
         letters = range(1, top + 1)
-        separator = form((top + 1,) if separated else ())
         for supports in cartesian_product(*(combinations(letters, n) for n in sizes[:-1])):
             covered = set().union(*supports)
-            # a leading 0 makes support[c] the image of letter c, and 0 the top of none
-            uncovered = (0, *filterfalse(covered.__contains__, letters))
-            free = sizes[-1] + 1 - len(uncovered)
+            uncovered = tuple(c for c in letters if c not in covered)
+            free = sizes[-1] - len(uncovered)
             if free < 0:
                 continue
-            prefix = form()
-            for block, support in zip(head, supports):
-                prefix += relabel(block, (0, *support)) + separator
-            first = (0, *supports[0])[-1]  # a support is sorted
+            head, first = (0, *chain(*supports)), max(supports[0], default=0)
             for extra in combinations(covered, free):
-                support = sorted(uncovered + extra)
-                yield prefix + relabel(last, support), first, support[-1]
+                last = sorted(uncovered + extra)
+                tables.append((*head, *last, *(top + 1,) * separated))
+                firsts.append(first)
+                lasts.append(last[-1] if last else 0)
+    if sum(sizes) + separated < 256:
+        tables = map(bytes.ljust, map(bytes, tables), repeat(256), repeat(b"\0"))
+    return tuple(tables), tuple(firsts), tuple(lasts)
+
+
+def _joins(blocks: tuple, separated: bool) -> tuple[list, tuple, tuple]:
+    """Every packed word w_1 s w_2 s ... s w_k with pack(w_i) = blocks[i]
+    (s the fresh maximal letter if separated, else nothing), one per table
+    of ``_join_tables``, with its firsts and lasts: the blocks concatenated
+    once, then one ``bytes.translate`` per word, or past 255 letters the
+    same images by index."""
+    sizes = tuple(max(block, default=0) for block in blocks)
+    tables, firsts, lasts = _join_tables(sizes, separated)
+    offsets = (0, *accumulate(sizes[:-1]))
+    if sum(map(len, blocks)) + (len(blocks) - 1) * separated < 256 and {*map(type, blocks)} == {bytes}:
+        separator = _LETTERS[sum(sizes) + 1] if separated else b""
+        word = separator.join(map(bytes.translate, blocks, map(_shift, offsets)))
+        return list(map(word.translate, tables)), firsts, lasts
+    word, separator = tuple(blocks[0]), (sum(sizes) + 1,) * separated
+    for block, offset in zip(blocks[1:], offsets[1:]):
+        word += separator + tuple(c + offset for c in block)
+    return [tuple(map(table.__getitem__, word)) for table in tables], firsts, lasts
 
 
 @lru_cache(maxsize=None)
 def _packed_convolve_cached(a, b) -> tuple[tuple, ...]:
     """The packed convolution of two stored words as stored words in the
     order of their letters: (prec, circ, succ, every), each word classified
-    by its two support tops, which are the block maxima."""
+    by the tops of its two supports, which are the block maxima, as
+    ``_join_tables`` caches them for the maxima of a and b."""
     if not a or not b:
         return (), (), (), (a or b,)
-    out = sorted((w, (left <= right) + (left < right)) for w, left, right in _joins((a, b), False))
+    words, firsts, lasts = _joins((a, b), False)
+    out = sorted(zip(words, map(add, map(le, firsts, lasts), map(lt, firsts, lasts))))
     parts = (tuple(w for w, kind in out if kind == part) for part in range(3))
     return (*parts, tuple(w for w, _ in out))
 
@@ -163,8 +179,9 @@ def delta(x: WQSymElement) -> WQSymElement:
 def _sandwich_words(blocks: tuple) -> list:
     """The packed words w = w_1 m w_2 m ... m w_k where pack(w_i) matches
     the given blocks (packed words) and m is one more than the maximum
-    over all blocks, sorted: stored words from stored words, as
-    ``_joins`` gives them (letter tuples from k >= 2 letter tuples).
+    over all blocks, sorted: stored words from stored words, one
+    ``bytes.translate`` each through the separated tables of
+    ``_join_tables`` (letter tuples, by index, from k >= 2 letter tuples).
 
     For k = 1 the degenerate sandwich is taken to be w_1 followed by the
     new maximum, which keeps "erase the maximum" a left inverse of the
@@ -172,7 +189,7 @@ def _sandwich_words(blocks: tuple) -> list:
     """
     if len(blocks) == 1:
         return [_key((*blocks[0], max(blocks[0], default=0) + 1))]
-    return sorted(w for w, _, _ in _joins(blocks, True))
+    return sorted(_joins(blocks, True)[0])
 
 
 def f_k(args: Sequence[WQSymElement]) -> WQSymElement:

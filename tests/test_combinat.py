@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import treecalc
 from treecalc.combinat import (
     EMPTY_BINARY,
+    LEAF,
     BinaryTree,
     MAryTree,
     PackedWord,
@@ -639,6 +640,30 @@ def test_word_text_round_trip():
 
 def test_the_empty_text_is_the_empty_word():
     assert Permutation.from_text("") == Permutation(())
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1 2", "12x", "1,a", " 1x ", "1,2,"])
+def test_bad_word_strings_name_the_stripped_text(text):
+    for key_type in (Permutation, PackedWord):
+        with pytest.raises(ParseError) as info:
+            key_type.from_text(text)
+        assert str(info.value) == f"bad word string {text.strip()!r}"
+
+
+def test_a_parse_shares_one_leaf():
+    # the module's immutable leaves; a subclass still gets leaves of its own type
+    assert {*PlaneTree.from_text("((**)*)").children[0].children} == {LEAF}
+    binary = BinaryTree.from_text("((_,_),_)")
+    assert binary.right is EMPTY_BINARY and binary.left.left is EMPTY_BINARY
+    mary = MAryTree.from_text(2, "((___)__)")
+    assert len({id(leaf) for leaf in (*mary.children[0].children, *mary.children[1:])}) == 1
+
+    class Shaped(PlaneTree):
+        __slots__ = ()
+
+    tree = Shaped.from_text("(*(**))")
+    assert {type(tree), type(tree.children[0]), type(tree.children[1].children[1])} == {Shaped}
+    assert tree.text == "(*(**))"
 
 
 # ---------------------------------------------------------------------------

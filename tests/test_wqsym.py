@@ -1,4 +1,5 @@
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
+from math import comb
 
 import pytest
 
@@ -8,6 +9,8 @@ from treecalc.elements import WQSymElement
 from treecalc.errors import EmptyOperand
 from treecalc.series import BinomialPoly
 from treecalc.wqsym import (
+    _join_tables,
+    _packed_convolve_cached,
     _sandwich_words,
     circ_product,
     delta,
@@ -23,7 +26,7 @@ from treecalc.wqsym import (
     unit,
 )
 
-from references import graded_word_sum
+from references import graded_word_sum, packed_convolve_on_tuples, sandwich_words_on_tuples
 
 
 def pw(*letters) -> PackedWord:
@@ -102,6 +105,62 @@ def test_tridendriform_partitions_convolution(packed_by_length):
                     assert len(prec) + len(circ) + len(succ) == len(
                         set(prec) | set(circ) | set(succ)
                     )
+
+
+# ---------------------------------------------------------------------------
+# the block join by cached relabelling tables
+# ---------------------------------------------------------------------------
+
+
+def test_the_table_join_is_the_tuple_join(packed_by_length):
+    # every pair of packed words of total length <= 6, and every separated
+    # tuple of 2 or 3 blocks of total length <= 5, as bytes and as letter tuples
+    for k in range(7):
+        for l in range(7 - k):
+            for a, b in iter_product(packed_by_length[k], packed_by_length[l]):
+                expected = packed_convolve_on_tuples(a.letters, b.letters)
+                for form in (bytes, tuple):
+                    got = _packed_convolve_cached(form(a.letters), form(b.letters))
+                    assert {*map(type, chain(*got))} <= {form}
+                    assert [list(map(tuple, part)) for part in got] == list(map(list, expected))
+                if k and l:
+                    split = [[w.letters for w in part] for part in tridendriform_split(a, b)]
+                    assert split == list(map(list, expected[:3]))
+    for blocks_count in (2, 3):
+        for lengths in iter_product(range(6), repeat=blocks_count):
+            if sum(lengths) > 5:
+                continue
+            for blocks in iter_product(*(packed_by_length[n] for n in lengths)):
+                letters = tuple(block.letters for block in blocks)
+                expected = sandwich_words_on_tuples(letters)
+                assert _sandwich_words(tuple(map(bytes, letters))) == list(map(bytes, expected))
+                assert _sandwich_words(letters) == expected
+
+
+def test_tables_past_255_letters_are_tuples():
+    # maxima summing past 255 letters: a tuple table, read by index
+    wide = tuple(range(255, 0, -1))
+    for blocks, separated in (((wide, (1,)), False), (((1,), wide), False), ((wide[1:], (1,)), True)):
+        sizes = tuple(map(max, blocks))
+        assert {*map(type, _join_tables(sizes, separated)[0])} == {tuple}
+        if separated:
+            assert _sandwich_words(blocks) == sandwich_words_on_tuples(blocks)
+        else:
+            assert list(_packed_convolve_cached(*blocks)) == list(packed_convolve_on_tuples(*blocks))
+
+
+def test_a_table_cache_entry_holds_one_table_per_join():
+    # sum over the tops m of C(m, a) * C(a, a + b - m): a support of a in
+    # {1..m}, then the last block covers the m - a letters it leaves
+    assert _join_tables.cache_info().maxsize is not None
+    for a, b in iter_product(range(7), repeat=2):
+        count = sum(comb(m, a) * comb(a, a + b - m) for m in range(max(a, b), a + b + 1))
+        for separated in (False, True):
+            tables, firsts, lasts = _join_tables((a, b), separated)
+            assert len(tables) == len(firsts) == len(lasts) == count
+            assert {*map(len, tables)} == {256}
+    assert len(_join_tables((3, 3), False)[0]) == 63
+    assert len(_join_tables((6, 6), False)[0]) == 8989
 
 
 def test_tridendriform_empty_operand():
