@@ -272,11 +272,14 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
     total = expansion.total
     text = config.output_format == "text"
 
+    # the listing meets its shape guards here, before the total is printed
+    pairs = iter(expansion.terms) if args.per_tree else ()
+
     def rows():
         # each row is built as its format prints it, each distinct term
         # formatted once: the engine interns them, so trees share objects
         shown: dict = {}  # id(term) -> its printed form
-        for tree, term in expansion.terms:
+        for tree, term in pairs:
             printed = shown.get(id(term))
             if printed is None:
                 printed = shown[id(term)] = str(term) if text else json.dumps(term.to_json())
@@ -289,7 +292,7 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
     }
     if args.per_tree and not text:
         payload["per_tree"] = rows()
-    _print_payload(payload, config, chain([str(total)], rows() if args.per_tree and text else ()))
+    _print_payload(payload, config, chain([str(total)], rows() if text else ()))
     return 0
 
 

@@ -60,10 +60,6 @@ from .wqsym import psi, tree_fiber_element
 # and 246-252 MiB at 13 (the CLI in a child, 3-6 runs, 2-core Xeon, Python 3.11).
 POSTNIKOV_GUARD = 12
 
-# Arity m of the Lagrange check, whose order the mary_trees guards bound: 0.9-1.5 s
-# and 21 MiB at m = 16, order 5, the dearest allowed; 3.7-4.0 s at m = 40, order 4.
-LAGRANGE_ARITY_GUARD = 16
-
 # Child slots (m+1)*FussCatalan(m, n) of the Du-Liu tree sum: las1 n = 11 takes
 # 0.5-0.7 s and 32 MiB, n = 12 1.6-2.4 s and 76 MiB; las3 m = 3, n = 8 3.9-5.1 s.
 DULIU_SLOT_GUARD = 250_000
@@ -491,11 +487,11 @@ def lagrange_fixed_point_check(m: int, order: int, *, unsafe_large: bool = False
     expansion, where each (term, hook multiset) class of its trees must
     match the per-node closed form, so every tree is checked with no
     shape listed, all at the full order (printed also as tree_order).  An
-    m below 1 raises ValueError; the guards are met before any path runs.
+    m below 1 raises ValueError; the expansion's bound on its operator
+    calls, the one guard, is met before any path runs.
     """
     if m < 1:
         raise ValueError(f"lagrange_fixed_point_check needs m >= 1, got {m}")
-    refuse_large(f"lagrange_fixed_point_check(m={m})", m, LAGRANGE_ARITY_GUARD, unsafe_large)
     start = time.perf_counter()
     operator = lagrange_operator(m)
     expansion = fixed_point_mary(operator, m, order, unsafe_large=unsafe_large)

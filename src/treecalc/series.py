@@ -26,21 +26,26 @@ the integer rule C(t,i) C(t,j) = sum_k C(k,i) C(i,k-j) C(t,k)
 One engine, _expand, expands a solution of x = a + B(x, x) (or its
 m-ary and plane-tree analogues) as a sum of per-tree terms, counting the
 shapes of each term and of each (term, hook multiset) class rather than
-listing them (Postnikov's equation at order 9: 6,918 shapes, 169 terms,
-188 classes).  Its wrappers meet the size guard of the tree family
-first, which unsafe_large passes, then check on monomial probes that the
-operator raises valuation by at least one, which is what makes the
-expansion converge order by order.  The independent cross-check is
-graded Picard iteration, a separate code path that calls only the raw
-operator and series +: pass k fixes t^k and runs at order k.
+listing them, and calling the symmetric operator once per multiset of
+child terms (Postnikov's equation at order 9: 6,918 shapes, 169 terms,
+188 classes, 186 operator calls).  Its wrappers meet their guard first,
+which unsafe_large passes: the binary and plane families the shape guard
+of their enumerator, the m-ary family a bound on its operator calls
+(MARY_CALL_GUARD), its shape guards met by each walk of its shapes.
+Then they check on monomial probes that the operator raises valuation by
+at least one, which is what makes the expansion converge order by order,
+and that it ignores the order of its arguments.  The independent
+cross-check is graded Picard iteration, a separate code path that calls
+only the raw operator and series +: pass k fixes t^k and runs at order k.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, product
-from math import comb, prod
+from itertools import chain, combinations_with_replacement, groupby, product
+from math import comb, factorial, prod
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
@@ -56,8 +61,8 @@ from .arith import (
     q_binomial,
     q_factorial,
 )
-from .combinat import PlaneTree, _fold, _splits, binary_trees, mary_trees, plane_trees
-from .errors import ValuationViolation
+from .combinat import PlaneTree, _fold, binary_trees, mary_trees, plane_trees
+from .errors import ValuationViolation, refuse_large
 
 
 class _Series:
@@ -499,8 +504,9 @@ def discrete_sum(p: BinomialPoly) -> BinomialPoly:
 
 class _TreeTerms:
     """The (shape, term) pairs of a tree expansion, walked by walk() on
-    each iteration and kept nowhere; len() is the count of shapes and
-    lists none.  For binary and m-ary shapes, hook_classes is the table
+    each iteration, after the shape guards, and kept nowhere; len() is the
+    count of shapes, summed over the multisets of child classes, and lists
+    none.  For binary and m-ary shapes, hook_classes is the table
     classes() builds on its first read: per size n, (id(term), hook
     multiset) -> [term, hooks, number of shapes].  Plane trees pass no
     classes()."""
@@ -533,7 +539,8 @@ class TreeExpansion:
 
 def _probe_valuations(op, arity: int, order: int) -> None:
     """Check on monomial probes that an n-linear operator raises valuation
-    by at least one; the expansions do not converge otherwise."""
+    by at least one, which makes the expansions converge, and that it
+    ignores the order of its arguments (_probe_symmetry on the probe 1)."""
     probe_order = max(order, 4)
     for exponents in ((0,) * arity, (1,) + (0,) * (arity - 1), (1,) * arity):
         val = op(*[TruncatedSeries.monomial(e, probe_order) for e in exponents]).valuation()
@@ -541,39 +548,111 @@ def _probe_valuations(op, arity: int, order: int) -> None:
         if val is not None and val < needed:
             message = f"operator maps valuations {exponents} to {val}; needs at least {needed}"
             raise ValuationViolation(message)
+    _probe_symmetry(op, TruncatedSeries.monomial(0, probe_order), arity)
+
+
+def _probe_symmetry(op, a, arity: int) -> None:
+    """Check on one probe that an n-linear operator ignores the order of
+    its arguments, as the engine's multisets assume: with b = op(a, ..., a),
+    op(b, a, ..., a) and op(a, ..., a, b) must print alike."""
+    b, rest = op(*[a] * arity), [a] * (arity - 1)
+    if repr(op(b, *rest)) != repr(op(*rest, b)):
+        raise ValueError(f"the tree engine needs a symmetric operator; this {arity}-ary one is not")
 
 
 _children = attrgetter("children")
 
+# Operator calls of an m-ary expansion, by _call_bound before any probe: every m
+# reaches order 9 (486 calls at m >= 7), m = 1 order 10.  identity lagrange takes
+# 0.42-0.44 s at m = 16, order 9, and 0.73-1.05 s at m = 40, a call multiplying
+# m + 1 series; m = 2, order 10 (879) takes 0.32-0.48 s with --unsafe-large (the
+# CLI in a child, 3 runs, 2-core Xeon, Python 3.11).
+MARY_CALL_GUARD = 500
 
-def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeExpansion:
+
+def _partitions(total: int, parts: int) -> Iterator[list[tuple[int, int]]]:
+    """Each way to write total as an unordered sum of `parts` (at least one)
+    integers >= 0, as its runs (size, times) by descending size, in reverse
+    lexicographic order (TAOCP 4A, 7.2.1.4), with no recursion: the next
+    one lowers the rightmost part that can give up a unit, then refills."""
+    part = [total] if total else []  # the positive parts, descending
+    while True:
+        runs = [(size, len(list(same))) for size, same in groupby(part)]
+        yield runs + [(0, parts - len(part))] if len(part) < parts else runs
+        rest = 1  # the unit given up, plus the parts right of i
+        for i in range(len(part) - 1, -1, -1):
+            top = part[i] - 1
+            if top and rest <= top * (parts - i - 1):
+                full, left = divmod(rest, top)
+                part[i:] = [top] * (full + 1) + ([left] if left else [])
+                break
+            rest += part[i]
+        else:
+            return
+
+
+def _multisets(table: list, runs) -> Iterator[tuple[list, int]]:
+    """Each multiset of classes with the child sizes runs, one class of
+    table[s] per child of size s: its classes in run order, and the number
+    of ordered tuples it stands for, width! / prod e! over its equal (size,
+    class) pairs (Flajolet-Sedgewick, Analytic Combinatorics, ch. I)."""
+    orderings = factorial(sum([times for _, times in runs]))
+    for picks in product(*[combinations_with_replacement(table[s].values(), r) for s, r in runs]):
+        repeats = prod([factorial(e) for pick in picks for e in Counter(map(id, pick)).values()])
+        yield list(chain.from_iterable(picks)), orderings // repeats
+
+
+def _call_bound(arity: int, order: int, limit: int) -> int:
+    """An upper bound on the operator calls of an expansion with arity
+    children per node, from integer counts alone: U_1 + ... + U_order, where
+    U_n = sum over the partitions of n - 1 of prod C(U_s + r - 1, r) over
+    its runs of r sizes s, U_0 = 1, bounds the multisets walked at size n,
+    so its calls and classes.  It stops once past limit, in about as many steps."""
+    bound, total = [1], 0
+    for n in range(1, order + 1):
+        level = 0
+        for runs in _partitions(n - 1, arity):
+            level += prod([comb(bound[s] + r - 1, r) for s, r in runs])
+            if total + level > limit:
+                return total + level
+        bound.append(level)
+        total += level
+    return total
+
+
+def _expand(op, a, order: int, trees, children, arity=None, name=None, guard=None) -> TreeExpansion:
     """The one tree engine: the terms of the shapes trees(0..order), in
     enumeration order, and their sum.  A shape without children carries a;
     any other applies op to its children's terms.  Given an arity, the sum
-    is re-checked against x = a + op(x, ..., x).  Its callers call
-    trees(order), the family's size guard, before anything of size order.
+    is re-checked against x = a + op(x, ..., x).  Its callers meet their
+    guards and check on probes that op is symmetric before calling it; a
+    caller that met no shape guard passes one as guard, which each walk
+    meets when it is asked for, before any pair.
 
     Shapes are counted, not listed (Flajolet-Sedgewick, Analytic
     Combinatorics, ch. I): level n maps each term to its number of shapes
-    of size n, each split of n (combinat._splits) and tuple of child terms
-    adding their counts' product to the tuple's term, and the total adds
-    count * term for each.  Terms are interned by repr, which keeps apart
-    terms that compare equal but print or add differently (an int 0 and a
-    ring's zero); op runs once per distinct tuple of interned terms, keyed
-    by their ids.  Each read of expansion.terms walks the shapes again,
-    yielding each (shape, term) as it goes and keeping the listing
-    nowhere: a term is looked up by its children's, cached by id of shape
-    for the sizes below the top (a parent holds the very shapes of the
-    smaller sizes, and a top-size shape is no one's child); the walk
-    never calls op.
+    of size n.  A symmetric op cannot tell its arguments' order, so level
+    n runs over the multisets of child classes (_multisets, for each
+    partition of the child sizes, _partitions), each adding its classes'
+    counts' product times the ordered tuples it stands for to its term,
+    and the total adds count * term for each.  Terms are interned by repr,
+    which keeps apart terms that compare equal but print or add
+    differently (an int 0 and a ring's zero); op runs once per multiset of
+    interned terms, keyed by their sorted ids.  Each read of
+    expansion.terms walks the shapes again, yielding each (shape, term) as
+    it goes and keeping the listing nowhere: a term is looked up by its
+    children's ids, sorted into the memo's key once per order they come in,
+    and cached by id of shape for the sizes below the top (a parent holds
+    the very shapes of the smaller sizes, and a top-size shape is no one's
+    child); the walk never calls op.
 
     Given an arity (binary and m-ary shapes), expansion.terms.hook_classes
     marks the hook multiset on each class (Flajolet-Sedgewick, ch. III): a
     table built on its first read, whose level n maps (id(term), hooks) to
     [term, hooks, number of shapes], the empty shape being the class
-    (a, ()).  It runs over the same splits as the levels, looking each
+    (a, ()).  It runs over the multisets of its own classes, looking each
     term up in the memo of op's results, so it never calls op, and a
-    split's multiset is its children's merged, plus n, as a descending
+    multiset's hooks are its children's merged, plus n, as a descending
     tuple like combinat.HookData's.  A total-only caller never builds it.
 
     >>> one = TruncatedSeries.constant(Fraction(1), 3)
@@ -582,47 +661,61 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None) -> TreeEx
     ...     calls.append(None)
     ...     return integrate(x * y)
     >>> expansion = fixed_point_binary(op, one, 3)
-    >>> len(expansion.terms), len(calls) - 4  # the probes and the residual take 4
-    (9, 6)
+    >>> len(expansion.terms), len(calls) - 7  # the probes and the residual take 7
+    (9, 4)
     """
     interned = {repr(a): a}  # repr -> the one term object with that repr
-    applied: dict = {}  # ids of the children's terms -> op of them
+    applied: dict = {}  # sorted ids of the children's terms -> op of them
     levels = [{id(a): [a, 1]}]  # per size: id(term) -> [term, number of shapes]
+
+    def size_runs(n: int) -> Iterator:  # combinat._splits(arity, n), one partition at a time
+        if arity is None:  # plane trees: n + 1 - k leaves below k >= 2 children
+            return chain.from_iterable(_partitions(n + 1 - k, k) for k in range(2, n + 2))
+        return _partitions(n - 1, arity)  # the n - 1 nodes below the root
+
     for n in range(1, order + 1):
         level: dict = {}
-        for sizes in _splits(arity, n):
-            for classes in product(*[levels[s].values() for s in sizes]):
-                key = tuple([id(term) for term, _ in classes])
+        for runs in size_runs(n):
+            for classes, ways in _multisets(levels, runs):
+                key = tuple(sorted([id(term) for term, _ in classes]))
                 term = applied.get(key)
                 if term is None:
                     term = op(*[term for term, _ in classes])
                     term = applied[key] = interned.setdefault(repr(term), term)
-                level.setdefault(id(term), [term, 0])[1] += prod([c for _, c in classes])
+                level.setdefault(id(term), [term, 0])[1] += ways * prod([c for _, c in classes])
         levels.append(level)
     counted = [pair for level in levels[1:] for pair in level.values()]
     total = sum([term if count == 1 else term * count for term, count in counted], a)
     if arity and total - (a + op(*[total] * arity)):
         raise ArithmeticError(f"{name} expansion does not satisfy its equation")
 
-    def walk() -> Iterator:
+    def pairs() -> Iterator:
         cache = {}  # id(shape) -> its interned term, for the sizes below order
+        ordered = {(): a}  # ids of the children's terms, in shape order -> their term
         for n in range(order + 1):
             for tree in trees(n):
-                kids = children(tree)
-                term = applied[tuple([id(cache[id(kid)]) for kid in kids])] if kids else a
+                key = tuple([id(cache[id(kid)]) for kid in children(tree)])
+                term = ordered.get(key)
+                if term is None:
+                    term = ordered[key] = applied[tuple(sorted(key))]
                 if n < order:
                     cache[id(tree)] = term
                 yield tree, term
+
+    def walk() -> Iterator:
+        if guard:
+            guard()
+        return pairs()
 
     def hook_classes() -> list:
         table = [{(id(a), ()): [a, (), 1]}]  # per size: (id(term), hooks) -> [term, hooks, count]
         for n in range(1, order + 1):
             level: dict = {}
-            for sizes in _splits(arity, n):
-                for classes in product(*[table[s].values() for s in sizes]):
-                    term = applied[tuple([id(term) for term, _, _ in classes])]
+            for runs in size_runs(n):
+                for classes, ways in _multisets(table, runs):
+                    term = applied[tuple(sorted([id(term) for term, _, _ in classes]))]
                     hooks = (n, *sorted(chain.from_iterable([h for _, h, _ in classes]), reverse=True))
-                    count = prod([c for _, _, c in classes])
+                    count = ways * prod([c for _, _, c in classes])
                     level.setdefault((id(term), hooks), [term, hooks, 0])[2] += count
             table.append(level)
         return table
@@ -677,12 +770,16 @@ def fixed_point_mary(
     F: Callable[..., TruncatedSeries], arity: int, order: int, *, unsafe_large: bool = False
 ) -> TreeExpansion:
     """Expand the solution of x = 1 + F(x, ..., x) with an (arity+1)-linear
-    operator over (arity+1)-ary tree shapes."""
-    trees = lambda n: mary_trees(arity, n, unsafe_large=unsafe_large)
-    trees(order)  # the size guards, before the probes and the series of 1
+    operator over (arity+1)-ary tree shapes.  The count is guarded by the
+    operator calls it may make, not by the shapes it never lists; a walk of
+    expansion.terms meets the mary_trees guards when it is asked for."""
+    calls = _call_bound(arity + 1, order, MARY_CALL_GUARD)  # before the probes and the series of 1
+    what = f"fixed_point_mary(m={arity}, order={order}) on at least {calls} operator calls"
+    refuse_large(what, calls, MARY_CALL_GUARD, unsafe_large)
     _probe_valuations(F, arity + 1, order)
+    trees = lambda n: mary_trees(arity, n, unsafe_large=unsafe_large)
     one = TruncatedSeries.constant(Fraction(1), order)
-    return _expand(F, one, order, trees, _children, arity + 1, "m-ary")
+    return _expand(F, one, order, trees, _children, arity + 1, "m-ary", lambda: trees(order))
 
 
 def picard_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TruncatedSeries:
@@ -716,5 +813,7 @@ def fixed_point_plane(
             val = family(n)(*([a] * n)).valuation()
             if val is not None and val < 1:
                 raise ValuationViolation(f"plane family F_{n} does not raise valuation")
+    for n in (2, 3):
+        _probe_symmetry(family(n), a, n)
     apply = lambda *xs: family(len(xs))(*xs)
     return _expand(apply, a, order, trees, _children)

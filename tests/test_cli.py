@@ -492,8 +492,8 @@ def test_arity_below_one_is_a_parse_error(capsys, argv, m):
     assert err == f"parse error: --m must be >= 1, got {m}\n"
 
 
-def test_arity_above_the_guard_is_a_size_guard(capsys):
-    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "17")
+def test_operator_calls_above_the_guard_are_a_size_guard(capsys):
+    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "2", "--order", "10")
     assert code == 3
 
 
@@ -887,8 +887,13 @@ def test_an_enumerator_guard_names_the_cli_flag(capsys):
             "permutations(13) exceeds the guard 12; pass --unsafe-large to force",
         ),
         (
+            ("expand", "duliu", "--m", "1", "--order", "10", "--per-tree"),
+            "mary_trees(m=1)(10) exceeds the guard 9; pass --unsafe-large to force",
+        ),
+        (
             ("expand", "duliu", "--m", "2", "--order", "10"),
-            "mary_trees(m=2)(10) exceeds the guard 9; pass --unsafe-large to force",
+            "fixed_point_mary(m=2, order=10) on at least 583 operator calls exceeds the guard"
+            " 500; pass --unsafe-large to force",
         ),
         (
             ("enumerate", "mary-trees", "--m", "900", "--n", "3", "--count-only"),
@@ -900,7 +905,7 @@ def test_an_enumerator_guard_names_the_cli_flag(capsys):
             "oracle over S_8 exceeds max degree 7; pass --unsafe-large to force",
         ),
     ],
-    ids=["permutations", "m-ary nodes", "m-ary child slots", "hook oracle"],
+    ids=["permutations", "m-ary nodes", "m-ary operator calls", "m-ary child slots", "hook oracle"],
 )
 def test_each_guard_prints_its_refusal_in_full(capsys, argv, message):
     code, err = _run_rejected(capsys, *argv)
@@ -939,7 +944,7 @@ EXIT_CODES = [
     (("enumerate", "packed-words", "--n", "10"), {}, None, 3),
     (("enumerate", "plane-trees", "--n", "10"), {}, None, 3),
     (("enumerate", "mary-trees", "--m", "900", "--n", "3", "--count-only"), {}, None, 3),
-    (("expand", "duliu", "--m", "300", "--order", "3"), {}, None, 3),
+    (("expand", "duliu", "--m", "300", "--order", "3", "--per-tree"), {}, None, 3),
     (("hook", "(_,_)", "--oracle"), {"TREECALC_MAX_DEGREE": "-1"}, None, 2),
     (("hook", "(_,_)", "--dump"), {}, '{"max_degree": -1}', 2),
 ]
@@ -972,6 +977,16 @@ def test_exit_code_table(capsys, monkeypatch, tmp_path, argv, env, config, expec
 @pytest.mark.parametrize("family, n", [("binary-trees", "15"), ("permutations", "13")])
 def test_a_json_enumerate_guard_prints_nothing(capsys, family, n):
     code, out = run(capsys, "--format", "json", "enumerate", family, "--n", n)
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("fmt", cli.OUTPUT_FORMATS)
+def test_an_m_ary_listing_meets_its_shape_guards_before_any_output(capsys, fmt):
+    # the count passes its call guard (200 calls); the listing of its shapes
+    # would not, and refuses before the total, which text prints first
+    argv = ("--format", fmt, "expand", "duliu", "--m", "16", "--order", "8")
+    assert run(capsys, *argv)[0] == 0
+    code, out = run(capsys, *argv, "--per-tree")
     assert (code, out) == (3, "")
 
 

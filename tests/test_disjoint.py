@@ -37,12 +37,52 @@ HOOK_ALLOWED = {
     "arith.Poly._canonical",
 }
 
+# What both paths of the Lagrange fixed point (the m-ary tree expansion
+# against graded Picard) may call: the operator they both solve, and the
+# series and ring kernels it runs on.
+LAGRANGE_ALLOWED = {
+    # the operator both paths solve: its builder, its factor table and its
+    # integral
+    "identities.lagrange_operator",
+    "identities._lagrange_factors",
+    "series.integrate",
+    # the series kernels: the operator's product (TruncatedSeries.__mul__,
+    # named by its alias __rmul__), the sum, and the constant 1 both start from
+    "series.TruncatedSeries.__rmul__",
+    "series._Series.__radd__",
+    "series._Series.constant",
+    "series._Series._scalar",
+    "series._Series._unchecked",
+    "series._Series.order",
+    # the ring kernels of the AlphaPoly coefficients and their exactness gate
+    "arith.Poly.__bool__",
+    "arith.Poly.__init__",
+    "arith.Poly.__radd__",
+    "arith.Poly.__rmul__",
+    "arith.Poly.__truediv__",
+    "arith.Poly._canonical",
+    "arith.Poly._coerce",
+    "arith._check_exact",
+    "arith._convolve",
+    "arith._nonnegative",
+    "arith._terms",
+    "arith.exact_scalar",
+}
+
 FT_TREES = ("((**)*)", "(*(**)*)", "((**)(**))", "(*(**)(**))", "((**)*(**))")
 HOOK_TREES = ("(_,_)", "((_,_),_)", "((_,_),((_,_),_))", "(((_,_),_),(_,(_,_)))")
+LAGRANGE_CASES = ("1 5", "2 4", "3 3")  # "m order"
 
-# Each pair: its allowlist, its trees, their parser, formula and oracle.
+# Each pair: its allowlist, its inputs, their parser, formula and oracle.
 # The paths look the functions up when called, so a rebound one runs.
 PAIRS = {
+    "lagrange": (
+        LAGRANGE_ALLOWED,
+        LAGRANGE_CASES,
+        lambda text: tuple(map(int, text.split())),
+        lambda case: series.fixed_point_mary(identities.lagrange_operator(case[0]), *case).total,
+        lambda case: series.picard_mary(identities.lagrange_operator(case[0]), *case),
+    ),
     "ft": (
         FT_ALLOWED,
         FT_TREES,
@@ -140,7 +180,7 @@ def test_paths_share_only_allowed_functions(pair):
 def test_every_allowed_function_is_shared():
     # an entry no pair shares any more is stale: drop it
     shared = set().union(*map(_shared, PAIRS))
-    assert FT_ALLOWED | HOOK_ALLOWED == shared
+    assert FT_ALLOWED | HOOK_ALLOWED | LAGRANGE_ALLOWED == shared
 
 
 def test_a_formula_calling_its_oracle_is_named(monkeypatch):
@@ -165,3 +205,28 @@ def test_a_hook_formula_reading_a_fiber_is_named(monkeypatch):
 
     monkeypatch.setattr(identities, "_qhook", mutant)
     assert {"identities.hook_fiber", "combinat.decreasing_tree"} <= _not_allowed("qhook_imaj")
+
+
+def test_only_the_tree_path_walks_multisets():
+    _, cases, parse, tree_path, picard = PAIRS["lagrange"]
+    walk = {"series._partitions", "series._multisets"}
+    for case in map(parse, cases):
+        assert walk <= _calls(tree_path, case)
+        assert not walk & _calls(picard, case)
+        assert tree_path(case) == picard(case)
+
+
+def test_an_off_by_one_multiplicity_fails_the_tree_path(monkeypatch):
+    # the planted mutant: every multiset of two or more ordered tuples
+    # stands for one tuple too many.  The engine re-checks its sum against
+    # x = 1 + F(x, ..., x), so the Lagrange check stops there, before its
+    # paths are compared
+    multisets = series._multisets
+
+    def mutant(table, runs):
+        for classes, ways in multisets(table, runs):
+            yield classes, ways + (ways > 1)
+
+    monkeypatch.setattr(series, "_multisets", mutant)
+    with pytest.raises(ArithmeticError, match="^m-ary expansion does not satisfy its equation$"):
+        identities.lagrange_fixed_point_check(2, 4)

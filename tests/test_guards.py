@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treecalc import combinat, identities
+from treecalc import combinat, identities, series
 from treecalc.cli import main
 from treecalc.errors import SizeGuardError
 from treecalc.identities import duliu_check, lagrange_fixed_point_check
@@ -40,9 +40,11 @@ LOW_GUARDS = {
     },
     identities: {
         "POSTNIKOV_GUARD": 2,
-        "LAGRANGE_ARITY_GUARD": 1,
         "DULIU_SLOT_GUARD": 4,
         "FT_LEAF_GUARD": 2,
+    },
+    series: {
+        "MARY_CALL_GUARD": 1,
     },
 }
 
@@ -114,10 +116,10 @@ def test_an_arity_below_one_lies_outside_the_identity():
 def test_the_check_limits_give_way_to_unsafe_large():
     with pytest.raises(SizeGuardError, match=r"^postnikov_check\(n=13\) exceeds the guard 12;"):
         identities.postnikov_check(13)
-    message = r"^lagrange_fixed_point_check\(m=17\) exceeds the guard 16;"
+    message = r"^fixed_point_mary\(m=2, order=10\) on at least 583 operator calls exceeds the guard 500;"
     with pytest.raises(SizeGuardError, match=message):
-        lagrange_fixed_point_check(17, 1)
-    assert lagrange_fixed_point_check(17, 1, unsafe_large=True).equal
+        lagrange_fixed_point_check(2, 10)
+    assert lagrange_fixed_point_check(2, 10, unsafe_large=True).equal
     with pytest.raises(SizeGuardError, match=r"^duliu_check\(m=4, n=7\) on 1159400 child slots"):
         duliu_check("las3", 7, 4)
     with pytest.raises(SizeGuardError, match=r"on 251001 child slots exceeds the guard 250000;"):

@@ -571,7 +571,7 @@ def test_lagrange_checks():
     assert lagrange_fixed_point_check(1, 6).equal
     assert lagrange_fixed_point_check(2, 5).equal
     with pytest.raises(SizeGuardError):
-        lagrange_fixed_point_check(17, 4)
+        lagrange_fixed_point_check(17, 10)
     with pytest.raises(SizeGuardError):
         lagrange_fixed_point_check(2, 10)
 

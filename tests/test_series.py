@@ -811,7 +811,7 @@ def test_evaluate_plane_tree_meets_no_recursion_limit():
 
 
 # ---------------------------------------------------------------------------
-# the engine's memo: one operator call per distinct child-term tuple
+# the engine's memo: one operator call per distinct sorted child-term tuple
 # ---------------------------------------------------------------------------
 
 
@@ -853,11 +853,14 @@ def test_operator_runs_once_per_child_term_tuple():
     terms, _, cache = per_tree_reference(
         postnikov_operator, one, order, binary_trees, binary_children
     )
-    tuples = {(repr(cache[t.left]), repr(cache[t.right])) for t, _ in terms if t.node_count}
-    # every tree is still listed, but op runs once per distinct tuple of its
-    # children's terms, besides the three valuation probes and the residual
+    tuples = {
+        tuple(sorted((repr(cache[t.left]), repr(cache[t.right])))) for t, _ in terms if t.node_count
+    }
+    # every tree is still listed, but op runs once per distinct sorted tuple
+    # of its children's terms (a multiset), besides the three valuation
+    # probes, the three symmetry probes and the residual
     assert len(expansion.terms) == len(terms) == 6918
-    assert len(calls) == len(tuples) + 3 + 1 < 400
+    assert len(calls) == len(tuples) + 3 + 3 + 1 < 400
 
 
 @pytest.mark.parametrize("case, order", [
@@ -909,6 +912,36 @@ class Marked(Fraction):
 
     def __repr__(self):
         return f"Marked({self})"
+
+
+def test_every_shipped_operator_passes_the_symmetry_probe():
+    from treecalc.cli import _inverse_linear_operator
+    from treecalc.identities import lagrange_operator, plane_q_family, postnikov_operator
+    from treecalc.series import _probe_symmetry
+
+    one = TruncatedSeries.monomial(0, 6)
+    operators = [(postnikov_operator, 2), (_inverse_linear_operator, 2)]
+    for op, arity in operators + [(lagrange_operator(m), m + 1) for m in (1, 2, 3)]:
+        _probe_symmetry(op, one, arity)
+    for k in (2, 3, 4):
+        _probe_symmetry(plane_q_family(k), BinomialPoly({0: QPoly.one()}), k)
+
+
+def test_an_asymmetric_operator_is_refused_before_any_level_runs():
+    calls = []
+
+    def first_integrated(*xs):  # raises valuation, but integrates its first argument only
+        calls.append(None)
+        return integrate(xs[0]) * prod(xs[1:], start=TruncatedSeries.constant(1, xs[0].order))
+
+    one = TruncatedSeries.constant(Fraction(1), 4)
+    with pytest.raises(ValueError, match="needs a symmetric operator; this 2-ary one is not"):
+        fixed_point_binary(first_integrated, one, 4)
+    assert len(calls) == 3 + 3  # the valuation probes and the symmetry probe, and no level
+    with pytest.raises(ValueError, match="needs a symmetric operator; this 3-ary one is not"):
+        fixed_point_mary(first_integrated, 2, 4)
+    with pytest.raises(ValueError, match="needs a symmetric operator; this 2-ary one is not"):
+        fixed_point_plane(lambda k: first_integrated, 4, TruncatedSeries.monomial(1, 6))
 
 
 def test_memo_keeps_apart_terms_that_print_alike():
@@ -971,6 +1004,17 @@ def _engine_case(case, order):
     return args, calls
 
 
+def _child_multisets(pairs, children) -> set:
+    """The distinct sorted tuples of child-term reprs over a listing's
+    (shape, term) pairs: op runs once for each, besides the residual."""
+    printed = {id(tree): repr(term) for tree, term in pairs}
+    return {
+        tuple(sorted([printed[id(kid)] for kid in children(tree)]))
+        for tree, _ in pairs
+        if children(tree)
+    }
+
+
 # The Lagrange tree orders the identity check once capped the expansion at.
 MARY_ORDERS = {1: 8, 2: 6, 3: 5}
 
@@ -988,16 +1032,30 @@ def test_counting_engine_matches_listing_reference(case, order):
 
     args, calls = _engine_case(case, order)
     want = listing_expand(*args)
-    reference_calls = len(calls)
     calls.clear()
     got = _expand(*args)
-    assert len(calls) == reference_calls  # one op call per distinct child-term tuple
+    residual = len(args) > 5  # binary and m-ary shapes re-check the equation
+    # one op call per distinct sorted child-term tuple
+    assert len(calls) == len(_child_multisets(want.terms, args[4])) + residual
     assert len(got.terms) == len(want.terms)
     assert repr(got.total) == repr(want.total)
     calls.clear()
     listed = [(tree.text, repr(term)) for tree, term in got.terms]
     assert not calls  # the listing looks every term up and never calls op
     assert listed == [(tree.text, repr(term)) for tree, term in want.terms]
+
+
+def test_a_term_at_two_sizes_is_counted_once_per_size():
+    # every internal node carries the one interned term t, whatever its
+    # size: a multiset's orderings count its equal (size, class) pairs, so
+    # a child of size 2 and one of size 1, both t, still make two tuples
+    from treecalc.series import _expand
+
+    node = lambda *xs: TruncatedSeries([0, 1])
+    args = (node, TruncatedSeries([1, 0]), 5, plane_trees, attrgetter("children"))
+    got, want = _expand(*args), listing_expand(*args)
+    assert len(got.terms) == len(want.terms) == 258
+    assert repr(got.total) == repr(want.total) == "TruncatedSeries([1, 257])"
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +1075,10 @@ def test_hook_classes_group_the_listing_reference(case, order):
 
     args, calls = _engine_case(case, order)
     want = listing_expand(*args)
-    reference_calls = len(calls)
     calls.clear()
     got = _expand(*args)
-    assert len(calls) == reference_calls  # the table adds no op call
+    # one op call per distinct sorted child-term tuple, and the residual
+    assert len(calls) == len(_child_multisets(want.terms, args[4])) + 1
     calls.clear()
     table = got.terms.hook_classes
     assert not calls  # reading the table never calls op
