@@ -28,10 +28,11 @@ m-ary and plane-tree analogues) as a sum of per-tree terms, counting the
 shapes of each term and of each (term, hook multiset) class rather than
 listing them, and calling the symmetric operator once per multiset of
 child terms (Postnikov's equation at order 9: 6,918 shapes, 169 terms,
-188 classes, 186 operator calls).  Its wrappers meet their guard first,
+188 classes, 186 operator calls).  Its wrappers meet their guards first,
 which unsafe_large passes: the binary and plane families the shape guard
-of their enumerator, the m-ary family a bound on its operator calls
-(MARY_CALL_GUARD), its shape guards met by each walk of its shapes.
+of their enumerator, the m-ary family bounds on its operator calls and
+on the series they pass (MARY_CALL_GUARD, MARY_ARGUMENT_GUARD), and each
+walk of its shapes the mary_trees guards, before its first pair.
 Then they check on monomial probes that the operator raises valuation by
 at least one, which is what makes the expansion converge order by order,
 and that it ignores the order of its arguments.  The independent
@@ -564,10 +565,15 @@ _children = attrgetter("children")
 
 # Operator calls of an m-ary expansion, by _call_bound before any probe: every m
 # reaches order 9 (486 calls at m >= 7), m = 1 order 10.  identity lagrange takes
-# 0.42-0.44 s at m = 16, order 9, and 0.73-1.05 s at m = 40, a call multiplying
-# m + 1 series; m = 2, order 10 (879) takes 0.32-0.48 s with --unsafe-large (the
-# CLI in a child, 3 runs, 2-core Xeon, Python 3.11).
+# 0.42-0.44 s at m = 16, order 9; m = 2, order 10 (879) takes 0.32-0.48 s with
+# --unsafe-large (the CLI in a child, 3 runs, 2-core Xeon, Python 3.11).
 MARY_CALL_GUARD = 500
+
+# Series passed to the operator, (calls + 7 for the probes and the residual) * (m + 1):
+# lagrange_operator multiplies all m + 1, so the cost grows with m at a fixed call
+# count.  identity lagrange at the limit, 3 runs as above: m = 39, order 9 0.62-0.99 s;
+# 216, 7 0.81-0.93 s; 453, 6 1.21-1.31 s; 2,000, 2 0.32-0.35 s; 2,856, 0 0.19-0.21 s.
+MARY_ARGUMENT_GUARD = 20_000
 
 
 def _partitions(total: int, parts: int) -> Iterator[list[tuple[int, int]]]:
@@ -620,14 +626,15 @@ def _call_bound(arity: int, order: int, limit: int) -> int:
     return total
 
 
-def _expand(op, a, order: int, trees, children, arity=None, name=None, guard=None) -> TreeExpansion:
+def _expand(op, a, order: int, trees, children, arity=None, name=None, walk_guard=False) -> TreeExpansion:
     """The one tree engine: the terms of the shapes trees(0..order), in
     enumeration order, and their sum.  A shape without children carries a;
     any other applies op to its children's terms.  Given an arity, the sum
     is re-checked against x = a + op(x, ..., x).  Its callers meet their
     guards and check on probes that op is symmetric before calling it; a
-    caller that met no shape guard passes one as guard, which each walk
-    meets when it is asked for, before any pair.
+    caller that met no shape guard sets walk_guard, and each walk then
+    calls trees(order), the family's size guard, when it is asked for,
+    before any pair.
 
     Shapes are counted, not listed (Flajolet-Sedgewick, Analytic
     Combinatorics, ch. I): level n maps each term to its number of shapes
@@ -703,8 +710,8 @@ def _expand(op, a, order: int, trees, children, arity=None, name=None, guard=Non
                 yield tree, term
 
     def walk() -> Iterator:
-        if guard:
-            guard()
+        if walk_guard:
+            trees(order)
         return pairs()
 
     def hook_classes() -> list:
@@ -771,15 +778,19 @@ def fixed_point_mary(
 ) -> TreeExpansion:
     """Expand the solution of x = 1 + F(x, ..., x) with an (arity+1)-linear
     operator over (arity+1)-ary tree shapes.  The count is guarded by the
-    operator calls it may make, not by the shapes it never lists; a walk of
-    expansion.terms meets the mary_trees guards when it is asked for."""
+    work it may do, not by the shapes it never lists: its operator calls,
+    then the series they pass; a walk of expansion.terms meets the
+    mary_trees guards when it is asked for."""
+    name = f"fixed_point_mary(m={arity}, order={order})"
     calls = _call_bound(arity + 1, order, MARY_CALL_GUARD)  # before the probes and the series of 1
-    what = f"fixed_point_mary(m={arity}, order={order}) on at least {calls} operator calls"
-    refuse_large(what, calls, MARY_CALL_GUARD, unsafe_large)
+    refuse_large(f"{name} on at least {calls} operator calls", calls, MARY_CALL_GUARD, unsafe_large)
+    passed = (calls + 7) * (arity + 1)
+    what = f"{name} passing at least {passed} series to its operator"
+    refuse_large(what, passed, MARY_ARGUMENT_GUARD, unsafe_large)
     _probe_valuations(F, arity + 1, order)
     trees = lambda n: mary_trees(arity, n, unsafe_large=unsafe_large)
     one = TruncatedSeries.constant(Fraction(1), order)
-    return _expand(F, one, order, trees, _children, arity + 1, "m-ary", lambda: trees(order))
+    return _expand(F, one, order, trees, _children, arity + 1, "m-ary", walk_guard=True)
 
 
 def picard_mary(F: Callable[..., TruncatedSeries], arity: int, order: int) -> TruncatedSeries:
@@ -813,7 +824,7 @@ def fixed_point_plane(
             val = family(n)(*([a] * n)).valuation()
             if val is not None and val < 1:
                 raise ValuationViolation(f"plane family F_{n} does not raise valuation")
-    for n in (2, 3):
-        _probe_symmetry(family(n), a, n)
+    for k in range(2, order + 2):  # every F_k the shapes of up to order + 1 leaves apply
+        _probe_symmetry(family(k), a, k)
     apply = lambda *xs: family(len(xs))(*xs)
     return _expand(apply, a, order, trees, _children)

@@ -492,8 +492,8 @@ def test_arity_below_one_is_a_parse_error(capsys, argv, m):
     assert err == f"parse error: --m must be >= 1, got {m}\n"
 
 
-def test_operator_calls_above_the_guard_are_a_size_guard(capsys):
-    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "2", "--order", "10")
+def test_arity_above_the_guard_is_a_size_guard(capsys):
+    code, _ = _run_rejected(capsys, "identity", "lagrange", "--m", "2500", "--order", "1")
     assert code == 3
 
 
@@ -896,6 +896,11 @@ def test_an_enumerator_guard_names_the_cli_flag(capsys):
             " 500; pass --unsafe-large to force",
         ),
         (
+            ("expand", "duliu", "--m", "1000000", "--order", "3"),
+            "fixed_point_mary(m=1000000, order=3) passing at least 11000011 series to its"
+            " operator exceeds the guard 20000; pass --unsafe-large to force",
+        ),
+        (
             ("enumerate", "mary-trees", "--m", "900", "--n", "3", "--count-only"),
             "mary_trees(m=900, n=3) child slots(1096743151) exceeds the guard 13449040; "
             "pass --unsafe-large to force",
@@ -905,7 +910,14 @@ def test_an_enumerator_guard_names_the_cli_flag(capsys):
             "oracle over S_8 exceeds max degree 7; pass --unsafe-large to force",
         ),
     ],
-    ids=["permutations", "m-ary nodes", "m-ary operator calls", "m-ary child slots", "hook oracle"],
+    ids=[
+        "permutations",
+        "m-ary nodes",
+        "m-ary operator calls",
+        "m-ary operator arguments",
+        "m-ary child slots",
+        "hook oracle",
+    ],
 )
 def test_each_guard_prints_its_refusal_in_full(capsys, argv, message):
     code, err = _run_rejected(capsys, *argv)

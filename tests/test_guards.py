@@ -45,6 +45,7 @@ LOW_GUARDS = {
     },
     series: {
         "MARY_CALL_GUARD": 1,
+        "MARY_ARGUMENT_GUARD": 1,
     },
 }
 
@@ -81,6 +82,7 @@ def test_unsafe_large_passes_every_guard_a_command_meets(capsys, monkeypatch, ar
     [
         ("identity", "eisenstein", "--order", "100000"),
         ("identity", "lagrange", "--order", "100000"),
+        ("identity", "lagrange", "--m", "1000000", "--order", "3"),
         ("identity", "duliu", "--variant", "las1", "--n", "1000000"),
         ("identity", "duliu", "--variant", "las3", "--m", "2", "--n", "1000000"),
         ("expand", "postnikov", "--order", "100000"),
@@ -120,6 +122,10 @@ def test_the_check_limits_give_way_to_unsafe_large():
     with pytest.raises(SizeGuardError, match=message):
         lagrange_fixed_point_check(2, 10)
     assert lagrange_fixed_point_check(2, 10, unsafe_large=True).equal
+    message = r"^fixed_point_mary\(m=2500, order=1\) passing at least 20008 series to its operator"
+    with pytest.raises(SizeGuardError, match=message + " exceeds the guard 20000;"):
+        lagrange_fixed_point_check(2500, 1)
+    assert lagrange_fixed_point_check(2500, 1, unsafe_large=True).equal
     with pytest.raises(SizeGuardError, match=r"^duliu_check\(m=4, n=7\) on 1159400 child slots"):
         duliu_check("las3", 7, 4)
     with pytest.raises(SizeGuardError, match=r"on 251001 child slots exceeds the guard 250000;"):

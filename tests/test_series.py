@@ -944,6 +944,20 @@ def test_an_asymmetric_operator_is_refused_before_any_level_runs():
         fixed_point_plane(lambda k: first_integrated, 4, TruncatedSeries.monomial(1, 6))
 
 
+def test_a_plane_family_is_probed_at_every_arity_its_shapes_apply():
+    # F_2 and F_3 are symmetric and F_4 is not: order 2 applies F_2 and F_3
+    # only, order 3 (four leaves) applies F_4 too
+    def family(k):
+        if k < 4:
+            return lambda *xs: integrate(prod(xs[1:], start=xs[0]))
+        return lambda *xs: integrate(xs[0]) * prod(xs[1:], start=TruncatedSeries.constant(1, 6))
+
+    a = TruncatedSeries.constant(Fraction(1), 6)
+    assert len(fixed_point_plane(family, 2, a).terms) == 1 + 1 + 3
+    with pytest.raises(ValueError, match="needs a symmetric operator; this 4-ary one is not"):
+        fixed_point_plane(family, 3, a)
+
+
 def test_memo_keeps_apart_terms_that_print_alike():
     # P and R compare equal and print alike, but P's zero is a Marked 0:
     # P + t prints (1')*t^1 where R + t prints (1)*t^1.  A memo keyed by
